@@ -80,7 +80,7 @@ Row run_pure(std::uint32_t fanout) {
 
   Rng wl_rng = sim.fork_rng();
   std::uint64_t published = 0;
-  PeriodicTimer feed = sim.every(
+  runtime::PeriodicTimer feed = sim.every(
       Duration::millis(1), Duration::seconds(1.0 / (kRate * kNodes)), [&]() {
         if (sim.now() > SimTime::seconds(kRunSeconds)) return;
         const auto node =

@@ -33,7 +33,7 @@ int main() {
   TransportConfig tc;
   tc.link.loss_rate = 0.0;
   Transport transport(sim, topo, tc);
-  PubSubNetwork net(sim, transport, DispatcherConfig{});
+  PubSubNetwork net(transport, DispatcherConfig{});
 
   const Pattern black{0};
   const Pattern gray{1};

@@ -38,7 +38,7 @@ int main() {
   DispatcherConfig dc;
   dc.default_payload_bytes = 160;  // a tick is small
   dc.record_routes = true;         // combined pull needs routes to gateways
-  PubSubNetwork network(sim, transport, dc);
+  PubSubNetwork network(transport, dc);
 
   // --- symbols and desks ---
   const std::vector<std::string> symbols = {"ACME", "GLOBO", "INITECH",
@@ -84,7 +84,7 @@ int main() {
 
   // --- the feed: both gateways tick every symbol 40×/s for 10 s ---
   std::uint64_t published = 0;
-  PeriodicTimer feed =
+  runtime::PeriodicTimer feed =
       sim.every(Duration::millis(1), Duration::millis(25), [&]() {
         if (sim.now() > SimTime::seconds(10.0)) return;
         for (std::uint32_t gw : {0u, 1u}) {

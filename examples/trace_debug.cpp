@@ -26,7 +26,7 @@ int main() {
     trace.record_link_change(l, added);
   });
 
-  PubSubNetwork net(sim, transport, DispatcherConfig{});
+  PubSubNetwork net(transport, DispatcherConfig{});
   net.set_delivery_listener(
       [&trace](NodeId node, const EventPtr& e, bool recovered) {
         trace.record_delivery(node, e->id(), recovered);

@@ -85,6 +85,11 @@ class MessagePool {
   /// Pooling otherwise (EPICAST_POOL=on overrides the ASan default).
   [[nodiscard]] static Mode default_mode();
 
+  /// Interprets an EPICAST_POOL value: unset (null) or empty keeps the
+  /// build default, "on"/"1" select Pooling, "off"/"0" PassThrough, and any
+  /// other spelling aborts with a message naming the variable.
+  [[nodiscard]] static Mode mode_from_env(const char* value);
+
   static constexpr std::size_t kGranularity = 64;
   static constexpr std::size_t kClasses = 16;  ///< up to 1024-byte blocks
   static constexpr std::size_t kSlabBytes = 64 * 1024;

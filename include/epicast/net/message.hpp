@@ -48,10 +48,16 @@ enum class SizingMode {
 
 [[nodiscard]] const char* to_string(SizingMode m);
 
-/// Process-wide default sizing mode: SizingMode::Wire when the EPICAST_SIZING
-/// environment variable is "wire" (read once, first call), Nominal
-/// otherwise. Lets the whole test/bench suite run in wire mode without
-/// touching every config literal (the CI wire-sizing job does exactly that).
+/// Interprets an EPICAST_SIZING value: unset (null) or empty selects
+/// Nominal, "wire" selects Wire, and any other spelling aborts with a
+/// message naming the variable — a mistyped setting must not silently run
+/// a suite in the other mode.
+[[nodiscard]] SizingMode sizing_mode_from_env(const char* value);
+
+/// Process-wide default sizing mode: sizing_mode_from_env() of the
+/// EPICAST_SIZING environment variable, read once on the first call. Lets
+/// the whole test/bench suite run in wire mode without touching every
+/// config literal (the CI wire-sizing job does exactly that).
 [[nodiscard]] SizingMode default_sizing_mode();
 
 /// Base class of everything the transport can carry.

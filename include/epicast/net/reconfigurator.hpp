@@ -10,17 +10,18 @@
 // With ρ larger than the repair time reconfigurations are non-overlapping
 // (paper's ρ = 0.2 s); with ρ smaller, several links can be down at once
 // (ρ = 0.03 s), the paper's "extreme test case".
+//
+// The reconfigurator runs on the runtime seam: pass the Simulator itself,
+// or the sharded engine's master-lane ShardRuntime.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 
 #include "epicast/common/rng.hpp"
 #include "epicast/net/topology.hpp"
 #include "epicast/runtime/runtime.hpp"
-#include "epicast/sim/simulator.hpp"
 
 namespace epicast {
 
@@ -51,15 +52,10 @@ class Reconfigurator {
   /// Called after the replacement link (if any) is installed.
   using RepairListener = std::function<void(const Repair&)>;
 
-  /// The reconfigurator draws time, timers, and randomness from the
-  /// runtime seam; `rt` and `topology` must outlive it.
+  /// The reconfigurator draws time, timers, and randomness from `rt`;
+  /// `rt` and `topology` must outlive it.
   Reconfigurator(runtime::Runtime& rt, Topology& topology,
                  ReconfigConfig config);
-
-  /// Convenience for sim-side callers and tests: runs on a private
-  /// SimRuntime over `sim`. Identical RNG fork order and scheduling as the
-  /// pre-seam constructor.
-  Reconfigurator(Simulator& sim, Topology& topology, ReconfigConfig config);
 
   Reconfigurator(const Reconfigurator&) = delete;
   Reconfigurator& operator=(const Reconfigurator&) = delete;
@@ -120,9 +116,6 @@ class Reconfigurator {
   /// such node is currently rejected by the node filter.
   bool side_blocked(NodeId anchor) const;
 
-  /// Set only by the Simulator& convenience constructor (declared before
-  /// rt_ so the reference below can bind to it).
-  std::unique_ptr<runtime::Runtime> owned_rt_;
   runtime::Runtime& rt_;
   Topology& topology_;
   ReconfigConfig config_;

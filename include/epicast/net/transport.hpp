@@ -15,6 +15,10 @@
 //
 // Control traffic (subscriptions) defaults to lossless, modelling the
 // TCP-backed control connections real dispatching networks use.
+//
+// The class implements runtime::Transport and binds itself to the
+// Simulator it is built on, so protocol code running on that Simulator (as
+// its runtime::Runtime) sends through it directly.
 #pragma once
 
 #include <cstdint>
@@ -25,8 +29,6 @@
 #include "epicast/net/link_model.hpp"
 #include "epicast/net/message.hpp"
 #include "epicast/net/topology.hpp"
-// TransportReceiver and TransportObserver moved to the runtime seam (they
-// are shared with the socket backend); re-exported here for existing users.
 #include "epicast/runtime/transport.hpp"
 #include "epicast/sim/simulator.hpp"
 
@@ -44,18 +46,19 @@ struct TransportConfig {
   SizingMode sizing = default_sizing_mode();
 };
 
-class Transport {
+class Transport final : public runtime::Transport {
  public:
   /// The transport keeps references to `sim` and `topology`; both must
-  /// outlive it.
+  /// outlive it. Binds itself as `sim.transport()` until destroyed.
   Transport(Simulator& sim, Topology& topology, TransportConfig config);
+  ~Transport() override;
 
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
 
   /// Registers the receiver for `node`. Must be called for every node
   /// before traffic addressed to it arrives.
-  void attach(NodeId node, TransportReceiver& receiver);
+  void attach(NodeId node, TransportReceiver& receiver) override;
 
   /// Registers an additional observer (metrics, tracing); all registered
   /// observers see every send/loss/drop, in registration order. During
@@ -92,11 +95,22 @@ class Transport {
 
   /// Sends over the overlay link (from → to). If the link does not exist
   /// the message is dropped (stale-route drop).
-  void send_overlay(NodeId from, NodeId to, MessagePtr msg);
+  void send_overlay(NodeId from, NodeId to, MessagePtr msg) override;
 
   /// Sends over the out-of-band channel. `from == to` is a programming
   /// error — recovery never gossips with itself.
-  void send_direct(NodeId from, NodeId to, MessagePtr msg);
+  void send_direct(NodeId from, NodeId to, MessagePtr msg) override;
+
+  [[nodiscard]] std::span<const NodeId> neighbors(
+      NodeId node) const override {
+    return topology_.neighbors(node);
+  }
+  [[nodiscard]] bool has_link(NodeId a, NodeId b) const override {
+    return topology_.has_link(a, b);
+  }
+  [[nodiscard]] std::uint32_t node_count() const override {
+    return topology_.node_count();
+  }
 
   [[nodiscard]] const TransportConfig& config() const { return config_; }
   [[nodiscard]] Topology& topology() { return topology_; }

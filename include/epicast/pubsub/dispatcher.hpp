@@ -46,7 +46,8 @@ struct DispatcherConfig {
 class Dispatcher final : public TransportReceiver {
  public:
   /// The dispatcher talks to its environment exclusively through the
-  /// runtime seam: SimRuntime in simulation, AsyncRuntime on real sockets.
+  /// runtime seam: the Simulator (or its engine lane's ShardRuntime) in
+  /// simulation, AsyncRuntime on real sockets.
   Dispatcher(NodeId id, runtime::Runtime& rt, DispatcherConfig config);
 
   Dispatcher(const Dispatcher&) = delete;

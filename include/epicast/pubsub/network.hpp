@@ -1,7 +1,9 @@
 // epicast — the assembled dispatching network.
 //
-// Owns one Dispatcher per topology node, wires them to the transport, and
-// provides the two pieces of global machinery the simulation needs:
+// Owns one Dispatcher per topology node — each running on the Simulator
+// as its runtime, or on its shard lane's ShardRuntime under the sharded
+// engine — wires them to the transport, and provides the two pieces of
+// global machinery the simulation needs:
 //
 //  * route rebuilding after a topological reconfiguration — the converged
 //    outcome of the reconfiguration protocol of paper ref [7] (see
@@ -19,20 +21,17 @@
 #include "epicast/net/topology.hpp"
 #include "epicast/net/transport.hpp"
 #include "epicast/pubsub/dispatcher.hpp"
-#include "epicast/runtime/sim_runtime.hpp"
 #include "epicast/sim/simulator.hpp"
 
 namespace epicast {
 
 class PubSubNetwork {
  public:
-  /// Creates one dispatcher per node of `transport.topology()`. The
-  /// dispatchers talk to a SimRuntime assembled here over (sim, transport);
-  /// the network itself keeps direct access to both — it is sim-side
-  /// machinery (oracle rebuilds, global consistency checks), not protocol
-  /// code.
-  PubSubNetwork(Simulator& sim, Transport& transport,
-                DispatcherConfig dispatcher_config);
+  /// Creates one dispatcher per node of `transport.topology()`, each
+  /// running on `transport.simulator()` as its runtime; the network itself
+  /// keeps direct access to the transport — it is sim-side machinery
+  /// (oracle rebuilds, global consistency checks), not protocol code.
+  PubSubNetwork(Transport& transport, DispatcherConfig dispatcher_config);
 
   /// Picks the runtime a given node's dispatcher runs on — the sharded
   /// engine maps each node to its shard-lane ShardRuntime. Returned
@@ -40,16 +39,10 @@ class PubSubNetwork {
   using RuntimeProvider = std::function<runtime::Runtime&(NodeId)>;
 
   /// As above, but each dispatcher runs on `per_node(its id)` instead of
-  /// the shared SimRuntime. Dispatchers are still constructed in node
-  /// order, so RNG fork order is unchanged.
-  PubSubNetwork(Simulator& sim, Transport& transport,
-                DispatcherConfig dispatcher_config,
+  /// on the Simulator. Dispatchers are still constructed in node order, so
+  /// RNG fork order is unchanged.
+  PubSubNetwork(Transport& transport, DispatcherConfig dispatcher_config,
                 const RuntimeProvider& per_node);
-
-  /// The runtime seam the dispatchers run on (for wiring more components,
-  /// e.g. the Reconfigurator, onto the same seam). With a RuntimeProvider
-  /// this SimRuntime exists but is unused by the dispatchers.
-  [[nodiscard]] runtime::SimRuntime& runtime() { return runtime_; }
 
   PubSubNetwork(const PubSubNetwork&) = delete;
   PubSubNetwork& operator=(const PubSubNetwork&) = delete;
@@ -106,9 +99,7 @@ class PubSubNetwork {
   using Oracle = std::vector<std::vector<OracleEntry>>;
   [[nodiscard]] Oracle compute_oracle() const;
 
-  Simulator& sim_;
   Transport& transport_;
-  runtime::SimRuntime runtime_;
   std::vector<std::unique_ptr<Dispatcher>> nodes_;
 };
 

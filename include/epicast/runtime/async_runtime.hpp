@@ -1,7 +1,8 @@
 // epicast — the real-socket backend of the runtime seam.
 //
 // A single-threaded epoll event loop: one UDP socket per attached local
-// node, timerfd-backed timers on CLOCK_MONOTONIC, and a bounded inbound
+// node, timers in a Scheduler keyed on raw CLOCK_MONOTONIC nanoseconds
+// with one timerfd armed at the earliest deadline, and a bounded inbound
 // frame queue between the sockets and the protocol handlers (drop-newest on
 // overflow, in the style of the EventStreamCore dispatcher — losing a frame
 // under overload is exactly the unreliability the recovery protocols are
@@ -21,7 +22,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -36,6 +36,7 @@
 #include "epicast/fault/plan.hpp"
 #include "epicast/metrics/hotpath_profiler.hpp"
 #include "epicast/runtime/runtime.hpp"
+#include "epicast/sim/scheduler.hpp"
 #include "epicast/wire/buffer.hpp"
 
 namespace epicast::runtime {
@@ -219,7 +220,6 @@ class AsyncRuntime final : public Runtime,
   [[nodiscard]] const AsyncRuntimeConfig& config() const { return config_; }
 
  private:
-  struct AsyncTimerState;
   struct LocalNode;
   struct InboundFrame {
     NodeId to;
@@ -232,6 +232,7 @@ class AsyncRuntime final : public Runtime,
   void drain_socket(LocalNode& node);
   void process_inbound();
   void fire_due_timers();
+  /// Arms the timerfd at the earliest pending deadline (disarms when none).
   void rearm_timerfd();
   [[nodiscard]] std::int64_t mono_ns() const;
 
@@ -262,12 +263,11 @@ class AsyncRuntime final : public Runtime,
   std::vector<std::vector<NodeId>> links_;      // sorted adjacency
   std::vector<std::unique_ptr<LocalNode>> local_;  // indexed by NodeId
 
-  /// Pending timers ordered by (deadline, sequence) — FIFO at equal
-  /// deadlines, matching the sim scheduler's tie-break.
-  std::map<std::pair<std::int64_t, std::uint64_t>,
-           std::shared_ptr<AsyncTimerState>>
-      timers_;
-  std::uint64_t timer_seq_ = 0;
+  /// Pending timers, FIFO at equal deadlines like every other backend.
+  /// Keyed on raw CLOCK_MONOTONIC time rather than now(): a clock_epoch_ns
+  /// later than process start makes now() negative, and the scheduler
+  /// never runs behind its own zero.
+  Scheduler timers_;
   std::int64_t armed_deadline_ns_ = -1;
 
   std::deque<InboundFrame> inbound_;

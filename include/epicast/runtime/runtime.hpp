@@ -1,20 +1,25 @@
 // epicast — the runtime seam: clock, timers, transport, randomness.
 //
 // Everything a protocol component needs from its environment, behind one
-// interface. The simulation backend (SimRuntime) adapts the deterministic
-// scheduler and the simulated links; the socket backend (AsyncRuntime)
-// adapts a monotonic clock, timerfd-backed timers, and epoll UDP sockets.
-// Protocol code written against `Runtime` runs on either unchanged — the
-// property the conformance suite in tests/runtime/ pins.
+// interface with three implementations: the Simulator itself (the
+// deterministic scheduler plus the simulated net::Transport built on it),
+// ShardRuntime (one lane of the sharded engine), and AsyncRuntime (a
+// monotonic clock, timerfd wakeups and epoll UDP sockets). Protocol code
+// written against `Runtime` runs on all three unchanged — the property the
+// conformance suite in tests/runtime/ pins.
 //
-// Determinism contract (SimRuntime): the adapters add no RNG forks and no
-// scheduler events beyond what the wrapped calls themselves make, and they
-// issue those calls in exactly the order the caller makes them — so a
-// protocol refactored from Simulator& to Runtime& produces bit-identical
-// runs (the seed guards in tests/test_determinism.cpp enforce this).
+// All three keep their timers in a Scheduler (sim/scheduler.hpp), so a
+// TimerHandle is the scheduler's EventHandle and a timer callback is its
+// SmallCallback: one cancellation mechanism and one FIFO tie-break
+// everywhere.
+//
+// Determinism contract (simulation backends): a seam call makes exactly
+// one scheduler call or RNG fork, in caller order, and nothing else — so
+// protocol code written against Runtime& produces the same runs as code
+// calling the Simulator directly (the seed guards in
+// tests/test_determinism.cpp enforce this).
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <utility>
@@ -23,6 +28,8 @@
 #include "epicast/common/rng.hpp"
 #include "epicast/metrics/hotpath_profiler.hpp"
 #include "epicast/runtime/transport.hpp"
+#include "epicast/sim/callback.hpp"
+#include "epicast/sim/scheduler.hpp"
 #include "epicast/sim/time.hpp"
 
 namespace epicast::runtime {
@@ -35,36 +42,16 @@ class Clock {
   [[nodiscard]] virtual SimTime now() const = 0;
 };
 
-/// Cancellation token for a one-shot timer. Copyable; all copies refer to
-/// the same scheduled callback. A default-constructed handle is inert.
-class TimerHandle {
- public:
-  /// Backend-owned state behind a handle.
-  class State {
-   public:
-    virtual ~State() = default;
-    /// Cancels the pending callback; returns true if it was still pending.
-    virtual bool cancel() = 0;
-    [[nodiscard]] virtual bool pending() const = 0;
-  };
-
-  TimerHandle() = default;
-  explicit TimerHandle(std::shared_ptr<State> state)
-      : state_(std::move(state)) {}
-
-  bool cancel() { return state_ != nullptr && state_->cancel(); }
-  [[nodiscard]] bool pending() const {
-    return state_ != nullptr && state_->pending();
-  }
-
- private:
-  std::shared_ptr<State> state_;
-};
+/// Cancellation token for a one-shot timer: the EventHandle of the
+/// backend's scheduler. Copyable; all copies refer to the same scheduled
+/// callback, a default-constructed handle is inert, and a handle must not
+/// outlive the runtime that created it.
+using TimerHandle = EventHandle;
 
 /// One-shot timer scheduling.
 class TimerService {
  public:
-  using Callback = std::function<void()>;
+  using Callback = SmallCallback;
 
   virtual ~TimerService() = default;
 
@@ -73,11 +60,12 @@ class TimerService {
   virtual TimerHandle after(Duration delay, Callback cb) = 0;
 };
 
-/// A repeating timer over any TimerService. Owns its scheduling; cancelled
-/// on destruction, so a component holding one by value cannot leave
-/// callbacks dangling. Mirrors epicast::PeriodicTimer (sim/simulator.hpp)
-/// call-for-call: the re-arm sequence issues exactly the same
-/// schedule-after calls, which keeps SimRuntime bit-identical.
+/// A repeating timer over any TimerService — the only periodic timer in the
+/// library. Owns its scheduling; cancelled on destruction, so a component
+/// holding one by value cannot leave callbacks dangling. Each tick re-arms
+/// with one after(interval) call, so it adds nothing to the scheduler's
+/// event order beyond its own ticks. Like a TimerHandle, it must not
+/// outlive the runtime it ticks on.
 class PeriodicTimer {
  public:
   PeriodicTimer() = default;
@@ -111,7 +99,8 @@ class PeriodicTimer {
     std::function<void()> on_tick;
     TimerHandle handle;
   };
-  static void arm(const std::shared_ptr<State>& state);
+  /// Schedules the next tick `delay` from now.
+  static void arm(const std::shared_ptr<State>& state, Duration delay);
 
   std::shared_ptr<State> state_;
 };
@@ -129,7 +118,7 @@ class Runtime {
   [[nodiscard]] virtual Transport& transport() = 0;
 
   /// Derives an independent RNG stream for a component. Call order matters
-  /// (and, under SimRuntime, is the determinism-critical fork order);
+  /// (and, in simulation, is the determinism-critical fork order);
   /// components fork their streams during construction.
   virtual Rng fork_rng() = 0;
 

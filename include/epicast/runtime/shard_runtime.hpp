@@ -6,7 +6,7 @@
 // master Simulator), RNG forks delegate to the master Simulator so the
 // fork order — the determinism-critical order — is identical to the serial
 // run, and each shard lane owns its MessagePool so allocation stays
-// shard-local. Transport calls pass straight through to the simulated
+// shard-local. transport() is the master Simulator's: the simulated
 // net::Transport, whose arrival router feeds the engine's mailboxes.
 #pragma once
 
@@ -16,27 +16,25 @@
 #include "epicast/sim/shard_engine.hpp"
 #include "epicast/sim/simulator.hpp"
 
-namespace epicast {
-class Transport;  // net/transport.hpp
-}  // namespace epicast
-
 namespace epicast::runtime {
 
-class ShardRuntime final : public Runtime {
+class ShardRuntime final : public Runtime,
+                           public Clock,
+                           public TimerService {
  public:
-  /// Keeps references to `engine`, `sim`, and `transport`; all must outlive
-  /// this runtime. `own_pool` gives the lane its own MessagePool (shard
-  /// lanes); the master lane shares the Simulator's pool.
+  /// Keeps references to `engine` and `sim`; both must outlive this
+  /// runtime. `own_pool` gives the lane its own MessagePool (shard lanes);
+  /// the master lane shares the Simulator's pool.
   ShardRuntime(ShardEngine& engine, std::uint32_t lane, Simulator& sim,
-               epicast::Transport* transport, bool own_pool);
+               bool own_pool);
 
   ShardRuntime(const ShardRuntime&) = delete;
   ShardRuntime& operator=(const ShardRuntime&) = delete;
 
-  [[nodiscard]] Clock& clock() override { return clock_; }
-  [[nodiscard]] const Clock& clock() const override { return clock_; }
-  [[nodiscard]] TimerService& timers() override { return timers_; }
-  [[nodiscard]] Transport& transport() override;
+  [[nodiscard]] Clock& clock() override { return *this; }
+  [[nodiscard]] const Clock& clock() const override { return *this; }
+  [[nodiscard]] TimerService& timers() override { return *this; }
+  [[nodiscard]] Transport& transport() override { return sim_.transport(); }
   Rng fork_rng() override { return sim_.fork_rng(); }
   [[nodiscard]] MessagePool& pool() override {
     return pool_ != nullptr ? *pool_ : sim_.pool();
@@ -45,42 +43,24 @@ class ShardRuntime final : public Runtime {
   /// worker pool; the runner merges lane snapshots into the run totals);
   /// the master lane charges the Simulator's.
   [[nodiscard]] HotpathProfiler& profiler() override {
-    return lane_ < engine_->shard_count() ? engine_->lane_profiler(lane_)
-                                          : sim_.profiler();
+    return lane_ < engine_.shard_count() ? engine_.lane_profiler(lane_)
+                                         : sim_.profiler();
   }
+
+  /// The engine's clock; during parallel windows, the executing lane
+  /// event's time.
+  [[nodiscard]] SimTime now() const override;
+
+  /// Schedules on this runtime's lane heap.
+  TimerHandle after(Duration delay, Callback cb) override;
 
   [[nodiscard]] std::uint32_t lane() const { return lane_; }
 
  private:
-  struct ShardClock final : Clock {
-    ShardEngine* engine = nullptr;
-    [[nodiscard]] SimTime now() const override;
-  };
-
-  struct ShardTimers final : TimerService {
-    ShardEngine* engine = nullptr;
-    std::uint32_t lane = 0;
-    TimerHandle after(Duration delay, Callback cb) override;
-  };
-
-  struct NetTransport final : Transport {
-    epicast::Transport* net = nullptr;
-    void attach(NodeId node, TransportReceiver& receiver) override;
-    void send_overlay(NodeId from, NodeId to, MessagePtr msg) override;
-    void send_direct(NodeId from, NodeId to, MessagePtr msg) override;
-    [[nodiscard]] std::span<const NodeId> neighbors(
-        NodeId node) const override;
-    [[nodiscard]] bool has_link(NodeId a, NodeId b) const override;
-    [[nodiscard]] std::uint32_t node_count() const override;
-  };
-
   Simulator& sim_;
-  ShardEngine* engine_ = nullptr;
+  ShardEngine& engine_;
   std::uint32_t lane_;
   std::unique_ptr<MessagePool> pool_;  // shard-local pool, if owned
-  ShardClock clock_;
-  ShardTimers timers_;
-  NetTransport transport_;
 };
 
 }  // namespace epicast::runtime

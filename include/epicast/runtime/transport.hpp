@@ -1,11 +1,11 @@
 // epicast — the transport face of the runtime seam.
 //
 // Protocol code (Dispatcher, gossip protocols) sends and receives through
-// this interface only; whether a message crosses a simulated link
-// (runtime::SimRuntime over net::Transport) or a real UDP socket
-// (runtime::AsyncRuntime) is invisible above the seam. The receiver and
-// observer interfaces live here — in namespace epicast, their historical
-// home — because both backends share them verbatim.
+// this interface only; whether a message crosses a simulated link (the
+// net::Transport built on a Simulator, which implements this interface) or
+// a real UDP socket (runtime::AsyncRuntime) is invisible above the seam.
+// The receiver and observer interfaces live here — in namespace epicast,
+// their historical home — because both backends share them verbatim.
 #pragma once
 
 #include <cstdint>

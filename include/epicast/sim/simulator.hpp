@@ -1,67 +1,29 @@
 // epicast — simulation context.
 //
-// `Simulator` bundles the scheduler with the root RNG and a few utilities
-// (periodic timers, run bookkeeping). All model components receive a
-// `Simulator&` and must draw time from it and randomness from streams forked
-// off it — never from wall-clock or global state — which is what makes every
-// scenario a deterministic function of (config, seed).
+// `Simulator` bundles the scheduler with the root RNG, the message pool and
+// the hot-path profiler, and is itself the simulation backend of the
+// runtime seam: its scheduler serves as clock and timers, and transport()
+// is the simulated net::Transport built on it. All model components draw
+// time from it and randomness from streams forked off it — never from
+// wall-clock or global state — which is what makes every scenario a
+// deterministic function of (config, seed).
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 
 #include "epicast/common/message_pool.hpp"
 #include "epicast/common/rng.hpp"
 #include "epicast/metrics/hotpath_profiler.hpp"
+#include "epicast/runtime/runtime.hpp"
 #include "epicast/sim/scheduler.hpp"
 #include "epicast/sim/time.hpp"
 
 namespace epicast {
 
-/// A repeating timer. Owns its scheduling; cancelled on destruction, so a
-/// component holding one by value cannot leave callbacks dangling
-/// (RAII per Core Guidelines R.1).
-class PeriodicTimer {
- public:
-  PeriodicTimer() = default;
-  ~PeriodicTimer() { stop(); }
-
-  PeriodicTimer(const PeriodicTimer&) = delete;
-  PeriodicTimer& operator=(const PeriodicTimer&) = delete;
-  PeriodicTimer(PeriodicTimer&&) = default;
-  PeriodicTimer& operator=(PeriodicTimer&& other) noexcept {
-    if (this != &other) {
-      stop();
-      state_ = std::move(other.state_);
-    }
-    return *this;
-  }
-
-  /// True while ticking.
-  [[nodiscard]] bool running() const { return state_ != nullptr; }
-
-  /// Stops future ticks. Idempotent.
-  void stop();
-
-  /// Changes the interval; takes effect from the next tick.
-  void set_interval(Duration interval);
-
- private:
-  friend class Simulator;
-  struct State {
-    Scheduler* scheduler = nullptr;
-    Duration interval;
-    std::function<void()> on_tick;
-    EventHandle handle;
-  };
-  static void arm(const std::shared_ptr<State>& state);
-
-  std::shared_ptr<State> state_;
-};
-
 /// The simulation context: scheduler + deterministic randomness.
-class Simulator {
+class Simulator final : public runtime::Runtime,
+                        public runtime::Clock,
+                        public runtime::TimerService {
  public:
   /// Creates a simulator whose entire stochastic behaviour derives from
   /// `seed`.
@@ -71,27 +33,50 @@ class Simulator {
   Simulator& operator=(const Simulator&) = delete;
 
   [[nodiscard]] Scheduler& scheduler() { return scheduler_; }
-  [[nodiscard]] SimTime now() const { return scheduler_.now(); }
 
-  /// Schedules a one-shot callback after `delay`.
-  EventHandle after(Duration delay, Scheduler::Callback cb) {
-    return scheduler_.schedule_after(delay, std::move(cb));
-  }
+  // -- Runtime ----------------------------------------------------------------
 
-  /// Schedules a one-shot callback at absolute time `at`.
-  EventHandle at(SimTime at, Scheduler::Callback cb) {
-    return scheduler_.schedule_at(at, std::move(cb));
-  }
+  [[nodiscard]] runtime::Clock& clock() override { return *this; }
+  [[nodiscard]] const runtime::Clock& clock() const override { return *this; }
+  [[nodiscard]] runtime::TimerService& timers() override { return *this; }
 
-  /// Starts a periodic timer with the first tick after `first_delay` and
-  /// subsequent ticks every `interval`.
-  PeriodicTimer every(Duration first_delay, Duration interval,
-                      std::function<void()> on_tick);
+  /// The net::Transport built on this simulator (it binds itself on
+  /// construction). Calling this on a simulator without one is a
+  /// programming error.
+  [[nodiscard]] runtime::Transport& transport() override;
+
+  /// Called by net::Transport's constructor and destructor; at most one
+  /// transport is bound at a time.
+  void bind_transport(runtime::Transport* transport);
 
   /// Derives an independent RNG stream for a component. Call order matters
   /// (and is deterministic); components should fork their streams during
   /// construction.
-  Rng fork_rng() { return root_rng_.fork(); }
+  Rng fork_rng() override { return root_rng_.fork(); }
+
+  /// Per-scenario message/event allocation pool. Scenarios are
+  /// single-threaded, so the pool is unsynchronized by design; everything
+  /// allocated through it may outlive this Simulator (the pool state is
+  /// reference-counted by outstanding allocations).
+  [[nodiscard]] MessagePool& pool() override { return pool_; }
+
+  /// Hot-path phase counters (ops always, ns when a scenario enables
+  /// timing); aggregated into ScenarioResult.
+  [[nodiscard]] HotpathProfiler& profiler() override { return profiler_; }
+
+  // -- clock and timers -------------------------------------------------------
+
+  [[nodiscard]] SimTime now() const override { return scheduler_.now(); }
+
+  /// Schedules a one-shot callback after `delay`.
+  EventHandle after(Duration delay, Callback cb) override {
+    return scheduler_.schedule_after(delay, std::move(cb));
+  }
+
+  /// Schedules a one-shot callback at absolute time `at`.
+  EventHandle at(SimTime at, Callback cb) {
+    return scheduler_.schedule_at(at, std::move(cb));
+  }
 
   /// Runs until no events remain.
   void run() { scheduler_.run(); }
@@ -102,22 +87,13 @@ class Simulator {
   /// Seed this simulator was constructed with (for reports).
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
 
-  /// Per-scenario message/event allocation pool. Scenarios are
-  /// single-threaded, so the pool is unsynchronized by design; everything
-  /// allocated through it may outlive this Simulator (the pool state is
-  /// reference-counted by outstanding allocations).
-  [[nodiscard]] MessagePool& pool() { return pool_; }
-
-  /// Hot-path phase counters (ops always, ns when a scenario enables
-  /// timing); aggregated into ScenarioResult.
-  [[nodiscard]] HotpathProfiler& profiler() { return profiler_; }
-
  private:
   std::uint64_t seed_;
   Scheduler scheduler_;
   Rng root_rng_;
   MessagePool pool_;
   HotpathProfiler profiler_;
+  runtime::Transport* transport_ = nullptr;
 };
 
 }  // namespace epicast

@@ -1,7 +1,9 @@
 #include "epicast/common/message_pool.hpp"
 
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string_view>
 
 #include "epicast/common/assert.hpp"
 
@@ -21,22 +23,26 @@ constexpr std::size_t class_bytes(std::size_t c) {
 
 }  // namespace
 
-MessagePool::Mode MessagePool::default_mode() {
-  static const Mode mode = [] {
-    if (const char* v = std::getenv("EPICAST_POOL")) {
-      if (std::strcmp(v, "off") == 0 || std::strcmp(v, "0") == 0) {
-        return Mode::PassThrough;
-      }
-      if (std::strcmp(v, "on") == 0 || std::strcmp(v, "1") == 0) {
-        return Mode::Pooling;
-      }
-    }
+MessagePool::Mode MessagePool::mode_from_env(const char* value) {
+  const std::string_view v = value != nullptr ? value : "";
+  if (v == "on" || v == "1") return Mode::Pooling;
+  if (v == "off" || v == "0") return Mode::PassThrough;
+  if (!v.empty()) {
+    std::fprintf(stderr,
+                 "EPICAST_POOL: unknown value '%s' (expected on, off, 1 or "
+                 "0)\n",
+                 value);
+    std::abort();
+  }
 #ifdef EPICAST_ASAN
-    return Mode::PassThrough;
+  return Mode::PassThrough;
 #else
-    return Mode::Pooling;
+  return Mode::Pooling;
 #endif
-  }();
+}
+
+MessagePool::Mode MessagePool::default_mode() {
+  static const Mode mode = mode_from_env(std::getenv("EPICAST_POOL"));
   return mode;
 }
 

@@ -1,5 +1,6 @@
 #include "epicast/net/message.hpp"
 
+#include <cstdio>
 #include <cstdlib>
 #include <string_view>
 
@@ -24,13 +25,20 @@ const char* to_string(SizingMode m) {
   return "?";
 }
 
+SizingMode sizing_mode_from_env(const char* value) {
+  const std::string_view v = value != nullptr ? value : "";
+  if (v.empty()) return SizingMode::Nominal;
+  if (v == "wire") return SizingMode::Wire;
+  std::fprintf(stderr,
+               "EPICAST_SIZING: unknown value '%s' (expected wire, or unset "
+               "for nominal)\n",
+               value);
+  std::abort();
+}
+
 SizingMode default_sizing_mode() {
-  static const SizingMode mode = [] {
-    const char* v = std::getenv("EPICAST_SIZING");
-    return (v != nullptr && std::string_view(v) == "wire")
-               ? SizingMode::Wire
-               : SizingMode::Nominal;
-  }();
+  static const SizingMode mode =
+      sizing_mode_from_env(std::getenv("EPICAST_SIZING"));
   return mode;
 }
 

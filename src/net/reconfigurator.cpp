@@ -4,24 +4,12 @@
 
 #include "epicast/common/assert.hpp"
 #include "epicast/common/logging.hpp"
-#include "epicast/runtime/sim_runtime.hpp"
 
 namespace epicast {
 
 Reconfigurator::Reconfigurator(runtime::Runtime& rt, Topology& topology,
                                ReconfigConfig config)
     : rt_(rt), topology_(topology), config_(config), rng_(rt.fork_rng()) {
-  EPICAST_ASSERT(config_.interval > Duration::zero());
-  EPICAST_ASSERT(!config_.repair_time.is_negative());
-}
-
-Reconfigurator::Reconfigurator(Simulator& sim, Topology& topology,
-                               ReconfigConfig config)
-    : owned_rt_(std::make_unique<runtime::SimRuntime>(sim)),
-      rt_(*owned_rt_),
-      topology_(topology),
-      config_(config),
-      rng_(rt_.fork_rng()) {
   EPICAST_ASSERT(config_.interval > Duration::zero());
   EPICAST_ASSERT(!config_.repair_time.is_negative());
 }

@@ -37,7 +37,10 @@ Transport::Transport(Simulator& sim, Topology& topology,
   EPICAST_ASSERT(config_.direct_latency_min <= config_.direct_latency_max);
   EPICAST_ASSERT(config_.direct_loss_rate >= 0.0 &&
                  config_.direct_loss_rate <= 1.0);
+  sim_.bind_transport(this);
 }
+
+Transport::~Transport() { sim_.bind_transport(nullptr); }
 
 void Transport::attach(NodeId node, TransportReceiver& receiver) {
   EPICAST_ASSERT(node.value() < receivers_.size());

@@ -7,20 +7,19 @@
 
 namespace epicast {
 
-PubSubNetwork::PubSubNetwork(Simulator& sim, Transport& transport,
+PubSubNetwork::PubSubNetwork(Transport& transport,
                              DispatcherConfig dispatcher_config)
-    : PubSubNetwork(sim, transport, dispatcher_config, RuntimeProvider{}) {}
+    : PubSubNetwork(transport, dispatcher_config, RuntimeProvider{}) {}
 
-PubSubNetwork::PubSubNetwork(Simulator& sim, Transport& transport,
+PubSubNetwork::PubSubNetwork(Transport& transport,
                              DispatcherConfig dispatcher_config,
                              const RuntimeProvider& per_node)
-    : sim_(sim), transport_(transport), runtime_(sim, &transport) {
+    : transport_(transport) {
   const std::uint32_t n = transport.topology().node_count();
   nodes_.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
-    runtime::Runtime& rt =
-        per_node ? per_node(NodeId{i})
-                 : static_cast<runtime::Runtime&>(runtime_);
+    runtime::Runtime& rt = per_node ? per_node(NodeId{i})
+                                    : transport.simulator();
     nodes_.push_back(
         std::make_unique<Dispatcher>(NodeId{i}, rt, dispatcher_config));
   }

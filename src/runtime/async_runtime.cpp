@@ -42,23 +42,6 @@ constexpr std::size_t kMaxDatagram = 65536;
 
 }  // namespace
 
-/// A cancellable one-shot timer. The runtime's map owns one reference; the
-/// TimerHandle the caller got owns another, so cancel()/pending() stay valid
-/// after the timer fires and the map entry is gone.
-struct AsyncRuntime::AsyncTimerState final : TimerHandle::State {
-  bool cancelled = false;
-  bool fired = false;
-  TimerService::Callback cb;
-
-  bool cancel() override {
-    if (cancelled || fired) return false;
-    cancelled = true;
-    cb = nullptr;  // free captures eagerly; the map entry is skipped later
-    return true;
-  }
-  [[nodiscard]] bool pending() const override { return !cancelled && !fired; }
-};
-
 struct AsyncRuntime::LocalNode {
   NodeId id;
   int fd = -1;
@@ -200,23 +183,23 @@ SimTime AsyncRuntime::now() const {
 // -- TimerService ------------------------------------------------------------
 
 TimerHandle AsyncRuntime::after(Duration delay, Callback cb) {
-  EPICAST_ASSERT(cb != nullptr);
-  auto state = std::make_shared<AsyncTimerState>();
-  state->cb = std::move(cb);
   const std::int64_t deadline =
       mono_ns() + std::max<std::int64_t>(0, delay.count_nanos());
-  timers_.emplace(std::make_pair(deadline, timer_seq_++), state);
+  TimerHandle handle = timers_.schedule_at(
+      SimTime::zero() + Duration::nanos(deadline), std::move(cb));
   if (armed_deadline_ns_ < 0 || deadline < armed_deadline_ns_) {
     rearm_timerfd();
   }
-  return TimerHandle{std::move(state)};
+  return handle;
 }
 
 void AsyncRuntime::rearm_timerfd() {
   itimerspec spec{};  // zeroed = disarm
   std::int64_t deadline = -1;
-  if (!timers_.empty()) {
-    deadline = timers_.begin()->first.first;
+  SimTime at;
+  std::uint64_t seq = 0;
+  if (timers_.peek(at, seq)) {
+    deadline = (at - SimTime::zero()).count_nanos();
     spec.it_value.tv_sec = deadline / 1'000'000'000;
     spec.it_value.tv_nsec = deadline % 1'000'000'000;
     if (spec.it_value.tv_sec == 0 && spec.it_value.tv_nsec == 0) {
@@ -231,17 +214,9 @@ void AsyncRuntime::rearm_timerfd() {
 }
 
 void AsyncRuntime::fire_due_timers() {
-  const std::int64_t now = mono_ns();
-  while (!timers_.empty() && timers_.begin()->first.first <= now) {
-    auto node = timers_.extract(timers_.begin());
-    AsyncTimerState& t = *node.mapped();
-    if (t.cancelled) continue;
-    t.fired = true;
-    TimerService::Callback cb = std::move(t.cb);
-    t.cb = nullptr;
-    ++stats_.timers_fired;
-    cb();  // may insert new timers; the map is not iterated across this call
-  }
+  // Callbacks may schedule new timers; those due by now fire in this pass.
+  timers_.run_until(SimTime::zero() + Duration::nanos(mono_ns()));
+  stats_.timers_fired = timers_.executed();
 }
 
 // -- Transport ---------------------------------------------------------------
@@ -595,7 +570,7 @@ void AsyncRuntime::poll(Duration max_wait) {
       }
       // The armed deadline has been consumed; force a real re-arm next time.
       armed_deadline_ns_ = -1;
-      continue;  // timers fire below, off the ordered map
+      continue;  // timers fire below, off the scheduler
     }
     if (tag < local_.size() && local_[tag] != nullptr) {
       drain_socket(*local_[tag]);

@@ -20,19 +20,19 @@ void PeriodicTimer::set_interval(Duration interval) {
   // Re-arm immediately: the next tick happens `interval` from now, whether
   // the previous one was already scheduled or we are inside a tick callback.
   state_->handle.cancel();
-  arm(state_);
+  arm(state_, interval);
 }
 
-void PeriodicTimer::arm(const std::shared_ptr<State>& state) {
+void PeriodicTimer::arm(const std::shared_ptr<State>& state, Duration delay) {
   // Weak capture: if the owning PeriodicTimer is destroyed, the chain stops
   // instead of keeping the state alive through self-reference.
   std::weak_ptr<State> weak = state;
-  state->handle = state->timers->after(state->interval, [weak]() {
+  state->handle = state->timers->after(delay, [weak]() {
     auto live = weak.lock();
     if (!live) return;
     live->on_tick();
     // on_tick may have re-armed via set_interval; don't double-arm.
-    if (!live->handle.pending()) arm(live);
+    if (!live->handle.pending()) arm(live, live->interval);
   });
 }
 
@@ -46,15 +46,7 @@ PeriodicTimer Runtime::every(Duration first_delay, Duration interval,
   state->timers = &timers();
   state->interval = interval;
   state->on_tick = std::move(on_tick);
-
-  // First tick honours first_delay, then arm() repeats every interval.
-  std::weak_ptr<PeriodicTimer::State> weak = state;
-  state->handle = timers().after(first_delay, [weak]() {
-    auto live = weak.lock();
-    if (!live) return;
-    live->on_tick();
-    if (!live->handle.pending()) PeriodicTimer::arm(live);
-  });
+  PeriodicTimer::arm(state, first_delay);
 
   PeriodicTimer timer;
   timer.state_ = std::move(state);

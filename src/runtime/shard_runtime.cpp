@@ -2,80 +2,26 @@
 
 #include <utility>
 
-#include "epicast/common/assert.hpp"
-#include "epicast/net/topology.hpp"
-#include "epicast/net/transport.hpp"
+#include "epicast/sim/lane_context.hpp"
 
 namespace epicast::runtime {
 
-namespace {
-
-/// TimerHandle state over a lane EventHandle; cancellation works across
-/// lanes because the merged execution re-scans every lane head.
-struct LaneTimerState final : TimerHandle::State {
-  EventHandle handle;
-  bool cancel() override { return handle.cancel(); }
-  [[nodiscard]] bool pending() const override { return handle.pending(); }
-};
-
-}  // namespace
-
 ShardRuntime::ShardRuntime(ShardEngine& engine, std::uint32_t lane,
-                           Simulator& sim, epicast::Transport* transport,
-                           bool own_pool)
-    : sim_(sim), engine_(&engine), lane_(lane) {
+                           Simulator& sim, bool own_pool)
+    : sim_(sim), engine_(engine), lane_(lane) {
   if (own_pool) pool_ = std::make_unique<MessagePool>();
-  clock_.engine = &engine;
-  timers_.engine = &engine;
-  timers_.lane = lane;
-  transport_.net = transport;
-}
-
-Transport& ShardRuntime::transport() {
-  EPICAST_ASSERT_MSG(transport_.net != nullptr,
-                     "ShardRuntime was built without a transport");
-  return transport_;
 }
 
 // During parallel windows the engine's clock is the master's replay clock;
 // code running on a worker lane reads its own lane context's event time.
-SimTime ShardRuntime::ShardClock::now() const {
-  return LaneContext::now_or(engine->now());
+SimTime ShardRuntime::now() const {
+  return LaneContext::now_or(engine_.now());
 }
 
-TimerHandle ShardRuntime::ShardTimers::after(Duration delay, Callback cb) {
-  auto state = std::make_shared<LaneTimerState>();
-  state->handle = engine->schedule_lane(
-      lane, LaneContext::now_or(engine->now()) + delay, std::move(cb));
-  return TimerHandle(std::move(state));
-}
-
-void ShardRuntime::NetTransport::attach(NodeId node,
-                                        TransportReceiver& receiver) {
-  net->attach(node, receiver);
-}
-
-void ShardRuntime::NetTransport::send_overlay(NodeId from, NodeId to,
-                                              MessagePtr msg) {
-  net->send_overlay(from, to, std::move(msg));
-}
-
-void ShardRuntime::NetTransport::send_direct(NodeId from, NodeId to,
-                                             MessagePtr msg) {
-  net->send_direct(from, to, std::move(msg));
-}
-
-std::span<const NodeId> ShardRuntime::NetTransport::neighbors(
-    NodeId node) const {
-  return net->topology().neighbors(node);
-}
-
-bool ShardRuntime::NetTransport::has_link(NodeId a, NodeId b) const {
-  return net->topology().has_link(a, b);
-}
-
-std::uint32_t ShardRuntime::NetTransport::node_count() const {
-  return net->topology().node_count();
+// Cancellation works across lanes because the merged execution re-scans
+// every lane head.
+TimerHandle ShardRuntime::after(Duration delay, Callback cb) {
+  return engine_.schedule_lane(lane_, now() + delay, std::move(cb));
 }
 
 }  // namespace epicast::runtime

@@ -152,10 +152,10 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
     lane_rts.reserve(shards_eff);
     for (std::uint32_t s = 0; s < shards_eff; ++s) {
       lane_rts.push_back(std::make_unique<runtime::ShardRuntime>(
-          *engine, s, sim, &transport, /*own_pool=*/true));
+          *engine, s, sim, /*own_pool=*/true));
     }
     master_rt = std::make_unique<runtime::ShardRuntime>(
-        *engine, engine->master_lane(), sim, &transport, /*own_pool=*/false);
+        *engine, engine->master_lane(), sim, /*own_pool=*/false);
     if (engine->thread_count() > 1) {
       // Cross-lane MessagePtr hand-offs release pool blocks from foreign
       // threads; switch every pool to its mutex-guarded free lists.
@@ -164,7 +164,7 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
       // Topology keeps a lazily repacked CSR view; force the repack on the
       // master before each parallel window so workers only ever read it.
       engine->set_parallel_prologue(
-          [&topology]() { topology.neighbors(NodeId{0}); });
+          [&topology]() { (void)topology.neighbors(NodeId{0}); });
     }
   }
   const auto run_to = [&](SimTime t) {
@@ -182,12 +182,12 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
   // (declared after lane_rts so they are destroyed before the shard pools).
   auto network_ptr =
       engine ? std::make_unique<PubSubNetwork>(
-                   sim, transport, dc,
+                   transport, dc,
                    PubSubNetwork::RuntimeProvider(
                        [&](NodeId n) -> runtime::Runtime& {
                          return *lane_rts[engine->lane_of(n)];
                        }))
-             : std::make_unique<PubSubNetwork>(sim, transport, dc);
+             : std::make_unique<PubSubNetwork>(transport, dc);
   PubSubNetwork& network = *network_ptr;
 
   // Conformance oracles: pure observers (no sim events, no RNG draws), so
@@ -277,12 +277,12 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
       topology.mean_pairwise_distance(cfg.nodes > 10000 ? 256 : 0);
 
   // Scenario-level components (Reconfigurator, FaultController) run on the
-  // engine's master lane when sharding; serially they keep the network's
-  // SimRuntime. Either way forks come from the same root RNG at the same
+  // engine's master lane when sharding; serially they run on the Simulator
+  // itself. Either way forks come from the same root RNG at the same
   // positions, so runs stay bit-identical.
   runtime::Runtime& proto_rt =
       engine ? static_cast<runtime::Runtime&>(*master_rt)
-             : static_cast<runtime::Runtime&>(network.runtime());
+             : static_cast<runtime::Runtime&>(sim);
 
   Reconfigurator* churn = nullptr;
   std::unique_ptr<Reconfigurator> churn_owner;

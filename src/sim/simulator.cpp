@@ -1,67 +1,21 @@
 #include "epicast/sim/simulator.hpp"
 
-#include <utility>
-
 #include "epicast/common/assert.hpp"
 
 namespace epicast {
 
-void PeriodicTimer::stop() {
-  if (state_) {
-    state_->handle.cancel();
-    state_.reset();
-  }
-}
-
-void PeriodicTimer::set_interval(Duration interval) {
-  EPICAST_ASSERT(interval > Duration::zero());
-  EPICAST_ASSERT_MSG(state_ != nullptr, "timer is not running");
-  state_->interval = interval;
-  // Re-arm immediately: the next tick happens `interval` from now, whether
-  // the previous one was already scheduled or we are inside a tick callback.
-  state_->handle.cancel();
-  arm(state_);
-}
-
-void PeriodicTimer::arm(const std::shared_ptr<State>& state) {
-  // Weak capture: if the owning PeriodicTimer is destroyed, the chain stops
-  // instead of keeping the state alive through self-reference.
-  std::weak_ptr<State> weak = state;
-  state->handle =
-      state->scheduler->schedule_after(state->interval, [weak]() {
-        auto live = weak.lock();
-        if (!live) return;
-        live->on_tick();
-        // on_tick may have re-armed via set_interval; don't double-arm.
-        if (!live->handle.pending()) arm(live);
-      });
-}
-
 Simulator::Simulator(std::uint64_t seed) : seed_(seed), root_rng_(seed) {}
 
-PeriodicTimer Simulator::every(Duration first_delay, Duration interval,
-                               std::function<void()> on_tick) {
-  EPICAST_ASSERT(interval > Duration::zero());
-  EPICAST_ASSERT(!first_delay.is_negative());
-  EPICAST_ASSERT(on_tick != nullptr);
+runtime::Transport& Simulator::transport() {
+  EPICAST_ASSERT_MSG(transport_ != nullptr,
+                     "no net::Transport was built on this simulator");
+  return *transport_;
+}
 
-  auto state = std::make_shared<PeriodicTimer::State>();
-  state->scheduler = &scheduler_;
-  state->interval = interval;
-  state->on_tick = std::move(on_tick);
-
-  // First tick honours first_delay, then arm() repeats every interval.
-  std::weak_ptr<PeriodicTimer::State> weak = state;
-  state->handle = scheduler_.schedule_after(first_delay, [weak]() {
-    auto live = weak.lock();
-    if (!live) return;
-    live->on_tick();
-    if (!live->handle.pending()) PeriodicTimer::arm(live);
-  });
-
-  PeriodicTimer timer;
-  timer.state_ = std::move(state);
-  return timer;
+void Simulator::bind_transport(runtime::Transport* transport) {
+  EPICAST_ASSERT_MSG(transport == nullptr || transport_ == nullptr,
+                     "a transport is already bound to this simulator");
+  transport_ = transport;
 }
 
 }  // namespace epicast

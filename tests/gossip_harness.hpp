@@ -27,7 +27,7 @@ class GossipHarness {
         topo_(Topology::line(nodes)),
         transport_(sim_, topo_, lossless()),
         stats_(nodes),
-        net_(sim_, transport_, dispatcher_config(algorithm)) {
+        net_(transport_, dispatcher_config(algorithm)) {
     transport_.add_observer(stats_);
     // One composable filter installed up front; the drop_* mutators only
     // edit the rule sets it consults.

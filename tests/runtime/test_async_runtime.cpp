@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ctime>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -77,6 +78,43 @@ TEST(AsyncRuntime, ZeroQueueCapacityRejected) {
   runtime::AsyncRuntimeConfig c = wire_config();
   c.inbound_queue_capacity = 0;
   EXPECT_THROW(runtime::AsyncRuntime rt(c), std::invalid_argument);
+}
+
+// -- timers under a shared cluster epoch ---------------------------------------
+
+TEST(AsyncRuntimeTimers, FireInDeadlineOrderWhileClockIsNegative) {
+  // An `epoch-ns` line later than this process's start (a daemon launched
+  // before the cluster's publish epoch) makes now() negative. The timer
+  // queue must not care: deadline order, FIFO ties, nothing early.
+  timespec ts{};
+  ::clock_gettime(CLOCK_MONOTONIC, &ts);
+  runtime::AsyncRuntimeConfig c = wire_config();
+  c.clock_epoch_ns = static_cast<std::int64_t>(ts.tv_sec) * 1'000'000'000 +
+                     ts.tv_nsec + Duration::seconds(10.0).count_nanos();
+  runtime::AsyncRuntime rt(c);
+  const SimTime start = rt.now();
+  ASSERT_LT(start, SimTime::zero());
+
+  std::vector<char> order;
+  std::vector<Duration> fired_after;
+  const auto record = [&](char tag) {
+    order.push_back(tag);
+    fired_after.push_back(rt.now() - start);
+  };
+  rt.after(Duration::millis(20), [&]() { record('A'); });
+  rt.after(Duration::millis(5), [&]() { record('B'); });
+  rt.after(Duration::millis(20), [&]() { record('C'); });
+  runtime::TimerHandle cancelled =
+      rt.after(Duration::millis(10), [&]() { record('X'); });
+  EXPECT_TRUE(cancelled.cancel());
+  rt.run_for(Duration::millis(60));
+
+  EXPECT_EQ(order, (std::vector<char>{'B', 'A', 'C'}));
+  ASSERT_EQ(fired_after.size(), 3u);
+  EXPECT_GE(fired_after[0], Duration::millis(5));
+  EXPECT_GE(fired_after[1], Duration::millis(20));
+  EXPECT_LT(rt.now(), SimTime::zero());
+  EXPECT_EQ(rt.stats().timers_fired, 3u);
 }
 
 // -- endpoint management ------------------------------------------------------

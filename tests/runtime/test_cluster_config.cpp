@@ -93,12 +93,13 @@ TEST(ClusterConfig, AlgorithmNamesMatchSimCli) {
   EXPECT_EQ(parse_algorithm_name("publisher-pull"), Algorithm::PublisherPull);
   EXPECT_EQ(parse_algorithm_name("combined-pull"), Algorithm::CombinedPull);
   EXPECT_EQ(parse_algorithm_name("random-pull"), Algorithm::RandomPull);
-  EXPECT_THROW(parse_algorithm_name("lazy-pull"), std::invalid_argument);
+  EXPECT_THROW((void)parse_algorithm_name("lazy-pull"),
+               std::invalid_argument);
 }
 
 void expect_error(const std::string& text, const std::string& needle) {
   try {
-    parse_cluster_config(text);
+    (void)parse_cluster_config(text);
     FAIL() << "expected invalid_argument mentioning '" << needle << "'";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)

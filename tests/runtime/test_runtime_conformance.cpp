@@ -1,10 +1,12 @@
-// Seam conformance: both Runtime backends must honour the same contract —
-// timer deadline ordering with FIFO tie-break, one-shot cancellation
-// semantics, a monotonic clock, periodic-timer lifecycle, and transport
-// delivery with correct sender/channel attribution. The protocol layer is
-// written against exactly these properties; a backend that violates one
-// breaks gossip scheduling in ways unit tests of the protocols would only
-// catch indirectly.
+// Seam conformance: all three Runtime backends — the Simulator, a
+// ShardRuntime lane of the sharded engine, and the socket AsyncRuntime —
+// must honour the same contract: timer deadline ordering with FIFO
+// tie-break, one-shot cancellation semantics, a monotonic clock,
+// periodic-timer lifecycle, and transport delivery with correct
+// sender/channel attribution. The protocol layer is written against
+// exactly these properties; a backend that violates one breaks gossip
+// scheduling in ways unit tests of the protocols would only catch
+// indirectly.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -16,7 +18,8 @@
 #include "epicast/pubsub/messages.hpp"
 #include "epicast/runtime/async_runtime.hpp"
 #include "epicast/runtime/runtime.hpp"
-#include "epicast/runtime/sim_runtime.hpp"
+#include "epicast/runtime/shard_runtime.hpp"
+#include "epicast/sim/shard_engine.hpp"
 #include "epicast/sim/simulator.hpp"
 
 namespace epicast {
@@ -29,17 +32,35 @@ class Backend {
   virtual runtime::Runtime& rt() = 0;
   /// Runs the backend until at least `d` of its time has passed.
   virtual void advance(Duration d) = 0;
+  /// True when timers fire exactly at their deadlines (simulated time);
+  /// real-clock backends only promise "never early".
+  [[nodiscard]] virtual bool exact() const { return true; }
 };
 
 class SimBackend final : public Backend {
  public:
-  SimBackend() : sim_(1), rt_(sim_) {}
-  runtime::Runtime& rt() override { return rt_; }
+  SimBackend() : sim_(1) {}
+  runtime::Runtime& rt() override { return sim_; }
   void advance(Duration d) override { sim_.run_until(sim_.now() + d); }
 
  private:
   Simulator sim_;
-  runtime::SimRuntime rt_;
+};
+
+/// Lane 0 of a 2-shard engine over the master Simulator.
+class ShardBackend final : public Backend {
+ public:
+  ShardBackend()
+      : sim_(1),
+        engine_(sim_, /*nodes=*/2, /*shards=*/2, Duration::millis(1)),
+        rt_(engine_, /*lane=*/0, sim_, /*own_pool=*/true) {}
+  runtime::Runtime& rt() override { return rt_; }
+  void advance(Duration d) override { engine_.run_until(engine_.now() + d); }
+
+ private:
+  Simulator sim_;
+  ShardEngine engine_;
+  runtime::ShardRuntime rt_;
 };
 
 class AsyncBackend final : public Backend {
@@ -47,6 +68,7 @@ class AsyncBackend final : public Backend {
   AsyncBackend() : rt_(config()) {}
   runtime::Runtime& rt() override { return rt_; }
   void advance(Duration d) override { rt_.run_for(d); }
+  [[nodiscard]] bool exact() const override { return false; }
 
   runtime::AsyncRuntime& async() { return rt_; }
 
@@ -64,9 +86,9 @@ class RuntimeConformanceTest
     : public ::testing::TestWithParam<const char*> {
  protected:
   std::unique_ptr<Backend> make_backend() {
-    if (std::string(GetParam()) == "sim") {
-      return std::make_unique<SimBackend>();
-    }
+    const std::string name = GetParam();
+    if (name == "sim") return std::make_unique<SimBackend>();
+    if (name == "shard") return std::make_unique<ShardBackend>();
     return std::make_unique<AsyncBackend>();
   }
 };
@@ -139,12 +161,142 @@ TEST_P(RuntimeConformanceTest, PeriodicTimerTicksAndStops) {
       Duration::millis(5), Duration::millis(5), [&ticks]() { ++ticks; });
   EXPECT_TRUE(t.running());
   b->advance(Duration::millis(40));
-  EXPECT_GE(ticks, 2);  // async timing is approximate; sim would give 8
+  if (b->exact()) {
+    EXPECT_EQ(ticks, 8);
+  } else {
+    EXPECT_GE(ticks, 2);
+  }
   t.stop();
   EXPECT_FALSE(t.running());
   const int at_stop = ticks;
   b->advance(Duration::millis(30));
   EXPECT_EQ(ticks, at_stop);
+}
+
+TEST_P(RuntimeConformanceTest, PeriodicTimerFirstDelayThenInterval) {
+  auto b = make_backend();
+  const SimTime start = b->rt().now();
+  std::vector<Duration> ticks;
+  runtime::PeriodicTimer t =
+      b->rt().every(Duration::millis(10), Duration::millis(30),
+                    [&]() { ticks.push_back(b->rt().now() - start); });
+  b->advance(Duration::millis(100));
+  if (b->exact()) {
+    // 10, 40, 70, 100 ms.
+    ASSERT_EQ(ticks.size(), 4u);
+    for (std::size_t i = 0; i < ticks.size(); ++i) {
+      EXPECT_EQ(ticks[i], Duration::millis(10 + 30 * static_cast<int>(i)));
+    }
+  } else {
+    ASSERT_GE(ticks.size(), 1u);
+    EXPECT_GE(ticks[0], Duration::millis(10));
+    for (std::size_t i = 1; i < ticks.size(); ++i) {
+      EXPECT_GE(ticks[i] - ticks[i - 1], Duration::millis(30));
+    }
+  }
+}
+
+TEST_P(RuntimeConformanceTest, PeriodicTimerStopsOnDestruction) {
+  auto b = make_backend();
+  int ticks = 0;
+  {
+    runtime::PeriodicTimer t = b->rt().every(
+        Duration::millis(10), Duration::millis(10), [&ticks]() { ++ticks; });
+  }
+  b->advance(Duration::millis(60));
+  EXPECT_EQ(ticks, 0);
+}
+
+TEST_P(RuntimeConformanceTest, PeriodicTimerSetIntervalTakesEffect) {
+  auto b = make_backend();
+  const SimTime start = b->rt().now();
+  std::vector<Duration> ticks;
+  runtime::PeriodicTimer t =
+      b->rt().every(Duration::millis(10), Duration::millis(10),
+                    [&]() { ticks.push_back(b->rt().now() - start); });
+  b->advance(Duration::millis(10));
+  // From outside a tick, while the next one is still scheduled: that tick
+  // is cancelled and the timer re-arms a full new interval from now.
+  const Duration set_at = b->rt().now() - start;
+  const std::size_t before = ticks.size();
+  t.set_interval(Duration::millis(50));
+  b->advance(Duration::millis(130));
+  if (b->exact()) {
+    // 10, 60, 110 ms: no tick at 20 ms.
+    ASSERT_EQ(ticks.size(), 3u);
+    EXPECT_EQ(ticks[0], Duration::millis(10));
+    EXPECT_EQ(ticks[1], Duration::millis(60));
+    EXPECT_EQ(ticks[2], Duration::millis(110));
+  } else {
+    ASSERT_GT(ticks.size(), before);
+    EXPECT_GE(ticks[before] - set_at, Duration::millis(50));
+    for (std::size_t i = before + 1; i < ticks.size(); ++i) {
+      EXPECT_GE(ticks[i] - ticks[i - 1], Duration::millis(50)) << i;
+    }
+  }
+}
+
+TEST_P(RuntimeConformanceTest, PeriodicTimerSetIntervalFromInsideATick) {
+  auto b = make_backend();
+  const SimTime start = b->rt().now();
+  std::vector<Duration> ticks;
+  runtime::PeriodicTimer t;
+  t = b->rt().every(Duration::millis(10), Duration::millis(10), [&]() {
+    ticks.push_back(b->rt().now() - start);
+    // From inside the first tick: the next one is a full new interval away.
+    if (ticks.size() == 1) t.set_interval(Duration::millis(50));
+  });
+  b->advance(Duration::millis(200));
+  ASSERT_GE(ticks.size(), 2u);
+  if (b->exact()) {
+    // 10, 60, 110, 160 ms.
+    ASSERT_EQ(ticks.size(), 4u);
+    EXPECT_EQ(ticks[0], Duration::millis(10));
+    EXPECT_EQ(ticks[1], Duration::millis(60));
+    EXPECT_EQ(ticks[3], Duration::millis(160));
+  }
+  for (std::size_t i = 1; i < ticks.size(); ++i) {
+    EXPECT_GE(ticks[i] - ticks[i - 1], Duration::millis(50));
+  }
+}
+
+TEST_P(RuntimeConformanceTest, MovedPeriodicTimerKeepsTicking) {
+  auto b = make_backend();
+  int ticks = 0;
+  runtime::PeriodicTimer outer;
+  {
+    runtime::PeriodicTimer inner = b->rt().every(
+        Duration::millis(10), Duration::millis(10), [&ticks]() { ++ticks; });
+    outer = std::move(inner);
+  }
+  EXPECT_TRUE(outer.running());
+  b->advance(Duration::millis(50));
+  if (b->exact()) {
+    EXPECT_EQ(ticks, 5);
+  } else {
+    EXPECT_GE(ticks, 1);
+  }
+}
+
+TEST_P(RuntimeConformanceTest, PeriodicTimerStartedFromATickRuns) {
+  auto b = make_backend();
+  int inner_ticks = 0;
+  runtime::PeriodicTimer inner;
+  runtime::PeriodicTimer outer;
+  outer = b->rt().every(Duration::millis(5), Duration::millis(5), [&]() {
+    if (inner.running()) return;
+    inner = b->rt().every(Duration::millis(10), Duration::millis(10),
+                          [&inner_ticks]() { ++inner_ticks; });
+    outer.stop();  // stopping the ticking timer from its own tick is safe
+  });
+  b->advance(Duration::millis(60));
+  EXPECT_FALSE(outer.running());
+  EXPECT_TRUE(inner.running());
+  if (b->exact()) {
+    EXPECT_EQ(inner_ticks, 5);  // 15, 25, 35, 45, 55 ms
+  } else {
+    EXPECT_GE(inner_ticks, 1);
+  }
 }
 
 TEST_P(RuntimeConformanceTest, ForkRngStreamsDiffer) {
@@ -159,7 +311,7 @@ TEST_P(RuntimeConformanceTest, ForkRngStreamsDiffer) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, RuntimeConformanceTest,
-                         ::testing::Values("sim", "async"),
+                         ::testing::Values("sim", "shard", "async"),
                          [](const auto& info) {
                            return std::string(info.param);
                          });
@@ -225,13 +377,38 @@ TEST(TransportConformance, SimBackendHonoursContract) {
   tc.link.loss_rate = 0.0;
   tc.direct_loss_rate = 0.0;
   Transport transport(sim, topo, tc);
-  runtime::SimRuntime rt(sim, &transport);
+  runtime::Runtime& rt = sim;
   Sink sinks[3];
   for (std::uint32_t i = 0; i < 3; ++i) {
     rt.transport().attach(NodeId{i}, sinks[i]);
   }
   check_transport_contract(rt.transport(), sinks, [&sim]() {
     sim.run_until(sim.now() + Duration::seconds(1.0));
+  });
+}
+
+TEST(TransportConformance, ShardBackendHonoursContract) {
+  Simulator sim(1);
+  Topology topo = Topology::line(3);
+  TransportConfig tc;
+  tc.link.loss_rate = 0.0;
+  tc.direct_loss_rate = 0.0;
+  Transport transport(sim, topo, tc);
+  ShardEngine engine(sim, 3, 2,
+                     ShardEngine::compute_lookahead(tc.link.propagation,
+                                                    tc.direct_latency_min));
+  transport.set_arrival_router(
+      [&engine](NodeId to, Duration delay, Scheduler::Callback cb) {
+        engine.schedule_arrival(to, delay, std::move(cb));
+      });
+  runtime::ShardRuntime rt(engine, engine.lane_of(NodeId{0}), sim,
+                           /*own_pool=*/false);
+  Sink sinks[3];
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    rt.transport().attach(NodeId{i}, sinks[i]);
+  }
+  check_transport_contract(rt.transport(), sinks, [&engine]() {
+    engine.run_until(engine.now() + Duration::seconds(1.0));
   });
 }
 

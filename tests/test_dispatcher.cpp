@@ -34,7 +34,7 @@ class DispatcherHarness : public ::testing::Test {
       : sim_(1),
         topo_(Topology::line(kNodes)),
         transport_(sim_, topo_, lossless()),
-        net_(sim_, transport_, DispatcherConfig{}) {
+        net_(transport_, DispatcherConfig{}) {
     transport_.add_observer(stats_);
   }
 
@@ -188,7 +188,7 @@ TEST(DispatcherRoutes, RecordedRouteListsTraversedDispatchers) {
   Transport transport(sim, topo, tc);
   DispatcherConfig dc;
   dc.record_routes = true;
-  PubSubNetwork net(sim, transport, dc);
+  PubSubNetwork net(transport, dc);
 
   auto probe = std::make_unique<RouteProbe>();
   RouteProbe* probe_ptr = probe.get();
@@ -212,7 +212,7 @@ TEST(DispatcherDuplicates, SecondCopyIsSuppressed) {
   Topology topo = Topology::line(2);
   TransportConfig tc;
   Transport transport(sim, topo, tc);
-  PubSubNetwork net(sim, transport, DispatcherConfig{});
+  PubSubNetwork net(transport, DispatcherConfig{});
   net.node(NodeId{1}).subscribe(Pattern{1});
   sim.run_until(SimTime::seconds(0.5));
 
@@ -234,7 +234,7 @@ TEST(DispatcherRecovered, AcceptRecoveredDeliversOnce) {
   Topology topo = Topology::line(2);
   TransportConfig tc;
   Transport transport(sim, topo, tc);
-  PubSubNetwork net(sim, transport, DispatcherConfig{});
+  PubSubNetwork net(transport, DispatcherConfig{});
   net.node(NodeId{1}).subscribe(Pattern{1});
   sim.run_until(SimTime::seconds(0.5));
 

@@ -18,7 +18,7 @@ struct MixedRig {
       : sim(seed),
         topo(Topology::line(static_cast<std::uint32_t>(algorithms.size()))),
         transport(sim, topo, lossless()),
-        net(sim, transport, dispatcher_config()) {
+        net(transport, dispatcher_config()) {
     transport.add_observer(stats);
     for (std::uint32_t i = 0; i < algorithms.size(); ++i) {
       auto& d = net.node(NodeId{i});

@@ -148,5 +148,27 @@ TEST(MessagePool, DefaultModeIsEnvAndSanitizerAware) {
   EXPECT_EQ(MessagePool().mode(), MessagePool::default_mode());
 }
 
+TEST(MessagePool, EnvModeAcceptsExactlyTheDocumentedSpellings) {
+  const MessagePool::Mode build_default = MessagePool::mode_from_env(nullptr);
+#if defined(EPICAST_ASAN)
+  EXPECT_EQ(build_default, MessagePool::Mode::PassThrough);
+#else
+  EXPECT_EQ(build_default, MessagePool::Mode::Pooling);
+#endif
+  EXPECT_EQ(MessagePool::mode_from_env(""), build_default);
+  EXPECT_EQ(MessagePool::mode_from_env("on"), MessagePool::Mode::Pooling);
+  EXPECT_EQ(MessagePool::mode_from_env("1"), MessagePool::Mode::Pooling);
+  EXPECT_EQ(MessagePool::mode_from_env("off"),
+            MessagePool::Mode::PassThrough);
+  EXPECT_EQ(MessagePool::mode_from_env("0"), MessagePool::Mode::PassThrough);
+}
+
+TEST(MessagePoolDeathTest, EnvModeRejectsUnknownSpellingsNamingTheVariable) {
+  for (const char* bad : {"ON", "Off", "yes", "2", " on"}) {
+    EXPECT_DEATH((void)MessagePool::mode_from_env(bad), "EPICAST_POOL")
+        << bad;
+  }
+}
+
 }  // namespace
 }  // namespace epicast

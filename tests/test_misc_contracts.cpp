@@ -57,7 +57,7 @@ TEST(Contracts, DoubleAttachIsRejected) {
   Simulator sim(1);
   Topology topo = Topology::line(2);
   Transport transport(sim, topo, TransportConfig{});
-  PubSubNetwork net(sim, transport, DispatcherConfig{});  // attaches 0 and 1
+  PubSubNetwork net(transport, DispatcherConfig{});  // attaches 0 and 1
   class Sink final : public TransportReceiver {
     void on_overlay_message(NodeId, const MessagePtr&) override {}
     void on_direct_message(NodeId, const MessagePtr&) override {}
@@ -69,7 +69,7 @@ TEST(Contracts, PublishRequiresContent) {
   Simulator sim(1);
   Topology topo = Topology::line(2);
   Transport transport(sim, topo, TransportConfig{});
-  PubSubNetwork net(sim, transport, DispatcherConfig{});
+  PubSubNetwork net(transport, DispatcherConfig{});
   EXPECT_DEATH(net.node(NodeId{0}).publish({}), "non-empty");
 }
 
@@ -95,7 +95,7 @@ TEST(ProtocolFactory, ProducesCorrectlyNamedProtocols) {
   Simulator sim(1);
   Topology topo = Topology::line(2);
   Transport transport(sim, topo, TransportConfig{});
-  PubSubNetwork net(sim, transport, DispatcherConfig{});
+  PubSubNetwork net(transport, DispatcherConfig{});
   for (Algorithm a :
        {Algorithm::NoRecovery, Algorithm::Push, Algorithm::SubscriberPull,
         Algorithm::PublisherPull, Algorithm::CombinedPull,

@@ -28,7 +28,7 @@ TEST_P(SubscriptionForwardingProperty, ProtocolMatchesOracleOnRandomTrees) {
   Rng topo_rng = sim.fork_rng();
   Topology topo = Topology::random_tree(40, 4, topo_rng);
   Transport transport(sim, topo, lossless());
-  PubSubNetwork net(sim, transport, DispatcherConfig{});
+  PubSubNetwork net(transport, DispatcherConfig{});
 
   PatternUniverse universe(20);
   Rng rng = sim.fork_rng();
@@ -49,7 +49,7 @@ TEST_P(SubscriptionForwardingProperty, RebuildReproducesProtocolState) {
   Rng topo_rng = sim.fork_rng();
   Topology topo = Topology::random_tree(30, 4, topo_rng);
   Transport transport(sim, topo, lossless());
-  PubSubNetwork net(sim, transport, DispatcherConfig{});
+  PubSubNetwork net(transport, DispatcherConfig{});
 
   PatternUniverse universe(10);
   Rng rng = sim.fork_rng();
@@ -79,7 +79,7 @@ TEST(PubSubNetwork, RebuildAfterReconfigurationRestoresDelivery) {
   Rng topo_rng = sim.fork_rng();
   Topology topo = Topology::random_tree(25, 4, topo_rng);
   Transport transport(sim, topo, lossless());
-  PubSubNetwork net(sim, transport, DispatcherConfig{});
+  PubSubNetwork net(transport, DispatcherConfig{});
 
   net.node(NodeId{24}).subscribe(Pattern{1});
   sim.run_until(SimTime::seconds(0.5));
@@ -113,7 +113,7 @@ TEST(PubSubNetwork, ExpectedReceiversMatchesLocalSubscriptions) {
   Simulator sim(2);
   Topology topo = Topology::line(5);
   Transport transport(sim, topo, lossless());
-  PubSubNetwork net(sim, transport, DispatcherConfig{});
+  PubSubNetwork net(transport, DispatcherConfig{});
   net.node(NodeId{1}).subscribe(Pattern{1});
   net.node(NodeId{3}).subscribe(Pattern{2});
   net.node(NodeId{4}).subscribe(Pattern{1});
@@ -131,7 +131,7 @@ TEST(PubSubNetwork, ForEachVisitsAllNodes) {
   Simulator sim(2);
   Topology topo = Topology::line(7);
   Transport transport(sim, topo, lossless());
-  PubSubNetwork net(sim, transport, DispatcherConfig{});
+  PubSubNetwork net(transport, DispatcherConfig{});
   int count = 0;
   net.for_each([&](Dispatcher& d) {
     EXPECT_EQ(d.id().value(), static_cast<std::uint32_t>(count));

@@ -23,7 +23,7 @@ struct ProtocolRig {
         topo_rng(sim.fork_rng()),
         topo(Topology::random_tree(nodes, 4, topo_rng)),
         transport(sim, topo, lossless()),
-        net(sim, transport, DispatcherConfig{}) {}
+        net(transport, DispatcherConfig{}) {}
 
   void subscribe_random(std::uint32_t per_node, std::uint32_t universe) {
     PatternUniverse u(universe);
@@ -50,7 +50,7 @@ TEST(ProtocolReconfig, BreakRetractsStaleRoutes) {
   Simulator sim(1);
   Topology topo = Topology::line(4);
   Transport transport(sim, topo, lossless());
-  PubSubNetwork net(sim, transport, DispatcherConfig{});
+  PubSubNetwork net(transport, DispatcherConfig{});
   net.enable_protocol_reconfiguration();
 
   net.node(NodeId{3}).subscribe(Pattern{1});
@@ -70,7 +70,7 @@ TEST(ProtocolReconfig, RejoinReadvertisesAcrossNewLink) {
   Simulator sim(2);
   Topology topo = Topology::line(4);
   Transport transport(sim, topo, lossless());
-  PubSubNetwork net(sim, transport, DispatcherConfig{});
+  PubSubNetwork net(transport, DispatcherConfig{});
   net.enable_protocol_reconfiguration();
 
   net.node(NodeId{3}).subscribe(Pattern{1});
@@ -101,7 +101,7 @@ TEST(ProtocolReconfig, SubscribeDuringPartitionPropagatesAfterRejoin) {
   Simulator sim(3);
   Topology topo = Topology::line(4);
   Transport transport(sim, topo, lossless());
-  PubSubNetwork net(sim, transport, DispatcherConfig{});
+  PubSubNetwork net(transport, DispatcherConfig{});
   net.enable_protocol_reconfiguration();
 
   topo.remove_link(NodeId{1}, NodeId{2});
@@ -132,7 +132,7 @@ TEST(ProtocolReconfig, UnsubscribeDuringPartitionAlsoConverges) {
   Simulator sim(4);
   Topology topo = Topology::line(4);
   Transport transport(sim, topo, lossless());
-  PubSubNetwork net(sim, transport, DispatcherConfig{});
+  PubSubNetwork net(transport, DispatcherConfig{});
   net.enable_protocol_reconfiguration();
 
   net.node(NodeId{3}).subscribe(Pattern{5});

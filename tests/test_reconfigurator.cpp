@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "epicast/sim/simulator.hpp"
+
 namespace epicast {
 namespace {
 

@@ -1,6 +1,7 @@
 // Unit tests for the discrete-event scheduler and the simulation context:
-// ordering, FIFO tie-breaking, cancellation semantics, run_until, periodic
-// timers, and determinism.
+// ordering, FIFO tie-breaking, cancellation semantics, run_until, and
+// determinism. Periodic timers are part of the runtime seam and are tested
+// on every backend in tests/runtime/test_runtime_conformance.cpp.
 #include "epicast/sim/scheduler.hpp"
 
 #include <gtest/gtest.h>
@@ -225,73 +226,11 @@ TEST(Scheduler, CallbackLargerThanInlineBufferStillRuns) {
   EXPECT_EQ(sum, 42u);
 }
 
-TEST(Simulator, PeriodicTimerTicksAtInterval) {
-  Simulator sim(1);
-  std::vector<double> ticks;
-  PeriodicTimer t = sim.every(Duration::millis(10), Duration::millis(30),
-                              [&] { ticks.push_back(sim.now().to_seconds()); });
-  sim.run_until(SimTime::seconds(0.1));
-  ASSERT_EQ(ticks.size(), 4u);  // 10, 40, 70, 100 ms
-  EXPECT_DOUBLE_EQ(ticks[0], 0.010);
-  EXPECT_DOUBLE_EQ(ticks[1], 0.040);
-  EXPECT_DOUBLE_EQ(ticks[3], 0.100);
-}
-
-TEST(Simulator, PeriodicTimerStops) {
-  Simulator sim(1);
-  int ticks = 0;
-  PeriodicTimer t =
-      sim.every(Duration::millis(10), Duration::millis(10), [&] { ++ticks; });
-  sim.run_until(SimTime::seconds(0.035));
-  t.stop();
-  EXPECT_FALSE(t.running());
-  sim.run_until(SimTime::seconds(1.0));
-  EXPECT_EQ(ticks, 3);
-}
-
-TEST(Simulator, PeriodicTimerStopsOnDestruction) {
-  Simulator sim(1);
-  int ticks = 0;
-  {
-    PeriodicTimer t = sim.every(Duration::millis(10), Duration::millis(10),
-                                [&] { ++ticks; });
-  }
-  sim.run_until(SimTime::seconds(1.0));
-  EXPECT_EQ(ticks, 0);
-}
-
-TEST(Simulator, PeriodicTimerSetIntervalTakesEffect) {
-  Simulator sim(1);
-  std::vector<double> ticks;
-  PeriodicTimer t = sim.every(Duration::millis(10), Duration::millis(10),
-                              [&] { ticks.push_back(sim.now().to_seconds()); });
-  sim.run_until(SimTime::seconds(0.01));
-  t.set_interval(Duration::millis(50));
-  sim.run_until(SimTime::seconds(0.2));
-  ASSERT_GE(ticks.size(), 3u);
-  EXPECT_DOUBLE_EQ(ticks[0], 0.010);
-  EXPECT_DOUBLE_EQ(ticks[1], 0.060);
-  EXPECT_DOUBLE_EQ(ticks[2], 0.110);
-}
-
 TEST(Simulator, ForkRngIsDeterministic) {
   Simulator a(99), b(99);
   Rng ra = a.fork_rng();
   Rng rb = b.fork_rng();
   for (int i = 0; i < 32; ++i) EXPECT_EQ(ra.next(), rb.next());
-}
-
-TEST(Simulator, MovedTimerKeepsTicking) {
-  Simulator sim(1);
-  int ticks = 0;
-  PeriodicTimer outer;
-  {
-    PeriodicTimer inner = sim.every(Duration::millis(10), Duration::millis(10),
-                                    [&] { ++ticks; });
-    outer = std::move(inner);
-  }
-  sim.run_until(SimTime::seconds(0.05));
-  EXPECT_EQ(ticks, 5);
 }
 
 }  // namespace

@@ -135,7 +135,9 @@ TEST(SweepRunner, AvailableParallelismIsClampedToAffinity) {
   const unsigned avail = SweepRunner::available_parallelism();
   EXPECT_GE(avail, 1u);
   const unsigned hw = std::thread::hardware_concurrency();
-  if (hw > 0) EXPECT_LE(avail, hw);
+  if (hw > 0) {
+    EXPECT_LE(avail, hw);
+  }
 
   // Auto-detection (no explicit request, no env) must resolve to exactly
   // the clamped value — oversubscribing a restricted affinity mask is the

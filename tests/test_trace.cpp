@@ -17,7 +17,7 @@ struct TraceRig {
         topo(Topology::line(3)),
         transport(sim, topo, config()),
         trace(sim, 128),
-        net(sim, transport, DispatcherConfig{}) {
+        net(transport, DispatcherConfig{}) {
     transport.add_observer(trace);
     topo.add_change_listener([this](const Link& l, bool added) {
       trace.record_link_change(l, added);

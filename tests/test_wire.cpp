@@ -3,10 +3,12 @@
 // arithmetic size calculation is pinned to the serializer, and malformed
 // frames — truncations, corrupt headers, overlong varints, hostile counts,
 // arbitrary byte mutations — are rejected with a typed error, never a crash
-// (the suite runs under ASan/UBSan in CI).
+// (the suite runs under ASan/UBSan in CI). Also pins the EPICAST_SIZING
+// spellings that select the sizing mode.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <vector>
 
 #include "epicast/common/rng.hpp"
@@ -274,6 +276,21 @@ TEST(WireCodec, ForeignMessageSubclassFallsBackToNominalSize) {
   EXPECT_EQ(msg.wire_size_bytes(), 123u);
   EXPECT_EQ(sized_bytes(msg, SizingMode::Wire), 123u);
   EXPECT_EQ(sized_bytes(msg, SizingMode::Nominal), 123u);
+}
+
+TEST(SizingEnv, AcceptsExactlyTheDocumentedSpellings) {
+  EXPECT_EQ(sizing_mode_from_env(nullptr), SizingMode::Nominal);
+  EXPECT_EQ(sizing_mode_from_env(""), SizingMode::Nominal);
+  EXPECT_EQ(sizing_mode_from_env("wire"), SizingMode::Wire);
+  EXPECT_EQ(default_sizing_mode(),
+            sizing_mode_from_env(std::getenv("EPICAST_SIZING")));
+}
+
+TEST(SizingEnvDeathTest, RejectsUnknownSpellingsNamingTheVariable) {
+  // These used to run in nominal mode without a word.
+  for (const char* bad : {"Wire", "WIRE", "1", "wire ", "nominal"}) {
+    EXPECT_DEATH((void)sizing_mode_from_env(bad), "EPICAST_SIZING") << bad;
+  }
 }
 
 TEST(WireCodec, WireSizeIsCachedPerMessage) {

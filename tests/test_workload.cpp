@@ -16,7 +16,7 @@ struct WorkloadRig {
         topo_rng(sim.fork_rng()),
         topo(Topology::random_tree(config.nodes, 4, topo_rng)),
         transport(sim, topo, TransportConfig{}),
-        net(sim, transport, DispatcherConfig{}),
+        net(transport, DispatcherConfig{}),
         workload(sim, net, config) {}
 
   static ScenarioConfig base_config() {
