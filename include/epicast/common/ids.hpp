@@ -76,6 +76,14 @@ struct EventId {
   friend constexpr auto operator<=>(const EventId&, const EventId&) = default;
 };
 
+/// Packs one (source, pattern) stream into a 64-bit key. The all-ones key
+/// would be (NodeId::invalid(), ~0), which never publishes, so hash tables
+/// may reserve it as their free-slot marker.
+[[nodiscard]] constexpr std::uint64_t stream_key(NodeId source,
+                                                 Pattern pattern) {
+  return (static_cast<std::uint64_t>(source.value()) << 32) | pattern.value();
+}
+
 }  // namespace epicast
 
 template <>

@@ -5,21 +5,24 @@
 // from it. The paper uses FIFO eviction; LRU and random eviction are
 // provided for the cache-policy ablation.
 //
-// Lookup paths (all O(1) expected):
+// Lookup paths (all O(1) expected; the first two are one FlatHashMap probe
+// straight to the event's cache slot):
 //   * by event id        — serves push requests;
 //   * by (source, pattern, seq) — serves pull digests;
 //   * ids matching a pattern    — builds push digests (amortized via a
 //     per-pattern index, purged eagerly on eviction and lazily on lookup).
+// The slot vector is reserved to β up front; the indexes grow with what
+// the cache actually holds, so a node that caches little owns little.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
 #include <vector>
 
+#include "epicast/common/flat_hash_map.hpp"
 #include "epicast/common/ids.hpp"
 #include "epicast/common/rng.hpp"
 #include "epicast/gossip/config.hpp"
+#include "epicast/gossip/messages.hpp"
 #include "epicast/metrics/hotpath_profiler.hpp"
 #include "epicast/pubsub/event.hpp"
 
@@ -86,22 +89,40 @@ class EventCache {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
-  struct SpKey {
-    NodeId source;
-    Pattern pattern;
-    SeqNo seq;
-    friend constexpr auto operator<=>(const SpKey&, const SpKey&) = default;
+  struct EventIdKey {
+    static constexpr EventId empty() { return EventId{NodeId::invalid(), 0}; }
+    static constexpr std::uint64_t hash(const EventId& id) {
+      return hash_mix(static_cast<std::uint64_t>(id.source.value()) *
+                          0x9e3779b97f4a7c15ULL +
+                      id.source_seq);
+    }
   };
-  struct SpKeyHash {
-    std::size_t operator()(const SpKey& k) const noexcept;
+  struct PatternKey {
+    static constexpr Pattern empty() { return Pattern{~std::uint32_t{0}}; }
+    static constexpr std::uint64_t hash(Pattern p) {
+      return hash_mix(p.value());
+    }
+  };
+  /// One pattern's cached ids, insertion-ordered: a queue over a vector,
+  /// live from `head` on. The prefix is compacted away once it is at least
+  /// half the vector, so pops are amortized O(1) and an empty queue owns no
+  /// heap block until its first push.
+  struct PatternIds {
+    std::vector<EventId> ids;
+    std::uint32_t head = 0;
+
+    [[nodiscard]] bool empty() const { return head == ids.size(); }
+    [[nodiscard]] std::size_t size() const { return ids.size() - head; }
+    [[nodiscard]] const EventId& front() const { return ids[head]; }
+    void pop_front();
   };
 
   void evict_one();
-  void drop(const EventId& id);
-  void index_patterns(const EventPtr& event);
+  void drop(std::uint32_t slot);
+  void index_patterns(std::uint32_t slot);
   void unindex_patterns(const EventData& event);
-  /// get() without the profiler hook (shared by get and find).
-  [[nodiscard]] EventPtr lookup(const EventId& id);
+  /// Counts a hit, refreshes recency for LRU, returns the slot's event.
+  [[nodiscard]] EventPtr hit(std::uint32_t slot);
 
   static constexpr std::uint32_t kNil = ~std::uint32_t{0};
   void link_back(std::uint32_t slot);
@@ -129,17 +150,19 @@ class EventCache {
   std::vector<std::uint32_t> free_;
   std::uint32_t head_ = kNil;
   std::uint32_t tail_ = kNil;
-  std::unordered_map<EventId, std::uint32_t> by_id_;
-  /// For Random eviction: dense id vector enabling O(1) uniform sampling.
-  std::vector<EventId> random_pool_;
-  std::unordered_map<EventId, std::size_t> random_pos_;
+  FlatHashMap<EventId, std::uint32_t, EventIdKey> by_id_;  // → slot
+  /// (source, pattern, seq) → slot, one entry per pattern of each event.
+  FlatHashMap<LostEntryInfo, std::uint32_t, LostEntryKey> by_stream_seq_;
+  /// For Random eviction: the occupied slots as a dense vector (O(1)
+  /// uniform sampling) and, per slot, its position in that vector.
+  std::vector<std::uint32_t> random_pool_;
+  std::vector<std::uint32_t> random_pos_;
 
-  std::unordered_map<SpKey, EventId, SpKeyHash> by_source_pattern_;
-  /// Per-pattern id index, insertion-ordered. Stale (evicted) ids are
-  /// purged eagerly from the deque fronts on every eviction — under FIFO
-  /// the victim *is* the front, so the index stays tight at small β — and
-  /// lazily elsewhere in ids_matching() (LRU/random scatter).
-  std::unordered_map<Pattern, std::deque<EventId>> by_pattern_;
+  /// Per-pattern id index. Stale (evicted) ids are purged eagerly from the
+  /// queue fronts on every eviction — under FIFO the victim *is* the
+  /// front, so the index stays tight at small β — and lazily elsewhere in
+  /// ids_matching() (LRU/random scatter).
+  FlatHashMap<Pattern, PatternIds, PatternKey> by_pattern_;
 };
 
 }  // namespace epicast

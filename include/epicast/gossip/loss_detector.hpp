@@ -8,12 +8,16 @@
 //
 // The first event heard from a (source, pattern) initializes the expectation
 // — losses before that point are undetectable, as in the paper.
+//
+// observe() runs once per pattern of every event a subscriber receives, so
+// the per-stream watermarks live in a FlatHashMap keyed by stream_key():
+// one probe of a flat slot array, sized by the streams actually heard.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "epicast/common/flat_hash_map.hpp"
 #include "epicast/common/ids.hpp"
 
 namespace epicast {
@@ -50,21 +54,9 @@ class LossDetector {
   void reset() { high_.clear(); }
 
  private:
-  struct Key {
-    NodeId source;
-    Pattern pattern;
-    friend constexpr auto operator<=>(const Key&, const Key&) = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const noexcept {
-      return std::hash<std::uint64_t>{}(
-          (static_cast<std::uint64_t>(k.source.value()) << 32) ^
-          k.pattern.value());
-    }
-  };
-
   std::uint64_t max_gap_report_;
-  std::unordered_map<Key, std::uint64_t, KeyHash> high_;
+  /// Highest seq heard per stream_key(source, pattern).
+  FlatHashMap<std::uint64_t, std::uint64_t, U64Key> high_;
   std::uint64_t gaps_detected_ = 0;
 };
 

@@ -4,14 +4,18 @@
 // Pull gossip rounds draw digests from it; entries disappear when the event
 // is finally received, when they exceed the recovery TTL, or when the
 // buffer overflows (oldest first).
+//
+// Entries sit in an age-ordered list; a FlatHashMap keyed by the triple
+// points into it, so the per-event remove() probe (one per pattern of every
+// received event) is a flat-array lookup behind the pattern-mask reject.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <list>
-#include <unordered_map>
 #include <vector>
 
+#include "epicast/common/flat_hash_map.hpp"
 #include "epicast/common/ids.hpp"
 #include "epicast/common/pattern_set.hpp"
 #include "epicast/gossip/messages.hpp"
@@ -93,16 +97,6 @@ class LostBuffer {
     LostEntryInfo info;
     SimTime detected_at;
   };
-  struct KeyHash {
-    std::size_t operator()(const LostEntryInfo& k) const noexcept {
-      std::uint64_t x = (static_cast<std::uint64_t>(k.source.value()) << 32) ^
-                        k.pattern.value();
-      x ^= k.seq.value() * 0x9e3779b97f4a7c15ULL;
-      x ^= x >> 31;
-      return static_cast<std::size_t>(x);
-    }
-  };
-
   template <typename Pred>
   [[nodiscard]] std::vector<LostEntryInfo> collect(
       Pred&& pred, std::size_t max_entries) const;
@@ -120,7 +114,7 @@ class LostBuffer {
   std::size_t capacity_;
   Duration ttl_;
   std::list<Node> order_;  // oldest first
-  std::unordered_map<LostEntryInfo, std::list<Node>::iterator, KeyHash>
+  FlatHashMap<LostEntryInfo, std::list<Node>::iterator, LostEntryKey>
       by_key_;
   /// Distinct-pattern summary: a bit per pattern with >= 1 entry plus
   /// per-pattern entry counts (so the bit can be cleared on last removal).

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "epicast/common/flat_hash_map.hpp"
 #include "epicast/common/ids.hpp"
 #include "epicast/net/message.hpp"
 #include "epicast/pubsub/event.hpp"
@@ -25,6 +26,19 @@ struct LostEntryInfo {
 
   friend constexpr auto operator<=>(const LostEntryInfo&,
                                     const LostEntryInfo&) = default;
+};
+
+/// FlatHashMap key traits for (source, pattern, seq) triples: the β buffer's
+/// pull index and the Lost buffer. An invalid source never publishes, so it
+/// marks a free slot.
+struct LostEntryKey {
+  static constexpr LostEntryInfo empty() {
+    return LostEntryInfo{NodeId::invalid(), Pattern{}, SeqNo{}};
+  }
+  static constexpr std::uint64_t hash(const LostEntryInfo& k) {
+    return hash_mix(stream_key(k.source, k.pattern) +
+                    k.seq.value() * 0x9e3779b97f4a7c15ULL);
+  }
 };
 
 /// Discriminates gossip message types without RTTI.

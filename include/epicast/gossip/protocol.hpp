@@ -4,17 +4,22 @@
 // across dispatchers), the retransmission buffer (EventCache, size β), the
 // P_forward fan-out rule, and the out-of-band request/reply exchange.
 // Concrete algorithms implement on_round() and handle_digest().
+//
+// Every event crossing the dispatcher also advances this node's witnessed
+// stream watermarks (note_stream_marks, once per pattern of the event), so
+// they are kept as an insertion-ordered vector indexed by a FlatHashMap:
+// one probe per pattern, and stream_marks_into() seeks its cursor in O(1).
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "epicast/common/flat_hash_map.hpp"
 #include "epicast/gossip/adaptive_interval.hpp"
 #include "epicast/gossip/config.hpp"
 #include "epicast/gossip/event_cache.hpp"
@@ -203,10 +208,12 @@ class GossipProtocolBase : public RecoveryProtocol {
   std::unordered_map<std::uint32_t, std::uint32_t> peer_timeouts_;
   std::uint64_t restart_epoch_ = 0;
   /// Highest sequence number witnessed per (source, pattern) — the feed
-  /// for stream_marks_into(). Ordered so the rotation cursor is stable;
-  /// cleared on cold restart along with the cache.
-  std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint64_t>
-      stream_marks_;
+  /// for stream_marks_into(). In first-witnessed order, so the rotation
+  /// cursor is stable and a stream witnessed mid-lap is appended ahead of
+  /// the wrap; stream_mark_index_ maps stream_key() to the position.
+  /// Cleared on cold restart along with the cache.
+  std::vector<StreamMark> stream_marks_;
+  FlatHashMap<std::uint64_t, std::uint32_t, U64Key> stream_mark_index_;
 };
 
 /// The baseline: plain best-effort dispatching, no recovery (§IV's

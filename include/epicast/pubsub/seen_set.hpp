@@ -9,18 +9,18 @@
 //
 // Two layouts behind one interface:
 //   * dense (default, and any N up to kDenseSourceLimit): one bitmap row
-//     per source, grown on demand — the paper-scale layout, byte-identical
-//     in behavior to what it replaced;
+//     per source, grown on demand — the paper-scale layout;
 //   * sparse (hinted N beyond the limit): per-node row headers alone would
 //     cost O(N²) across N dispatchers (≈2.4 GB at N=10⁴), yet each node
 //     only ever sees events from the sources that publish near it — so the
-//     rows collapse into one open-addressed table keyed
-//     (source, seq-block) → 64-bit word, sized by what was actually seen.
+//     rows collapse into the common FlatHashMap keyed (source, seq-block) →
+//     64-bit word, sized by what was actually seen.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "epicast/common/flat_hash_map.hpp"
 #include "epicast/common/ids.hpp"
 
 namespace epicast {
@@ -36,15 +36,12 @@ class SeenSet {
   /// not a bound). Small scenarios keep the dense per-source rows; beyond
   /// kDenseSourceLimit the sparse table takes over.
   explicit SeenSet(std::uint32_t sources)
-      : sparse_(sources > kDenseSourceLimit) {
-    if (sparse_) slots_.resize(kInitialSlots, Slot{kEmptyKey, 0});
-  }
+      : sparse_(sources > kDenseSourceLimit) {}
 
   /// Marks `id` as seen. Returns true if it was not seen before (mirrors
   /// std::unordered_set::insert().second).
   bool insert(const EventId& id) {
-    std::uint64_t& word =
-        sparse_ ? sparse_word(key_of(id)) : dense_word(id);
+    std::uint64_t& word = sparse_ ? words_[key_of(id)] : dense_word(id);
     const std::uint64_t bit = std::uint64_t{1} << (id.source_seq & 63);
     if ((word & bit) != 0) return false;
     word |= bit;
@@ -55,8 +52,8 @@ class SeenSet {
   [[nodiscard]] bool contains(const EventId& id) const {
     const std::uint64_t bit = std::uint64_t{1} << (id.source_seq & 63);
     if (sparse_) {
-      const Slot* s = find_slot(key_of(id));
-      return s != nullptr && (s->bits & bit) != 0;
+      const std::uint64_t* word = words_.find(key_of(id));
+      return word != nullptr && (*word & bit) != 0;
     }
     const std::size_t src = id.source.value();
     if (src >= rows_.size()) return false;
@@ -70,15 +67,13 @@ class SeenSet {
 
   /// Bytes owned beyond the object itself — per-component accounting.
   [[nodiscard]] std::size_t memory_bytes() const {
-    if (sparse_) return slots_.capacity() * sizeof(Slot);
+    if (sparse_) return words_.memory_bytes();
     std::size_t n = rows_.capacity() * sizeof(rows_[0]);
     for (const auto& row : rows_) n += row.capacity() * sizeof(std::uint64_t);
     return n;
   }
 
  private:
-  // -- dense layout ---------------------------------------------------------
-
   std::uint64_t& dense_word(const EventId& id) {
     const std::size_t src = id.source.value();
     if (src >= rows_.size()) rows_.resize(src + 1);
@@ -88,69 +83,16 @@ class SeenSet {
     return row[word];
   }
 
-  // -- sparse layout --------------------------------------------------------
-
-  struct Slot {
-    std::uint64_t key;
-    std::uint64_t bits;
-  };
-  /// NodeId::invalid() never publishes, so this key cannot collide with a
-  /// real (source, block).
-  static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
-  static constexpr std::size_t kInitialSlots = 64;  // power of two
-
+  /// (source, 64-id block). NodeId::invalid() never publishes, so the key
+  /// cannot collide with U64Key's free-slot marker.
   [[nodiscard]] static std::uint64_t key_of(const EventId& id) {
     return (static_cast<std::uint64_t>(id.source.value()) << 32) |
            (id.source_seq >> 6);
   }
 
-  [[nodiscard]] static std::size_t hash_of(std::uint64_t key) {
-    // splitmix64 finalizer — full avalanche for the probe start.
-    std::uint64_t x = key + 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return static_cast<std::size_t>(x ^ (x >> 31));
-  }
-
-  [[nodiscard]] const Slot* find_slot(std::uint64_t key) const {
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = hash_of(key) & mask;; i = (i + 1) & mask) {
-      const Slot& s = slots_[i];
-      if (s.key == key) return &s;
-      if (s.key == kEmptyKey) return nullptr;
-    }
-  }
-
-  std::uint64_t& sparse_word(std::uint64_t key) {
-    if ((used_ + 1) * 8 > slots_.size() * 7) grow_slots();
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = hash_of(key) & mask;; i = (i + 1) & mask) {
-      Slot& s = slots_[i];
-      if (s.key == key) return s.bits;
-      if (s.key == kEmptyKey) {
-        s.key = key;
-        ++used_;
-        return s.bits;
-      }
-    }
-  }
-
-  void grow_slots() {
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(old.size() * 2, Slot{kEmptyKey, 0});
-    const std::size_t mask = slots_.size() - 1;
-    for (const Slot& s : old) {
-      if (s.key == kEmptyKey) continue;
-      std::size_t i = hash_of(s.key) & mask;
-      while (slots_[i].key != kEmptyKey) i = (i + 1) & mask;
-      slots_[i] = s;
-    }
-  }
-
   bool sparse_ = false;
-  std::vector<std::vector<std::uint64_t>> rows_;  // dense mode
-  std::vector<Slot> slots_;                       // sparse mode
-  std::size_t used_ = 0;                          // occupied slots
+  std::vector<std::vector<std::uint64_t>> rows_;         // dense mode
+  FlatHashMap<std::uint64_t, std::uint64_t, U64Key> words_;  // sparse mode
   std::uint64_t size_ = 0;
 };
 

@@ -136,6 +136,11 @@ class Scheduler {
   /// even if the queue drained early.
   void run_until(SimTime deadline);
 
+  /// Drops every pending callback without running it, releasing what the
+  /// closures hold (messages still in flight at the end of a run); every
+  /// handle becomes inert. executed() is unchanged.
+  void discard_pending();
+
   /// Number of scheduled entries, including not-yet-collected cancellations.
   [[nodiscard]] std::size_t queued() const { return heap_.size(); }
 

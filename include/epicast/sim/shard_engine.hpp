@@ -167,6 +167,10 @@ class ShardEngine {
   /// afterwards now() == deadline on the engine and the master simulator.
   void run_until(SimTime deadline);
 
+  /// Scheduler::discard_pending() for every lane heap and mailbox: the end
+  /// of a run drops what is still queued. Master thread, between windows.
+  void discard_pending();
+
  private:
   struct MailEntry {
     SimTime at;

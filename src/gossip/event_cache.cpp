@@ -6,23 +6,20 @@
 
 namespace epicast {
 
-std::size_t EventCache::SpKeyHash::operator()(const SpKey& k) const noexcept {
-  std::uint64_t x = (static_cast<std::uint64_t>(k.source.value()) << 32) ^
-                    k.pattern.value();
-  x ^= k.seq.value() + 0x9e3779b97f4a7c15ULL + (x << 6) + (x >> 2);
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 29;
-  return static_cast<std::size_t>(x);
+void EventCache::PatternIds::pop_front() {
+  if (++head * 2 >= ids.size()) {
+    ids.erase(ids.begin(), ids.begin() + head);
+    head = 0;
+  }
 }
 
 EventCache::EventCache(std::size_t capacity, CachePolicy policy, Rng rng)
     : capacity_(capacity), policy_(policy), rng_(rng) {
   EPICAST_ASSERT_MSG(capacity > 0, "cache capacity must be positive");
-  // The cache runs at exactly `capacity` entries in steady state; sizing
-  // everything up front keeps the insert-evict churn rehash- and
-  // reallocation-free.
+  // The cache runs at exactly `capacity` entries in steady state; reserving
+  // the slot vector up front keeps the insert-evict churn reallocation-free.
+  // The indexes grow with content instead (see the header).
   nodes_.reserve(capacity);
-  by_id_.reserve(capacity);
   if (policy == CachePolicy::Random) {
     random_pool_.reserve(capacity);
     random_pos_.reserve(capacity);
@@ -71,21 +68,22 @@ bool EventCache::insert(const EventPtr& event) {
   }
   nodes_[slot].event = event;
   link_back(slot);
-  by_id_.emplace(event->id(), slot);
+  by_id_.try_emplace(event->id(), slot);
   if (policy_ == CachePolicy::Random) {
-    random_pos_.emplace(event->id(), random_pool_.size());
-    random_pool_.push_back(event->id());
+    if (slot >= random_pos_.size()) random_pos_.resize(slot + 1);
+    random_pos_[slot] = static_cast<std::uint32_t>(random_pool_.size());
+    random_pool_.push_back(slot);
   }
-  index_patterns(event);
+  index_patterns(slot);
   ++stats_.insertions;
   return true;
 }
 
-void EventCache::index_patterns(const EventPtr& event) {
-  for (const PatternSeq& ps : event->patterns()) {
-    by_source_pattern_[SpKey{event->source(), ps.pattern, ps.seq}] =
-        event->id();
-    by_pattern_[ps.pattern].push_back(event->id());
+void EventCache::index_patterns(std::uint32_t slot) {
+  const EventData& event = *nodes_[slot].event;
+  for (const PatternSeq& ps : event.patterns()) {
+    by_stream_seq_[LostEntryInfo{event.source(), ps.pattern, ps.seq}] = slot;
+    by_pattern_[ps.pattern].ids.push_back(event.id());
   }
 }
 
@@ -93,50 +91,46 @@ void EventCache::unindex_patterns(const EventData& event) {
   // Precondition (see drop()): the event is already out of by_id_, so its
   // ids count as stale below.
   for (const PatternSeq& ps : event.patterns()) {
-    by_source_pattern_.erase(SpKey{event.source(), ps.pattern, ps.seq});
+    by_stream_seq_.erase(LostEntryInfo{event.source(), ps.pattern, ps.seq});
     // Eager head purge: under FIFO eviction the victim sits at the front
-    // of its pattern deques, so the index cannot grow unboundedly at small
+    // of its pattern queues, so the index cannot grow unboundedly at small
     // β. Stale ids in the middle (LRU/random) fall to ids_matching()'s
     // lazy purge.
-    auto bucket = by_pattern_.find(ps.pattern);
-    if (bucket == by_pattern_.end()) continue;
-    std::deque<EventId>& ids = bucket->second;
-    while (!ids.empty() && !by_id_.contains(ids.front())) ids.pop_front();
-    if (ids.empty()) by_pattern_.erase(bucket);
+    PatternIds* bucket = by_pattern_.find(ps.pattern);
+    if (bucket == nullptr) continue;
+    while (!bucket->empty() && !by_id_.contains(bucket->front())) {
+      bucket->pop_front();
+    }
+    if (bucket->empty()) by_pattern_.erase(ps.pattern);
   }
 }
 
 void EventCache::evict_one() {
   EPICAST_ASSERT(head_ != kNil);
-  EventId victim;
-  if (policy_ == CachePolicy::Random) {
-    victim = random_pool_[rng_.next_below(random_pool_.size())];
-  } else {
-    victim = nodes_[head_].event->id();  // FIFO and LRU evict the head
-  }
+  // FIFO and LRU evict the head.
+  const std::uint32_t victim =
+      policy_ == CachePolicy::Random
+          ? random_pool_[rng_.next_below(random_pool_.size())]
+          : head_;
   drop(victim);
   ++stats_.evictions;
 }
 
-void EventCache::drop(const EventId& id) {
-  auto it = by_id_.find(id);
-  EPICAST_ASSERT(it != by_id_.end());
-  const std::uint32_t slot = it->second;
+void EventCache::drop(std::uint32_t slot) {
   // Remove from by_id_ before unindexing so the eager purge sees the
   // victim's own ids as stale.
   const EventPtr victim = std::move(nodes_[slot].event);
   unlink(slot);
   free_.push_back(slot);
-  by_id_.erase(it);
+  by_id_.erase(victim->id());
   unindex_patterns(*victim);
   if (policy_ == CachePolicy::Random) {
     // Swap-pop keeps the sampling pool dense.
-    const std::size_t pos = random_pos_.at(id);
-    const EventId last = random_pool_.back();
+    const std::uint32_t pos = random_pos_[slot];
+    const std::uint32_t last = random_pool_.back();
     random_pool_[pos] = last;
     random_pos_[last] = pos;
     random_pool_.pop_back();
-    random_pos_.erase(id);
   }
 }
 
@@ -146,12 +140,10 @@ void EventCache::clear() {
   head_ = kNil;
   tail_ = kNil;
   by_id_.clear();
+  by_stream_seq_.clear();
   random_pool_.clear();
   random_pos_.clear();
-  by_source_pattern_.clear();
   by_pattern_.clear();
-  nodes_.reserve(capacity_);
-  by_id_.reserve(capacity_);
 }
 
 std::vector<EventPtr> EventCache::snapshot_events() const {
@@ -167,33 +159,34 @@ bool EventCache::contains(const EventId& id) const {
   return by_id_.contains(id);
 }
 
-EventPtr EventCache::lookup(const EventId& id) {
-  auto it = by_id_.find(id);
-  if (it == by_id_.end()) {
-    ++stats_.misses;
-    return nullptr;
-  }
+EventPtr EventCache::hit(std::uint32_t slot) {
   ++stats_.hits;
-  if (policy_ == CachePolicy::Lru && it->second != tail_) {
-    unlink(it->second);  // refresh recency
-    link_back(it->second);
+  if (policy_ == CachePolicy::Lru && slot != tail_) {
+    unlink(slot);  // refresh recency
+    link_back(slot);
   }
-  return nodes_[it->second].event;
+  return nodes_[slot].event;
 }
 
 EventPtr EventCache::get(const EventId& id) {
   HotpathProfiler::MaybeScope scope(profiler_, HotPhase::CacheOp);
-  return lookup(id);
+  const std::uint32_t* slot = by_id_.find(id);
+  if (slot == nullptr) {
+    ++stats_.misses;
+    return nullptr;
+  }
+  return hit(*slot);
 }
 
 EventPtr EventCache::find(NodeId source, Pattern pattern, SeqNo seq) {
   HotpathProfiler::MaybeScope scope(profiler_, HotPhase::CacheOp);
-  auto it = by_source_pattern_.find(SpKey{source, pattern, seq});
-  if (it == by_source_pattern_.end()) {
+  const std::uint32_t* slot =
+      by_stream_seq_.find(LostEntryInfo{source, pattern, seq});
+  if (slot == nullptr) {
     ++stats_.misses;
     return nullptr;
   }
-  return lookup(it->second);
+  return hit(*slot);
 }
 
 std::vector<EventId> EventCache::ids_matching(Pattern pattern,
@@ -207,38 +200,38 @@ void EventCache::ids_matching_into(Pattern pattern, std::size_t max_entries,
                                    std::vector<EventId>& out) {
   out.clear();
   HotpathProfiler::MaybeScope scope(profiler_, HotPhase::CacheOp);
-  auto bucket = by_pattern_.find(pattern);
-  if (bucket == by_pattern_.end()) return;
+  PatternIds* bucket = by_pattern_.find(pattern);
+  if (bucket == nullptr) return;
 
-  std::deque<EventId>& ids = bucket->second;
+  const auto live_begin =
+      bucket->ids.begin() + static_cast<std::ptrdiff_t>(bucket->head);
   if (policy_ == CachePolicy::Fifo) {
     // FIFO invariant: every eviction removes the globally oldest event,
-    // whose ids sit at the fronts of its own pattern deques — the eager
-    // purge in unindex_patterns() strips them immediately, so the deques
+    // whose ids sit at the fronts of its own pattern queues — the eager
+    // purge in unindex_patterns() strips them immediately, so the queues
     // hold live ids only and no per-id liveness probe is needed. Copy the
     // newest max_entries straight out (they are the ones receivers most
     // likely miss and the ones that survive longest in our own buffer).
-    const std::size_t n = (max_entries != 0 && ids.size() > max_entries)
+    const std::size_t n = (max_entries != 0 && bucket->size() > max_entries)
                               ? max_entries
-                              : ids.size();
-    out.insert(out.end(), ids.end() - static_cast<std::ptrdiff_t>(n),
-               ids.end());
+                              : bucket->size();
+    out.insert(out.end(), bucket->ids.end() - static_cast<std::ptrdiff_t>(n),
+               bucket->ids.end());
     return;
   }
   // Lazy purge: evicted ids are dropped as they are encountered (LRU and
-  // random eviction scatter stale ids through the deque).
-  std::size_t live = 0;
-  for (const EventId& id : ids) {
-    if (!by_id_.contains(id)) continue;
-    out.push_back(id);
-    ++live;
+  // random eviction scatter stale ids through the queue).
+  for (auto it = live_begin; it != bucket->ids.end(); ++it) {
+    if (by_id_.contains(*it)) out.push_back(*it);
   }
-  if (live * 2 < ids.size()) {
+  if (out.size() * 2 < bucket->size()) {
     // Compact when more than half the bucket is stale (LRU/random scatter).
-    std::deque<EventId> fresh(out.begin(), out.end());
-    ids.swap(fresh);
+    bucket->ids.assign(out.begin(), out.end());
+    bucket->head = 0;
   } else {
-    while (!ids.empty() && !by_id_.contains(ids.front())) ids.pop_front();
+    while (!bucket->empty() && !by_id_.contains(bucket->front())) {
+      bucket->pop_front();
+    }
   }
   if (max_entries != 0 && out.size() > max_entries) {
     // Keep the newest entries: they are the ones receivers most likely miss
@@ -250,24 +243,22 @@ void EventCache::ids_matching_into(Pattern pattern, std::size_t max_entries,
 
 std::size_t EventCache::pattern_index_entries() const {
   std::size_t n = 0;
-  for (const auto& [p, ids] : by_pattern_) n += ids.size();
+  by_pattern_.for_each(
+      [&n](Pattern, const PatternIds& bucket) { n += bucket.size(); });
   return n;
 }
 
 std::size_t EventCache::memory_bytes() const {
-  // Hash-map nodes carry roughly a bucket pointer + hash + next alongside
-  // the payload; 16 bytes approximates that overhead across libstdc++/libc++.
-  constexpr std::size_t kMapOverhead = 16;
   std::size_t bytes = nodes_.capacity() * sizeof(Node);
   bytes += free_.capacity() * sizeof(std::uint32_t);
-  bytes += by_id_.size() * (sizeof(EventId) + sizeof(std::uint32_t) + kMapOverhead);
-  bytes += random_pool_.capacity() * sizeof(EventId);
-  bytes += random_pos_.size() * (sizeof(EventId) + sizeof(std::size_t) + kMapOverhead);
-  bytes += by_source_pattern_.size() *
-           (sizeof(SpKey) + sizeof(EventId) + kMapOverhead);
-  for (const auto& [p, ids] : by_pattern_) {
-    bytes += sizeof(p) + kMapOverhead + ids.size() * sizeof(EventId);
-  }
+  bytes += by_id_.memory_bytes();
+  bytes += by_stream_seq_.memory_bytes();
+  bytes += random_pool_.capacity() * sizeof(std::uint32_t);
+  bytes += random_pos_.capacity() * sizeof(std::uint32_t);
+  bytes += by_pattern_.memory_bytes();
+  by_pattern_.for_each([&bytes](Pattern, const PatternIds& bucket) {
+    bytes += bucket.ids.capacity() * sizeof(EventId);
+  });
   return bytes;
 }
 

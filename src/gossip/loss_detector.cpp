@@ -16,8 +16,8 @@ std::vector<SeqNo> LossDetector::observe(NodeId source, Pattern pattern,
   EPICAST_ASSERT_MSG(seq.value() >= 1, "sequence numbers start at 1");
   std::vector<SeqNo> missing;
 
-  auto [it, first_contact] = high_.try_emplace(Key{source, pattern}, 0);
-  std::uint64_t& high = it->second;
+  auto [slot, first_contact] = high_.try_emplace(stream_key(source, pattern));
+  std::uint64_t& high = *slot;
   if (first_contact) {
     // Expectation starts here; earlier history is unknowable (§III-B).
     high = seq.value();
@@ -40,13 +40,13 @@ std::vector<SeqNo> LossDetector::observe(NodeId source, Pattern pattern,
 }
 
 void LossDetector::seed(NodeId source, Pattern pattern, SeqNo seq) {
-  auto [it, first_contact] = high_.try_emplace(Key{source, pattern}, 0);
-  it->second = std::max(it->second, seq.value());
+  std::uint64_t& high = high_[stream_key(source, pattern)];
+  high = std::max(high, seq.value());
 }
 
 SeqNo LossDetector::high_watermark(NodeId source, Pattern pattern) const {
-  auto it = high_.find(Key{source, pattern});
-  return it == high_.end() ? SeqNo{0} : SeqNo{it->second};
+  const std::uint64_t* high = high_.find(stream_key(source, pattern));
+  return high == nullptr ? SeqNo{0} : SeqNo{*high};
 }
 
 }  // namespace epicast

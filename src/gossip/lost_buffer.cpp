@@ -36,7 +36,7 @@ bool LostBuffer::add(const LostEntryInfo& entry, SimTime now) {
     ++stats_.overflowed;
   }
   order_.push_back(Node{entry, now});
-  by_key_.emplace(entry, std::prev(order_.end()));
+  by_key_.try_emplace(entry, std::prev(order_.end()));
   note_added(entry.pattern);
   ++stats_.added;
   return true;
@@ -46,10 +46,10 @@ bool LostBuffer::remove(const LostEntryInfo& entry) {
   // Fast reject via the pattern summary: this runs once per pattern of
   // every received event and almost always misses.
   if (surely_absent(entry.pattern)) return false;
-  auto it = by_key_.find(entry);
-  if (it == by_key_.end()) return false;
-  order_.erase(it->second);
-  by_key_.erase(it);
+  const std::list<Node>::iterator* node = by_key_.find(entry);
+  if (node == nullptr) return false;
+  order_.erase(*node);
+  by_key_.erase(entry);
   note_removed(entry.pattern);
   ++stats_.recovered;
   return true;

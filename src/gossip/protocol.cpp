@@ -1,7 +1,6 @@
 #include "epicast/gossip/protocol.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <utility>
 
 #include "epicast/common/assert.hpp"
@@ -69,19 +68,14 @@ void GossipProtocolBase::on_restart(fault::RestartPolicy policy) {
     cache_.clear();
     digest_marks_.fill({});
     stream_marks_.clear();
+    stream_mark_index_.clear();
     ++restart_epoch_;
   }
 }
 
 std::uint64_t GossipProtocolBase::mix_digest_key(std::uint64_t a,
                                                  std::uint64_t b) {
-  std::uint64_t x = a * 0x9E3779B97F4A7C15ull ^ b;
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ull;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBull;
-  x ^= x >> 31;
-  return x;
+  return hash_mix(a * 0x9E3779B97F4A7C15ull ^ b);
 }
 
 bool GossipProtocolBase::digest_duplicate(std::uint64_t key) {
@@ -124,9 +118,15 @@ void GossipProtocolBase::preload_cache(const std::vector<EventPtr>& events) {
 
 void GossipProtocolBase::note_stream_marks(const EventData& event) {
   for (const PatternSeq& ps : event.patterns()) {
-    std::uint64_t& high =
-        stream_marks_[{event.source().value(), ps.pattern.value()}];
-    high = std::max(high, ps.seq.value());
+    const auto [pos, added] = stream_mark_index_.try_emplace(
+        stream_key(event.source(), ps.pattern),
+        static_cast<std::uint32_t>(stream_marks_.size()));
+    if (added) {
+      stream_marks_.push_back(StreamMark{event.source(), ps.pattern, ps.seq});
+    } else {
+      SeqNo& high = stream_marks_[*pos].seq;
+      high = std::max(high, ps.seq);
+    }
   }
 }
 
@@ -136,15 +136,11 @@ std::size_t GossipProtocolBase::stream_marks_into(
   const std::size_t n = stream_marks_.size();
   if (n == 0 || max_entries == 0) return 0;
   cursor %= n;
-  auto it = stream_marks_.begin();
-  std::advance(it, static_cast<std::ptrdiff_t>(cursor));
   for (std::size_t i = 0; i < std::min(max_entries, n); ++i) {
-    out.push_back(StreamMark{NodeId{it->first.first},
-                             Pattern{it->first.second}, SeqNo{it->second}});
-    if (++it == stream_marks_.end()) it = stream_marks_.begin();
-    ++cursor;
+    out.push_back(stream_marks_[cursor]);
+    if (++cursor == n) cursor = 0;
   }
-  return cursor % n;
+  return cursor;
 }
 
 void GossipProtocolBase::prune_suspects(std::vector<NodeId>& targets) const {

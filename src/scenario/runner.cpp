@@ -438,6 +438,11 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
     result.shard.barrier_wait_seconds =
         static_cast<double>(es.barrier_wait_ns) * 1e-9;
   }
+  // Frames still in flight at end_time are live pool blocks until their
+  // delivery closures die: drop them first, so the snapshot counts only
+  // what the run's state (the tracker's published events) still holds.
+  if (engine) engine->discard_pending();
+  sim.scheduler().discard_pending();
   result.pool = sim.pool().stats();
   for (const auto& rt : lane_rts) {
     const MessagePool::Stats s = rt->pool().stats();

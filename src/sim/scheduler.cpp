@@ -151,6 +151,16 @@ bool Scheduler::step() {
   return false;
 }
 
+void Scheduler::discard_pending() {
+  // Detach the heap first: a dying closure may schedule or cancel on this
+  // scheduler, and the walk must not see the heap change under it.
+  const std::vector<HeapEntry> pending = std::move(heap_);
+  heap_.clear();
+  for (const HeapEntry& e : pending) {
+    if (entry_live(e)) release_slot(e.slot);  // the callback dies here
+  }
+}
+
 void Scheduler::run() {
   while (step()) {
   }

@@ -231,6 +231,12 @@ void ShardEngine::run_until(SimTime deadline) {
   sim_.run_until(deadline);
 }
 
+void ShardEngine::discard_pending() {
+  EPICAST_ASSERT(!in_window_);
+  drain_mailboxes();  // a no-op after run_until, which ends drained
+  for (const auto& lane : lanes_) lane->discard_pending();
+}
+
 void ShardEngine::run_parallel_window(SimTime deadline) {
   ++stats_.parallel_windows;
   // Settle lazily-rebuilt shared read-only caches before workers start.

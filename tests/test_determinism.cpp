@@ -213,6 +213,18 @@ TEST(Determinism, PoolModeDoesNotAffectResults) {
   EXPECT_EQ(a.pool.live(), a.events_published);
 }
 
+TEST(Determinism, PoolSnapshotExcludesFramesInFlightAtEndTime) {
+  // Frames still on the wire at end_time are live pool blocks until the
+  // run discards them; the snapshot is taken after that, so only the
+  // tracker's published events remain. A 1.1 s measure window ends this
+  // nominal-sizing run with frames in flight.
+  ScenarioConfig cfg = quick(Algorithm::Push, 404);
+  cfg.sizing_mode = SizingMode::Nominal;
+  cfg.measure = Duration::seconds(1.1);
+  const ScenarioResult r = run_scenario(cfg);
+  EXPECT_EQ(r.pool.live(), r.events_published);
+}
+
 TEST(Determinism, ProfilerTimingFlagDoesNotAffectResults) {
   // The hot-path profiler draws no randomness and sends no messages: runs
   // with and without nanosecond timing must be bit-identical, timing only

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <map>
+#include <utility>
+
 namespace epicast {
 namespace {
 
@@ -248,6 +253,158 @@ TEST(EventCache, SlotRecyclingPreservesLookups) {
                 live);
     }
     ASSERT_FALSE(cache.contains(events[i - 6]->id()));
+  }
+}
+
+/// Naive model of the cache: the cached events in eviction order (front =
+/// next FIFO/LRU victim), each with its insertion stamp, plus the Random
+/// policy's swap-pop sampling pool driven by the same RNG stream. Every
+/// query is a linear scan.
+class NaiveCache {
+ public:
+  NaiveCache(std::size_t capacity, CachePolicy policy, Rng rng)
+      : capacity_(capacity), policy_(policy), rng_(rng) {}
+
+  bool insert(const EventPtr& e) {
+    if (locate(e->id()) != order_.end()) return false;
+    while (order_.size() >= capacity_) evict();
+    order_.push_back(Entry{e, next_stamp_++});
+    if (policy_ == CachePolicy::Random) pool_.push_back(e->id());
+    return true;
+  }
+  EventPtr get(const EventId& id) { return touch(locate(id)); }
+  EventPtr find(NodeId source, Pattern pattern, SeqNo seq) {
+    return touch(std::find_if(order_.begin(), order_.end(),
+                              [&](const Entry& en) {
+                                if (en.event->source() != source) return false;
+                                for (const PatternSeq& ps :
+                                     en.event->patterns()) {
+                                  if (ps.pattern == pattern && ps.seq == seq) {
+                                    return true;
+                                  }
+                                }
+                                return false;
+                              }));
+  }
+  /// Cached ids matching `pattern` in insertion order, newest `max` kept.
+  std::vector<EventId> ids_matching(Pattern pattern, std::size_t max) const {
+    std::map<std::uint64_t, EventId> by_stamp;
+    for (const Entry& en : order_) {
+      for (const PatternSeq& ps : en.event->patterns()) {
+        if (ps.pattern == pattern) by_stamp.emplace(en.stamp, en.event->id());
+      }
+    }
+    std::vector<EventId> out;
+    for (const auto& [stamp, id] : by_stamp) out.push_back(id);
+    if (max != 0 && out.size() > max) {
+      out.erase(out.begin(), out.end() - static_cast<std::ptrdiff_t>(max));
+    }
+    return out;
+  }
+  [[nodiscard]] bool contains(const EventId& id) const {
+    return std::any_of(order_.begin(), order_.end(),
+                       [&](const Entry& en) { return en.event->id() == id; });
+  }
+  [[nodiscard]] std::size_t size() const { return order_.size(); }
+
+ private:
+  struct Entry {
+    EventPtr event;
+    std::uint64_t stamp;
+  };
+  std::list<Entry>::iterator locate(const EventId& id) {
+    return std::find_if(order_.begin(), order_.end(), [&](const Entry& en) {
+      return en.event->id() == id;
+    });
+  }
+  EventPtr touch(std::list<Entry>::iterator it) {
+    if (it == order_.end()) return nullptr;
+    EventPtr e = it->event;
+    if (policy_ == CachePolicy::Lru) order_.splice(order_.end(), order_, it);
+    return e;
+  }
+  void evict() {
+    auto victim = order_.begin();
+    if (policy_ == CachePolicy::Random) {
+      const std::size_t pos = rng_.next_below(pool_.size());
+      victim = locate(pool_[pos]);
+      pool_[pos] = pool_.back();
+      pool_.pop_back();
+    }
+    order_.erase(victim);
+  }
+
+  std::size_t capacity_;
+  CachePolicy policy_;
+  Rng rng_;
+  std::list<Entry> order_;
+  std::vector<EventId> pool_;
+  std::uint64_t next_stamp_ = 0;
+};
+
+TEST_P(CachePolicySweep, LookupsAgreeWithNaiveModelAfterEvictions) {
+  // Random inserts (fresh events and re-inserts of cached ones), id and
+  // (source, pattern, seq) lookups — hits refresh LRU recency — and
+  // per-pattern digests, compared with the naive model after every step.
+  constexpr std::size_t kCapacity = 24;
+  constexpr std::uint32_t kSources = 5;
+  constexpr std::uint32_t kPatterns = 7;
+  EventCache cache(kCapacity, GetParam(), Rng{31});
+  NaiveCache model(kCapacity, GetParam(), Rng{31});
+  Rng rng(2024);
+  std::vector<EventPtr> published;
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint64_t> next_seq;
+  std::vector<std::uint64_t> next_id(kSources, 0);
+  for (int step = 0; step < 3000; ++step) {
+    const std::uint64_t op = rng.next_below(10);
+    if (op < 4 || published.empty()) {
+      // A fresh event matching one to three patterns, with per-(source,
+      // pattern) sequence numbers as a real source assigns them.
+      const auto src = static_cast<std::uint32_t>(rng.next_below(kSources));
+      std::vector<PatternSeq> patterns;
+      const std::uint64_t count = 1 + rng.next_below(3);
+      for (std::uint64_t i = 0; i < count; ++i) {
+        const Pattern p{static_cast<std::uint32_t>(rng.next_below(kPatterns))};
+        if (std::any_of(patterns.begin(), patterns.end(),
+                        [p](const PatternSeq& ps) { return ps.pattern == p; }))
+          continue;
+        patterns.push_back({p, SeqNo{++next_seq[{src, p.value()}]}});
+      }
+      auto e = ev(src, next_id[src]++, std::move(patterns));
+      published.push_back(e);
+      ASSERT_EQ(cache.insert(e), model.insert(e));
+    } else {
+      const EventPtr& e = published[rng.next_below(published.size())];
+      if (op == 4) {
+        // Re-insert: a no-op while cached. Evicted events stay out, since
+        // a digest index may still hold their stale ids.
+        if (model.contains(e->id())) {
+          ASSERT_FALSE(cache.insert(e));
+        }
+      } else if (op < 7) {
+        ASSERT_EQ(cache.get(e->id()), model.get(e->id()));
+      } else if (op < 9) {
+        const PatternSeq& ps =
+            e->patterns()[rng.next_below(e->patterns().size())];
+        ASSERT_EQ(cache.find(e->source(), ps.pattern, ps.seq),
+                  model.find(e->source(), ps.pattern, ps.seq));
+      } else {
+        const Pattern p{static_cast<std::uint32_t>(rng.next_below(kPatterns))};
+        const std::size_t max = rng.next_below(4);
+        ASSERT_EQ(cache.ids_matching(p, max), model.ids_matching(p, max))
+            << "step " << step;
+      }
+    }
+    ASSERT_EQ(cache.size(), model.size());
+  }
+  EXPECT_GT(cache.stats().evictions, 0u);
+  // Final sweep over every event ever published, without touching recency.
+  for (const EventPtr& e : published) {
+    ASSERT_EQ(cache.contains(e->id()), model.contains(e->id()));
+  }
+  for (std::uint32_t p = 0; p < kPatterns; ++p) {
+    ASSERT_EQ(cache.ids_matching(Pattern{p}, 0),
+              model.ids_matching(Pattern{p}, 0));
   }
 }
 

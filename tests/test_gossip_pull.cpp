@@ -4,6 +4,9 @@
 // control.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+
 #include "epicast/gossip/combined_pull.hpp"
 #include "epicast/gossip/publisher_pull.hpp"
 #include "epicast/gossip/pull_base.hpp"
@@ -142,6 +145,58 @@ TEST(PullDetection, StreamMarksRotateThroughTheWitnessedTable) {
   out.clear();
   (void)pull(h, 1)->stream_marks_into(0, 99, out);
   EXPECT_EQ(out.size(), 2u);
+}
+
+TEST(PullDetection, StreamMarksLapReachesAStreamWitnessedMidLap) {
+  // One lap of max_entries=1 calls returns every witnessed mark exactly
+  // once — including a stream first witnessed partway through the lap,
+  // which is appended and reached before the cursor wraps (an ordered
+  // table would slot (0, 0) in behind the cursor and skip it).
+  GossipHarness h(3, Algorithm::SubscriberPull);
+  GossipProtocolBase* node = h.protocol(1);
+  const auto witness = [node](std::uint32_t source, std::uint32_t pattern,
+                              std::uint64_t seq) {
+    node->preload_cache({std::make_shared<EventData>(
+        EventId{NodeId{source}, seq},
+        std::vector<PatternSeq>{{Pattern{pattern}, SeqNo{seq}}}, 64,
+        SimTime::zero())});
+  };
+  witness(0, 1, 3);
+  witness(2, 1, 4);
+  witness(0, 2, 5);
+  std::vector<StreamMark> out;
+  std::size_t cursor = node->stream_marks_into(0, 1, out);
+  witness(0, 0, 6);  // new stream, mid-lap
+  witness(0, 1, 7);  // known stream advances in place
+  for (int calls = 1; cursor != 0; ++calls) {
+    ASSERT_LT(calls, 4) << "the lap did not wrap after one call per mark";
+    cursor = node->stream_marks_into(cursor, 1, out);
+  }
+  ASSERT_EQ(out.size(), 4u);
+  std::set<std::pair<std::uint32_t, std::uint32_t>> streams;
+  for (const StreamMark& m : out) {
+    streams.emplace(m.source.value(), m.pattern.value());
+  }
+  EXPECT_EQ(streams, (std::set<std::pair<std::uint32_t, std::uint32_t>>{
+                         {0, 0}, {0, 1}, {0, 2}, {2, 1}}));
+  EXPECT_EQ(out.back(), (StreamMark{NodeId{0}, Pattern{0}, SeqNo{6}}));
+  // The next lap reads the advanced watermark.
+  out.clear();
+  (void)node->stream_marks_into(0, 1, out);
+  EXPECT_EQ(out.front(), (StreamMark{NodeId{0}, Pattern{1}, SeqNo{7}}));
+
+  // A warm restart keeps the marks; a cold one forgets them.
+  node->on_restart(fault::RestartPolicy::Warm);
+  out.clear();
+  EXPECT_EQ(node->stream_marks_into(0, 99, out), 0u);
+  EXPECT_EQ(out.size(), 4u);
+  node->on_restart(fault::RestartPolicy::Cold);
+  out.clear();
+  EXPECT_EQ(node->stream_marks_into(0, 99, out), 0u);
+  EXPECT_TRUE(out.empty());
+  witness(2, 3, 8);
+  EXPECT_EQ(node->stream_marks_into(0, 99, out), 0u);
+  EXPECT_EQ(out, (std::vector<StreamMark>{{NodeId{2}, Pattern{3}, SeqNo{8}}}));
 }
 
 TEST(PullDetection, NonSubscribersDoNotDetect) {

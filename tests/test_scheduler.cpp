@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "epicast/sim/simulator.hpp"
@@ -224,6 +225,35 @@ TEST(Scheduler, CallbackLargerThanInlineBufferStillRuns) {
   s.schedule_at(SimTime::seconds(1.0), [big, &sum] { sum = big[15]; });
   s.run();
   EXPECT_EQ(sum, 42u);
+}
+
+TEST(Scheduler, DiscardPendingReleasesClosuresWithoutRunningThem) {
+  // The end of a run drops what is still queued: captured state is freed
+  // at once, no callback runs, handles go inert, executed() is unchanged,
+  // and the scheduler stays usable.
+  Scheduler s;
+  auto payload = std::make_shared<int>(7);
+  int ran = 0;
+  s.schedule_at(SimTime::zero() + Duration::millis(1), [&ran]() { ++ran; });
+  s.run_until(SimTime::zero() + Duration::millis(1));
+  const EventHandle kept = s.schedule_after(
+      Duration::millis(5), [payload, &ran]() { ran += *payload; });
+  EventHandle cancelled = s.schedule_after(
+      Duration::millis(6), [payload, &ran]() { ran += 100; });
+  cancelled.cancel();
+  s.schedule_after(Duration::millis(7), [payload, &ran]() { ran += 1000; });
+  EXPECT_EQ(payload.use_count(), 3);
+  s.discard_pending();
+  EXPECT_EQ(payload.use_count(), 1);
+  EXPECT_FALSE(kept.pending());
+  EXPECT_EQ(s.queued(), 0u);
+  EXPECT_EQ(s.executed(), 1u);
+  s.run();
+  EXPECT_EQ(ran, 1);
+  s.schedule_after(Duration::millis(1), [&ran]() { ran += 10; });
+  s.run();
+  EXPECT_EQ(ran, 11);
+  EXPECT_EQ(s.executed(), 2u);
 }
 
 TEST(Simulator, ForkRngIsDeterministic) {

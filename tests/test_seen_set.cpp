@@ -45,9 +45,8 @@ TEST(SeenSet, ContainsBeyondGrownRangeIsFalse) {
   EXPECT_FALSE(s.contains(EventId{NodeId{9}, 0}));     // source never seen
 }
 
-TEST(SeenSet, PropertyAgainstReferenceSet) {
+void check_against_reference_set(SeenSet s) {
   Rng rng(11);
-  SeenSet s;
   std::unordered_set<EventId> ref;
   for (int step = 0; step < 20000; ++step) {
     const EventId id{NodeId{static_cast<std::uint32_t>(rng.next_below(16))},
@@ -59,6 +58,17 @@ TEST(SeenSet, PropertyAgainstReferenceSet) {
     }
     ASSERT_EQ(s.size(), ref.size());
   }
+  EXPECT_GT(s.memory_bytes(), 0u);
+}
+
+TEST(SeenSet, PropertyAgainstReferenceSet) {
+  check_against_reference_set(SeenSet{});
+}
+
+TEST(SeenSet, SparseLayoutAgainstReferenceSet) {
+  // A hinted source count past the limit selects the (source, seq-block)
+  // hash table instead of per-source rows.
+  check_against_reference_set(SeenSet{SeenSet::kDenseSourceLimit + 1});
 }
 
 }  // namespace
