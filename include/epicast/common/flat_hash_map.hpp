@@ -1,10 +1,12 @@
 // epicast — the open-addressed hash table behind per-event keyed state.
 //
-// Every event crossing a dispatcher advances a stream watermark, is indexed
-// in the β buffer by id and by (source, pattern, seq), and is checked
-// against the loss detector and the Lost buffer; every pull digest probes
-// the β index once per wanted entry. FlatHashMap serves all of these, and
-// the sparse seen-set, with one layout:
+// Every event crossing a dispatcher is indexed in the β buffer by id and by
+// (source, pattern, seq), and is checked against the loss detector and the
+// Lost buffer; every pull digest probes the β index once per wanted entry;
+// every delivery is checked against the oracles' published, offered and
+// delivered sets and counted in the delivery tracker. FlatHashMap serves all
+// of these, the sparse seen-set and the daemon's stream marks, with one
+// layout:
 //   * one flat array of {key, value} slots, power-of-two sized, probed
 //     linearly from the key's home slot: a lookup reads consecutive memory
 //     and allocates nothing;
@@ -22,7 +24,8 @@
 // the hash's low bits, so the hash must mix every input bit into them
 // (hash_mix below). Values must be default-constructible and movable. A
 // value pointer from find() or try_emplace() stays valid until the next
-// insert, erase or clear.
+// insert, erase or clear. A set is a map to NoValue (FlatHashSet), whose
+// slots hold the key alone.
 #pragma once
 
 #include <cstddef>
@@ -31,6 +34,7 @@
 #include <vector>
 
 #include "epicast/common/assert.hpp"
+#include "epicast/common/ids.hpp"
 
 namespace epicast {
 
@@ -50,6 +54,17 @@ struct U64Key {
   static constexpr std::uint64_t empty() { return ~std::uint64_t{0}; }
   static constexpr std::uint64_t hash(std::uint64_t key) {
     return hash_mix(key);
+  }
+};
+
+/// Key traits for event ids; (invalid node, 0) is the free-slot marker —
+/// no event is published by the invalid node.
+struct EventIdKey {
+  static constexpr EventId empty() { return EventId{NodeId::invalid(), 0}; }
+  static constexpr std::uint64_t hash(const EventId& id) {
+    return hash_mix(static_cast<std::uint64_t>(id.source.value()) *
+                        0x9e3779b97f4a7c15ULL +
+                    id.source_seq);
   }
 };
 
@@ -124,7 +139,7 @@ class FlatHashMap {
  private:
   struct Slot {
     K key = KeyTraits::empty();
-    V value{};
+    [[no_unique_address]] V value{};
   };
   static constexpr std::size_t kAbsent = ~std::size_t{0};
 
@@ -181,5 +196,12 @@ class FlatHashMap {
   std::vector<Slot> slots_;
   std::size_t size_ = 0;
 };
+
+/// The value of a FlatHashMap used as a set: it takes no slot space.
+struct NoValue {};
+
+/// An open-addressed set: try_emplace(key).second is "newly inserted".
+template <typename K, typename KeyTraits>
+using FlatHashSet = FlatHashMap<K, NoValue, KeyTraits>;
 
 }  // namespace epicast

@@ -89,14 +89,6 @@ class EventCache {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
-  struct EventIdKey {
-    static constexpr EventId empty() { return EventId{NodeId::invalid(), 0}; }
-    static constexpr std::uint64_t hash(const EventId& id) {
-      return hash_mix(static_cast<std::uint64_t>(id.source.value()) *
-                          0x9e3779b97f4a7c15ULL +
-                      id.source_seq);
-    }
-  };
   struct PatternKey {
     static constexpr Pattern empty() { return Pattern{~std::uint32_t{0}}; }
     static constexpr std::uint64_t hash(Pattern p) {

@@ -5,10 +5,13 @@
 // P_forward fan-out rule, and the out-of-band request/reply exchange.
 // Concrete algorithms implement on_round() and handle_digest().
 //
-// Every event crossing the dispatcher also advances this node's witnessed
-// stream watermarks (note_stream_marks, once per pattern of the event), so
-// they are kept as an insertion-ordered vector indexed by a FlatHashMap:
-// one probe per pattern, and stream_marks_into() seeks its cursor in O(1).
+// Once a reader asks for them (witness_streams(): the daemon, when its
+// heartbeats carry stream marks), every event crossing the dispatcher also
+// advances this node's witnessed stream watermarks (note_stream_marks, once
+// per pattern of the event), kept as an insertion-ordered vector indexed by
+// a FlatHashMap: one probe per pattern, and stream_marks_into() seeks its
+// cursor in O(1). Until then no event touches them — a simulation run has
+// no reader, and the table would grow with every (source, pattern) stream.
 #pragma once
 
 #include <array>
@@ -55,10 +58,14 @@ class GossipProtocolBase : public RecoveryProtocol {
   /// retransmission buffer (normal eviction applies).
   void preload_cache(const std::vector<EventPtr>& events) override;
 
-  /// Rotating slice of the stream watermarks this node has witnessed (every
-  /// event crossing the dispatcher advances them, cached or not — a mark
-  /// means "this seq exists", not "I can serve it"). Piggybacked on
-  /// heartbeats by the daemon's failure detector.
+  /// From now on every event crossing the dispatcher or preloaded from a
+  /// snapshot advances the witnessed stream marks.
+  void witness_streams() override { witness_streams_ = true; }
+
+  /// Rotating slice of the stream watermarks this node has witnessed since
+  /// witness_streams() (every event crossing the dispatcher advances them,
+  /// cached or not — a mark means "this seq exists", not "I can serve
+  /// it"). Piggybacked on heartbeats by the daemon's failure detector.
   std::size_t stream_marks_into(std::size_t cursor, std::size_t max_entries,
                                 std::vector<StreamMark>& out) const override;
 
@@ -208,10 +215,12 @@ class GossipProtocolBase : public RecoveryProtocol {
   std::unordered_map<std::uint32_t, std::uint32_t> peer_timeouts_;
   std::uint64_t restart_epoch_ = 0;
   /// Highest sequence number witnessed per (source, pattern) — the feed
-  /// for stream_marks_into(). In first-witnessed order, so the rotation
-  /// cursor is stable and a stream witnessed mid-lap is appended ahead of
-  /// the wrap; stream_mark_index_ maps stream_key() to the position.
-  /// Cleared on cold restart along with the cache.
+  /// for stream_marks_into(), recorded only while witness_streams_. In
+  /// first-witnessed order, so the rotation cursor is stable and a stream
+  /// witnessed mid-lap is appended ahead of the wrap; stream_mark_index_
+  /// maps stream_key() to the position. Cleared on cold restart along with
+  /// the cache.
+  bool witness_streams_ = false;
   std::vector<StreamMark> stream_marks_;
   FlatHashMap<std::uint64_t, std::uint32_t, U64Key> stream_mark_index_;
 };

@@ -11,12 +11,17 @@
 // delivery rate = delivered pairs / expected pairs. The time series buckets
 // pairs by *publish* time, which makes loss bursts (reconfigurations) show
 // up as the dips of the paper's Fig. 3(b).
+//
+// Every publish and every delivery of a run probes the per-event records,
+// so they live in an open-addressed FlatHashMap keyed by EventId. Its slot
+// order is arbitrary; every whole-table read (delivery_series,
+// pairs_in_range) only sums integers, so the results do not depend on it.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "epicast/common/flat_hash_map.hpp"
 #include "epicast/common/ids.hpp"
 #include "epicast/metrics/time_series.hpp"
 #include "epicast/sim/time.hpp"
@@ -85,8 +90,9 @@ class DeliveryTracker {
     return recovered_pairs_;
   }
 
-  /// Estimated bytes owned by the tracker's containers — per-component
-  /// memory accounting for the scale figures.
+  /// Bytes owned by the tracker's containers (the record table's slot
+  /// array and the latency samples) — per-component memory accounting for
+  /// the scale figures.
   [[nodiscard]] std::size_t memory_bytes() const;
 
  private:
@@ -104,7 +110,7 @@ class DeliveryTracker {
   SimTime window_end_;
   bool window_set_ = false;
 
-  std::unordered_map<EventId, EventRec> events_;
+  FlatHashMap<EventId, EventRec, EventIdKey> events_;
   std::uint64_t events_tracked_ = 0;
   std::uint64_t expected_pairs_ = 0;
   std::uint64_t delivered_pairs_ = 0;

@@ -20,14 +20,19 @@
 // Each oracle also exposes its core check as a public verify_* method, so
 // the self-tests can prove it fires by feeding violating inputs directly —
 // the live hooks funnel into the same methods.
+//
+// The oracles run on every delivery and every send of an oracle-enabled
+// run, so their sets (published ids, offered and delivered pairs) are
+// open-addressed FlatHashSets, and a send hook tests msg.message_class()
+// before any dynamic_cast: most sends are events, which no send check reads.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 
+#include "epicast/common/flat_hash_map.hpp"
 #include "epicast/oracle/oracle.hpp"
 #include "epicast/wire/buffer.hpp"
 
@@ -42,10 +47,14 @@ struct DeliveryKey {
                                     const DeliveryKey&) = default;
 };
 
-struct DeliveryKeyHash {
-  std::size_t operator()(const DeliveryKey& k) const noexcept {
-    return std::hash<EventId>{}(k.event) ^
-           (std::hash<NodeId>{}(k.node) * 0x9e3779b97f4a7c15ULL);
+/// FlatHashSet key traits for delivery pairs; the empty EventId marks a
+/// free slot (see EventIdKey).
+struct DeliveryKeyTraits {
+  static constexpr DeliveryKey empty() {
+    return DeliveryKey{EventIdKey::empty(), NodeId::invalid()};
+  }
+  static constexpr std::uint64_t hash(const DeliveryKey& k) {
+    return hash_mix(EventIdKey::hash(k.event) ^ k.node.value());
   }
 };
 
@@ -58,7 +67,7 @@ class UniqueDeliveryOracle final : public Oracle {
   void on_delivery(NodeId node, const EventPtr& event, bool recovered) override;
 
  private:
-  std::unordered_set<DeliveryKey, DeliveryKeyHash> delivered_;
+  FlatHashSet<DeliveryKey, DeliveryKeyTraits> delivered_;
 };
 
 /// 2. Delivery only to matching subscribers: the delivering node's
@@ -91,9 +100,9 @@ class ConservationOracle final : public Oracle {
                bool overlay) override;
 
  private:
-  std::unordered_set<EventId> published_;
+  FlatHashSet<EventId, EventIdKey> published_;
   /// (event, destination) pairs offered via a retransmission reply.
-  std::unordered_set<DeliveryKey, DeliveryKeyHash> offered_;
+  FlatHashSet<DeliveryKey, DeliveryKeyTraits> offered_;
 };
 
 /// 4. Buffer occupancy ≤ β. Checked on every gossip send of a node exposing

@@ -196,10 +196,16 @@ class OracleSuite final : public TransportObserver {
 /// Installs the six built-in oracles (oracle/checks.hpp) into `suite`.
 void add_default_oracles(OracleSuite& suite);
 
+/// Parses an EPICAST_ORACLES value: unset, empty, "1", "on", "ON" or
+/// "true" mean on; "0", "off", "OFF" or "false" mean off. Any other
+/// spelling aborts with a message naming the variable, so a typo cannot
+/// silently leave the oracles in the other state.
+[[nodiscard]] bool oracles_from_env(const char* value);
+
 /// Whether run_scenario wires an OracleSuite by default: false when the
-/// library was built with EPICAST_ORACLES=OFF, otherwise true unless the
-/// EPICAST_ORACLES environment variable is "0"/"off" (read once, first
-/// call — same pattern as default_sizing_mode()).
+/// library was built with EPICAST_ORACLES=OFF, otherwise
+/// oracles_from_env() of the EPICAST_ORACLES environment variable (read
+/// once, first call — same pattern as default_sizing_mode()).
 [[nodiscard]] bool oracles_enabled_by_default();
 
 }  // namespace epicast::oracle

@@ -68,11 +68,20 @@ class RecoveryProtocol {
   /// ignore it.
   virtual void preload_cache(const std::vector<EventPtr>& /*events*/) {}
 
+  /// Starts recording the per-(source, pattern) stream watermarks that
+  /// stream_marks_into() reads. Off until called: the marks cost a table
+  /// probe per pattern of every event and grow with every stream, which is
+  /// worth paying only for a reader. The daemon calls this when heartbeats
+  /// are on, before it preloads a warm-restart snapshot; a simulation run
+  /// never does.
+  virtual void witness_streams() {}
+
   /// Copies up to `max_entries` of this protocol's per-(source, pattern)
   /// stream watermarks into `out`, starting at rotation position `cursor`,
   /// and returns the cursor for the next call (daemon mode: the failure
   /// detector piggybacks the slice on outgoing heartbeats). Protocols that
-  /// track no watermarks leave `out` untouched and return 0.
+  /// track no watermarks, or were never asked to witness_streams(), leave
+  /// `out` untouched and return 0.
   virtual std::size_t stream_marks_into(std::size_t /*cursor*/,
                                         std::size_t /*max_entries*/,
                                         std::vector<StreamMark>& /*out*/) const {

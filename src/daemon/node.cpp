@@ -111,6 +111,12 @@ NodeDaemon::NodeDaemon(runtime::ClusterConfig cluster, NodeId self,
 
   dispatcher_->set_recovery(
       make_recovery(cluster_.algorithm, *dispatcher_, cluster_.gossip));
+  // The failure detector piggybacks stream marks on its heartbeats, so the
+  // protocol records them from here on — before the journal replay, so a
+  // warm restart's snapshot preload counts as witnessed too.
+  if (cluster_.heartbeat_interval_ms > 0.0) {
+    dispatcher_->recovery()->witness_streams();
+  }
 
   replay_journal();
   if (journal_ != nullptr) {

@@ -112,7 +112,7 @@ void GossipProtocolBase::on_peer_suspected(NodeId peer) {
 void GossipProtocolBase::preload_cache(const std::vector<EventPtr>& events) {
   for (const EventPtr& e : events) {
     cache_.insert(e);
-    note_stream_marks(*e);
+    if (witness_streams_) note_stream_marks(*e);
   }
 }
 
@@ -167,7 +167,7 @@ void GossipProtocolBase::run_round() {
 
 void GossipProtocolBase::on_event(const EventPtr& event,
                                   const EventContext& ctx) {
-  note_stream_marks(*event);
+  if (witness_streams_) note_stream_marks(*event);
   if (!responsible_for(*event, ctx.local_publish)) return;
   // Publishers always cache their own events (publisher-based pull relies
   // on the source as the recovery backstop, §III-B); subscribers are

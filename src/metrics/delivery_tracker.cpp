@@ -27,10 +27,10 @@ void DeliveryTracker::on_publish(const EventId& id, SimTime when,
   if (when < window_start_ || when >= window_end_) return;
   if (expected_receivers == 0) return;  // nobody subscribed: rate undefined
 
-  auto [it, inserted] = events_.try_emplace(id);
+  const auto [rec, inserted] = events_.try_emplace(id);
   EPICAST_ASSERT_MSG(inserted, "event published twice");
-  it->second.published_at = when;
-  it->second.expected = expected_receivers;
+  rec->published_at = when;
+  rec->expected = expected_receivers;
   ++events_tracked_;
   expected_pairs_ += expected_receivers;
 }
@@ -38,9 +38,9 @@ void DeliveryTracker::on_publish(const EventId& id, SimTime when,
 void DeliveryTracker::on_delivery(NodeId node, const EventId& id, SimTime when,
                                   bool recovered) {
   if (node == id.source) return;  // self-delivery at the publisher
-  auto it = events_.find(id);
-  if (it == events_.end()) return;  // outside the measure window
-  EventRec& rec = it->second;
+  EventRec* const found = events_.find(id);
+  if (found == nullptr) return;  // outside the measure window
+  EventRec& rec = *found;
   EPICAST_ASSERT_MSG(rec.delivered_any < rec.expected,
                      "more deliveries than expected receivers");
   ++rec.delivered_any;
@@ -77,14 +77,14 @@ TimeSeries DeliveryTracker::delivery_series(const char* name) const {
     std::uint64_t delivered = 0;
   };
   std::map<std::int64_t, Agg> buckets;
-  for (const auto& [id, rec] : events_) {
+  events_.for_each([&](const EventId&, const EventRec& rec) {
     const std::int64_t bucket =
         (rec.published_at - window_start_).count_nanos() /
         bucket_width_.count_nanos();
     Agg& agg = buckets[bucket];
     agg.expected += rec.expected;
     agg.delivered += rec.delivered;
-  }
+  });
   TimeSeries series{name};
   for (const auto& [bucket, agg] : buckets) {
     if (agg.expected == 0) continue;
@@ -99,12 +99,12 @@ TimeSeries DeliveryTracker::delivery_series(const char* name) const {
 DeliveryTracker::PairWindow DeliveryTracker::pairs_in_range(SimTime start,
                                                             SimTime end) const {
   PairWindow w;
-  for (const auto& [id, rec] : events_) {
-    if (rec.published_at < start || rec.published_at >= end) continue;
+  events_.for_each([&](const EventId&, const EventRec& rec) {
+    if (rec.published_at < start || rec.published_at >= end) return;
     w.expected += rec.expected;
     w.delivered += rec.delivered;
     w.delivered_any += rec.delivered_any;
-  }
+  });
   return w;
 }
 
@@ -133,8 +133,7 @@ double DeliveryTracker::recovery_latency_quantile(double q) const {
 }
 
 std::size_t DeliveryTracker::memory_bytes() const {
-  constexpr std::size_t kMapOverhead = 16;
-  return events_.size() * (sizeof(EventId) + sizeof(EventRec) + kMapOverhead) +
+  return events_.memory_bytes() +
          recovery_latencies_.capacity() * sizeof(double);
 }
 

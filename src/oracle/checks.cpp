@@ -13,8 +13,12 @@ namespace epicast::oracle {
 namespace {
 
 std::string event_label(const EventId& id) {
-  return "(" + std::to_string(id.source.value()) + "#" +
-         std::to_string(id.source_seq) + ")";
+  std::string label = "(";
+  label += std::to_string(id.source.value());
+  label += '#';
+  label += std::to_string(id.source_seq);
+  label += ')';
+  return label;
 }
 
 /// The retransmission buffer `node` exposes, or nullptr (no recovery
@@ -32,7 +36,7 @@ const EventCache* cache_of(const OracleContext& ctx, NodeId node) {
 void UniqueDeliveryOracle::on_delivery(NodeId node, const EventPtr& event,
                                        bool /*recovered*/) {
   checked();
-  if (!delivered_.insert({event->id(), node}).second) {
+  if (!delivered_.try_emplace({event->id(), node}).second) {
     fail(node, "duplicate delivery of event " + event_label(event->id()));
   }
 }
@@ -52,7 +56,7 @@ void MatchingDeliveryOracle::on_delivery(NodeId node, const EventPtr& event,
 // -- 3. conservation ----------------------------------------------------------
 
 void ConservationOracle::on_publish(const EventPtr& event) {
-  published_.insert(event->id());
+  published_.try_emplace(event->id());
 }
 
 void ConservationOracle::on_delivery(NodeId node, const EventPtr& event,
@@ -66,7 +70,7 @@ void ConservationOracle::on_delivery(NodeId node, const EventPtr& event,
                                 ctx().sim != nullptr &&
                                 ctx().sim->now() == event->published_at();
     if (publisher_self) {
-      published_.insert(id);
+      published_.try_emplace(id);
     } else {
       fail(node, "delivery of unpublished event " + event_label(id));
       return;
@@ -88,9 +92,12 @@ void ConservationOracle::on_delivery(NodeId node, const EventPtr& event,
 
 void ConservationOracle::on_send(NodeId /*from*/, NodeId to, const Message& msg,
                                  bool /*overlay*/) {
+  if (msg.message_class() != MessageClass::GossipReply) return;
   const auto* reply = dynamic_cast<const RecoveryReplyMessage*>(&msg);
   if (reply == nullptr) return;
-  for (const EventPtr& ev : reply->events()) offered_.insert({ev->id(), to});
+  for (const EventPtr& ev : reply->events()) {
+    offered_.try_emplace({ev->id(), to});
+  }
 }
 
 // -- 4. buffer-bound ----------------------------------------------------------
@@ -126,29 +133,42 @@ void BufferBoundOracle::verify_occupancy(NodeId node, std::size_t size,
 
 void DigestCoverageOracle::on_send(NodeId from, NodeId /*to*/,
                                    const Message& msg, bool /*overlay*/) {
-  if (const auto* digest = dynamic_cast<const PushDigestMessage*>(&msg)) {
-    // Only originated digests (forwarders relay the originator's ids).
-    if (digest->hops() != 0 || digest->gossiper() != from) return;
-    const EventCache* cache = cache_of(ctx(), from);
-    if (cache == nullptr) return;
-    for (const EventId& id : digest->ids()) {
-      checked();
-      if (!cache->contains(id)) {
-        fail(from, "push digest advertises event " + event_label(id) +
-                       " absent from the sender's buffer");
+  switch (msg.message_class()) {
+    case MessageClass::GossipDigest: {
+      const auto* digest = dynamic_cast<const PushDigestMessage*>(&msg);
+      // Only originated push digests (forwarders relay the originator's
+      // ids; pull digests name events the gossiper lacks).
+      if (digest == nullptr || digest->hops() != 0 ||
+          digest->gossiper() != from) {
+        return;
       }
-    }
-  } else if (const auto* reply =
-                 dynamic_cast<const RecoveryReplyMessage*>(&msg)) {
-    const EventCache* cache = cache_of(ctx(), from);
-    if (cache == nullptr) return;
-    for (const EventPtr& ev : reply->events()) {
-      checked();
-      if (!cache->contains(ev->id())) {
-        fail(from, "recovery reply carries event " + event_label(ev->id()) +
-                       " absent from the sender's buffer");
+      const EventCache* cache = cache_of(ctx(), from);
+      if (cache == nullptr) return;
+      for (const EventId& id : digest->ids()) {
+        checked();
+        if (!cache->contains(id)) {
+          fail(from, "push digest advertises event " + event_label(id) +
+                         " absent from the sender's buffer");
+        }
       }
+      return;
     }
+    case MessageClass::GossipReply: {
+      const auto* reply = dynamic_cast<const RecoveryReplyMessage*>(&msg);
+      if (reply == nullptr) return;
+      const EventCache* cache = cache_of(ctx(), from);
+      if (cache == nullptr) return;
+      for (const EventPtr& ev : reply->events()) {
+        checked();
+        if (!cache->contains(ev->id())) {
+          fail(from, "recovery reply carries event " + event_label(ev->id()) +
+                         " absent from the sender's buffer");
+        }
+      }
+      return;
+    }
+    default:
+      return;  // events, control, requests: nothing claimed about a cache
   }
 }
 

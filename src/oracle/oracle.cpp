@@ -1,5 +1,6 @@
 #include "epicast/oracle/oracle.hpp"
 
+#include <cstdio>
 #include <cstdlib>
 #include <string_view>
 #include <utility>
@@ -94,16 +95,24 @@ void add_default_oracles(OracleSuite& suite) {
   suite.add(std::make_unique<WireRoundTripOracle>());
 }
 
+bool oracles_from_env(const char* value) {
+  const std::string_view v = value != nullptr ? value : "";
+  if (v.empty() || v == "1" || v == "on" || v == "ON" || v == "true") {
+    return true;
+  }
+  if (v == "0" || v == "off" || v == "OFF" || v == "false") return false;
+  std::fprintf(stderr,
+               "EPICAST_ORACLES: unknown value '%s' (expected 1, on, ON, "
+               "true, 0, off, OFF or false)\n",
+               value);
+  std::abort();
+}
+
 bool oracles_enabled_by_default() {
 #ifdef EPICAST_NO_ORACLES
   return false;
 #else
-  static const bool enabled = [] {
-    const char* v = std::getenv("EPICAST_ORACLES");
-    if (v == nullptr) return true;
-    const std::string_view s(v);
-    return s != "0" && s != "off" && s != "OFF" && s != "false";
-  }();
+  static const bool enabled = oracles_from_env(std::getenv("EPICAST_ORACLES"));
   return enabled;
 #endif
 }

@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <tuple>
+#include <vector>
 
 #include "../gossip_harness.hpp"
 #include "epicast/epicast.hpp"
@@ -110,6 +113,103 @@ TEST(ConservationOracleTest, AcceptsRecoveredDeliveryAfterReply) {
   suite->on_send(NodeId{1}, NodeId{5}, reply, /*overlay=*/false);
   suite->notify_delivery(NodeId{5}, e, /*recovered=*/true);
   EXPECT_TRUE(suite->violations().empty());
+}
+
+TEST(UniqueDeliveryOracleTest, FiresOnDuplicatesAfterTheTableHasGrown) {
+  // 40 sources x 25 sequence numbers x 8 nodes: 8000 distinct pairs take
+  // the delivered set through ten doublings. Every id recurs at every
+  // node and every sequence number at every source, so pairs that differ
+  // in one field only must stay distinct — and each one, delivered again
+  // in another order, must fire.
+  auto suite = record_suite();
+  suite->add(std::make_unique<UniqueDeliveryOracle>());
+  for (std::uint32_t src = 0; src < 40; ++src) {
+    for (std::uint64_t seq = 1; seq <= 25; ++seq) {
+      const EventPtr e = make_event(src, seq);
+      for (std::uint32_t node = 0; node < 8; ++node) {
+        suite->notify_delivery(NodeId{node}, e, false);
+      }
+    }
+  }
+  ASSERT_TRUE(suite->violations().empty());
+  std::size_t duplicates = 0;
+  for (std::uint32_t node = 8; node-- > 0;) {
+    for (std::uint64_t seq = 25; seq >= 1; --seq) {
+      for (std::uint32_t src = 0; src < 40; ++src) {
+        suite->notify_delivery(NodeId{node}, make_event(src, seq), false);
+        ASSERT_EQ(suite->violations().size(), ++duplicates);
+        EXPECT_EQ(suite->violations().back().node, NodeId{node});
+      }
+    }
+  }
+  // A fresh pair after all that is still accepted.
+  suite->notify_delivery(NodeId{8}, make_event(0, 1), false);
+  EXPECT_EQ(suite->violations().size(), duplicates);
+}
+
+TEST(ConservationOracleTest, OfferedPairsAgreeWithAReferenceSet) {
+  // Random replies offer (event, node) pairs to 12 nodes; events and
+  // requests carrying the same ids offer nothing. Afterwards a recovered
+  // delivery of every (event, node) pair fires exactly when a std::set
+  // model of the offers lacks the pair — including pairs that differ from
+  // an offered one only in the node.
+  auto suite = record_suite();
+  suite->add(std::make_unique<ConservationOracle>());
+  constexpr std::uint32_t kSources = 16;
+  constexpr std::uint64_t kSeqs = 64;
+  constexpr std::uint32_t kNodes = 12;
+  std::vector<EventPtr> events;
+  for (std::uint32_t src = 0; src < kSources; ++src) {
+    for (std::uint64_t seq = 1; seq <= kSeqs; ++seq) {
+      events.push_back(make_event(src, seq));
+      suite->notify_publish(events.back());
+    }
+  }
+  std::set<std::tuple<std::uint32_t, std::uint64_t, std::uint32_t>> offered;
+  Rng rng(5);
+  for (int round = 0; round < 900; ++round) {
+    const NodeId to{static_cast<std::uint32_t>(rng.next_below(kNodes))};
+    std::vector<EventPtr> carried;
+    for (std::uint64_t k = 1 + rng.next_below(4); k > 0; --k) {
+      carried.push_back(events[rng.next_below(events.size())]);
+    }
+    if (round % 3 == 0) {
+      // Not a reply: the same ids travel as an event and a request.
+      const EventMessage as_event(carried.front(), {});
+      suite->on_send(NodeId{kNodes}, to, as_event, /*overlay=*/true);
+      const RecoveryRequestMessage as_request(NodeId{kNodes}, 100,
+                                              {carried.front()->id()});
+      suite->on_send(NodeId{kNodes}, to, as_request, /*overlay=*/false);
+      continue;
+    }
+    for (const EventPtr& e : carried) {
+      offered.emplace(e->source().value(), e->id().source_seq, to.value());
+    }
+    const RecoveryReplyMessage reply(NodeId{kNodes}, 100, carried);
+    suite->on_send(NodeId{kNodes}, to, reply, /*overlay=*/false);
+  }
+  ASSERT_TRUE(suite->violations().empty());
+
+  std::size_t fired_next_to_an_offer = 0;
+  for (const EventPtr& e : events) {
+    for (std::uint32_t node = 0; node < kNodes; ++node) {
+      const std::size_t before = suite->violations().size();
+      suite->notify_delivery(NodeId{node}, e, /*recovered=*/true);
+      const bool fired = suite->violations().size() > before;
+      const bool was_offered = offered.contains(
+          {e->source().value(), e->id().source_seq, node});
+      ASSERT_EQ(fired, !was_offered)
+          << "event (" << e->source().value() << "#" << e->id().source_seq
+          << ") at node " << node;
+      if (fired && offered.contains({e->source().value(),
+                                     e->id().source_seq,
+                                     (node + 1) % kNodes})) {
+        ++fired_next_to_an_offer;
+      }
+    }
+  }
+  EXPECT_GT(offered.size(), 1000u);
+  EXPECT_GT(fired_next_to_an_offer, 0u);
 }
 
 TEST(BufferBoundOracleTest, FiresOnOccupancyAboveBeta) {
@@ -242,6 +342,23 @@ TEST(OracleSuiteWiring, DisabledScenarioIsBitIdentical) {
   EXPECT_EQ(with.delivered_pairs, without.delivered_pairs);
   EXPECT_EQ(with.expected_pairs, without.expected_pairs);
   EXPECT_EQ(with.delivery_rate, without.delivery_rate);
+}
+
+TEST(OracleSuiteWiring, EnvSwitchAcceptsExactlyTheDocumentedSpellings) {
+  EXPECT_TRUE(oracle::oracles_from_env(nullptr));
+  for (const char* on : {"", "1", "on", "ON", "true"}) {
+    EXPECT_TRUE(oracle::oracles_from_env(on)) << on;
+  }
+  for (const char* off : {"0", "off", "OFF", "false"}) {
+    EXPECT_FALSE(oracle::oracles_from_env(off)) << off;
+  }
+}
+
+TEST(OracleSuiteWiringDeathTest, EnvSwitchRejectsUnknownSpellings) {
+  for (const char* bad : {"no", "yes", "Off", "TRUE", "2", " on"}) {
+    EXPECT_DEATH((void)oracle::oracles_from_env(bad), "EPICAST_ORACLES")
+        << bad;
+  }
 }
 
 TEST(OracleSuiteWiring, DefaultSuiteHasSixOracles) {

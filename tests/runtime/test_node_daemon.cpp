@@ -21,7 +21,9 @@
 #include <utility>
 #include <vector>
 
+#include "epicast/daemon/journal.hpp"
 #include "epicast/daemon/node.hpp"
+#include "epicast/gossip/event_cache.hpp"
 #include "epicast/runtime/cluster.hpp"
 
 namespace epicast {
@@ -275,6 +277,85 @@ TEST(NodeDaemon, HeartbeatZeroDisablesTheDetector) {
   cfg.heartbeat_interval_ms = 0.0;
   daemon::NodeDaemon d(cfg, NodeId{0});
   EXPECT_EQ(d.failure_detector(), nullptr);
+}
+
+/// Every stream mark the daemon's recovery protocol has witnessed.
+std::vector<StreamMark> witnessed_marks(daemon::NodeDaemon& d) {
+  std::vector<StreamMark> out;
+  (void)d.dispatcher().recovery()->stream_marks_into(0, 99, out);
+  return out;
+}
+
+TEST(NodeDaemon, StreamMarksAreRecordedOnlyForHeartbeats) {
+  // Heartbeats piggyback the witnessed stream marks, so with heartbeats on
+  // the daemon records them — for the events it forwards, and for its
+  // warm-restart snapshot before any live event arrives. With heartbeats
+  // off nothing reads them and none are recorded.
+  for (const double heartbeat_ms : {50.0, 0.0}) {
+    SCOPED_TRACE(heartbeat_ms);
+    const bool marks_on = heartbeat_ms > 0.0;
+
+    // Forwarding: node 1 relays every event of stream (0, 0) to node 2.
+    runtime::ClusterConfig cfg =
+        line_cluster(3, /*drop_rate=*/0.0, /*rate_hz=*/25.0,
+                     /*run_s=*/0.5, /*drain_s=*/0.4);
+    cfg.heartbeat_interval_ms = heartbeat_ms;
+    std::vector<std::unique_ptr<daemon::NodeDaemon>> daemons;
+    for (std::uint32_t i = 0; i < 3; ++i) {
+      daemons.push_back(std::make_unique<daemon::NodeDaemon>(cfg, NodeId{i}));
+    }
+    run_cluster(daemons);
+    const std::size_t published = daemons[0]->published().size();
+    ASSERT_GT(published, 0u);
+    ASSERT_EQ(daemons[2]->delivered().size(), published);
+    if (marks_on) {
+      EXPECT_EQ(witnessed_marks(*daemons[1]),
+                (std::vector<StreamMark>{{NodeId{0}, Pattern{0},
+                                          SeqNo{published}}}));
+    } else {
+      EXPECT_TRUE(witnessed_marks(*daemons[1]).empty());
+    }
+
+    // Warm restart: the snapshot's streams are marked right after
+    // construction, before the daemon has run at all.
+    const std::string journal = testing::TempDir() + "epicast_daemon_marks_" +
+                                std::to_string(::getpid());
+    std::remove(journal.c_str());
+    {
+      daemon::Journal first_life(journal);
+      first_life.log_boot(1, fault::RestartPolicy::Warm);
+    }
+    std::vector<EventPtr> snapshot;
+    for (const auto& [source, seq] :
+         std::vector<std::pair<std::uint32_t, std::uint64_t>>{
+             {1, 4}, {1, 6}, {0, 2}}) {
+      snapshot.push_back(std::make_shared<EventData>(
+          EventId{NodeId{source}, seq},
+          std::vector<PatternSeq>{{Pattern{0}, SeqNo{seq}}}, 64,
+          SimTime::zero()));
+    }
+    daemon::write_cache_snapshot(journal + ".cache", snapshot);
+    runtime::ClusterConfig restart_cfg =
+        line_cluster(2, /*drop_rate=*/0.0, /*rate_hz=*/5.0,
+                     /*run_s=*/0.4, /*drain_s=*/0.2);
+    restart_cfg.heartbeat_interval_ms = heartbeat_ms;
+    daemon::DaemonOptions opts;
+    opts.journal_path = journal;
+    opts.cache_snapshot = true;
+    daemon::NodeDaemon reborn(restart_cfg, NodeId{1}, opts);
+    ASSERT_TRUE(reborn.restarted());
+    // The snapshot is preloaded either way; only the marks depend on it.
+    EXPECT_EQ(reborn.dispatcher().recovery()->event_cache()->size(), 3u);
+    if (marks_on) {
+      EXPECT_EQ(witnessed_marks(reborn),
+                (std::vector<StreamMark>{{NodeId{1}, Pattern{0}, SeqNo{6}},
+                                         {NodeId{0}, Pattern{0}, SeqNo{2}}}));
+    } else {
+      EXPECT_TRUE(witnessed_marks(reborn).empty());
+    }
+    std::remove(journal.c_str());
+    std::remove((journal + ".cache").c_str());
+  }
 }
 
 TEST(NodeDaemon, SilentPeerIsSuspectedThenConfirmedDead) {

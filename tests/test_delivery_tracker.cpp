@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <vector>
+
+#include "epicast/common/rng.hpp"
+
 namespace epicast {
 namespace {
 
@@ -105,6 +111,119 @@ TEST_F(DeliveryTrackerTest, QuantileWithNoRecoveriesIsZero) {
 TEST_F(DeliveryTrackerTest, UnknownEventDeliveryIsIgnored) {
   tracker_.on_delivery(NodeId{1}, id(9, 9), SimTime::seconds(1.5), false);
   EXPECT_EQ(tracker_.delivered_pairs(), 0u);
+}
+
+TEST(DeliveryTrackerModel, WholeTableResultsMatchANaiveRecomputation) {
+  // 6000 publications (30 sources sharing sequence numbers 1..200), some
+  // outside the window, over 500 buckets of 10 ms; deliveries at random
+  // delays, some past the horizon, some recovered. Every whole-table
+  // result must equal a recomputation from a plain list of what was fed.
+  const Duration bucket = Duration::millis(10);
+  const Duration horizon = Duration::millis(200);
+  const SimTime start = SimTime::seconds(1.0);
+  const SimTime end = SimTime::seconds(6.0);
+  DeliveryTracker tracker(bucket, horizon);
+  tracker.set_measure_window(start, end);
+  EXPECT_EQ(tracker.memory_bytes(), 0u);
+
+  struct Rec {
+    SimTime at;
+    std::uint64_t expected = 0;
+    std::uint64_t delivered = 0;
+    std::uint64_t delivered_any = 0;
+  };
+  std::vector<Rec> model;
+  std::uint64_t recovered = 0;
+  double latency_sum = 0.0;
+  Rng rng(11);
+  for (std::uint64_t seq = 1; seq <= 200; ++seq) {
+    for (std::uint32_t src = 0; src < 30; ++src) {
+      const SimTime at = SimTime::seconds(rng.uniform(0.5, 6.5));
+      const auto receivers = static_cast<std::uint32_t>(rng.next_below(6));
+      tracker.on_publish(id(src, seq), at, receivers);
+      const bool tracked = at >= start && at < end && receivers > 0;
+      Rec rec{at, tracked ? receivers : 0u};
+      for (std::uint32_t k = 0; k < receivers; ++k) {
+        if (!rng.chance(0.8)) continue;
+        const SimTime when = at + Duration::millis(static_cast<std::int64_t>(
+                                      rng.next_below(400)));
+        const bool via_recovery = rng.chance(0.3);
+        tracker.on_delivery(NodeId{100 + k}, id(src, seq), when,
+                            via_recovery);
+        if (!tracked) continue;
+        ++rec.delivered_any;
+        if (when - at <= horizon) {
+          ++rec.delivered;
+          if (via_recovery) {
+            ++recovered;
+            latency_sum += (when - at).to_seconds();
+          }
+        }
+      }
+      if (tracked) model.push_back(rec);
+    }
+  }
+
+  std::uint64_t expected = 0;
+  std::uint64_t delivered = 0;
+  std::uint64_t delivered_any = 0;
+  for (const Rec& r : model) {
+    expected += r.expected;
+    delivered += r.delivered;
+    delivered_any += r.delivered_any;
+  }
+  ASSERT_GT(model.size(), 3000u);
+  EXPECT_EQ(tracker.events_tracked(), model.size());
+  EXPECT_EQ(tracker.expected_pairs(), expected);
+  EXPECT_EQ(tracker.delivered_pairs(), delivered);
+  EXPECT_EQ(tracker.recovered_pairs(), recovered);
+  EXPECT_EQ(tracker.delivery_rate(), static_cast<double>(delivered) /
+                                         static_cast<double>(expected));
+  EXPECT_EQ(tracker.eventual_delivery_rate(),
+            static_cast<double>(delivered_any) /
+                static_cast<double>(expected));
+  EXPECT_EQ(tracker.receivers_per_event(),
+            static_cast<double>(expected) /
+                static_cast<double>(model.size()));
+  EXPECT_EQ(tracker.mean_recovery_latency(),
+            latency_sum / static_cast<double>(recovered));
+  // The record table owns at least one slot per tracked event.
+  EXPECT_GE(tracker.memory_bytes(),
+            model.size() * (sizeof(EventId) + sizeof(SimTime)));
+
+  std::map<std::int64_t, std::pair<std::uint64_t, std::uint64_t>> buckets;
+  for (const Rec& r : model) {
+    auto& b = buckets[(r.at - start).count_nanos() / bucket.count_nanos()];
+    b.first += r.expected;
+    b.second += r.delivered;
+  }
+  const TimeSeries series = tracker.delivery_series("rate");
+  ASSERT_EQ(series.size(), buckets.size());
+  ASSERT_GT(series.size(), 400u);
+  std::size_t i = 0;
+  for (const auto& [b, pairs] : buckets) {
+    EXPECT_EQ(series.points()[i].x, (start + bucket * b).to_seconds());
+    EXPECT_EQ(series.points()[i].y, static_cast<double>(pairs.second) /
+                                        static_cast<double>(pairs.first));
+    ++i;
+  }
+
+  for (int w = 0; w < 200; ++w) {
+    SimTime a = SimTime::seconds(rng.uniform(0.5, 6.5));
+    SimTime b = SimTime::seconds(rng.uniform(0.5, 6.5));
+    if (b < a) std::swap(a, b);
+    DeliveryTracker::PairWindow want;
+    for (const Rec& r : model) {
+      if (r.at < a || r.at >= b) continue;
+      want.expected += r.expected;
+      want.delivered += r.delivered;
+      want.delivered_any += r.delivered_any;
+    }
+    const DeliveryTracker::PairWindow got = tracker.pairs_in_range(a, b);
+    EXPECT_EQ(got.expected, want.expected);
+    EXPECT_EQ(got.delivered, want.delivered);
+    EXPECT_EQ(got.delivered_any, want.delivered_any);
+  }
 }
 
 TEST(DeliveryTrackerDeath, OverDeliveryIsAContractViolation) {

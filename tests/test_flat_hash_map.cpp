@@ -73,7 +73,8 @@ void run_against_reference(std::uint64_t seed) {
     const std::uint64_t key = rng.next_below(kKeys);
     const std::uint64_t op = rng.next_below(100);
     if (op < 45) {
-      const std::string value = "v" + std::to_string(step);
+      std::string value = "v";
+      value += std::to_string(step);
       const auto [slot, inserted] = map.try_emplace(key, value);
       const auto [it, ref_inserted] = ref.try_emplace(key, value);
       ASSERT_EQ(inserted, ref_inserted);

@@ -126,6 +126,7 @@ TEST(PullDetection, StreamMarkBackfillIsClampedLikeTheGapDetector) {
 TEST(PullDetection, StreamMarksRotateThroughTheWitnessedTable) {
   GossipHarness h(3, Algorithm::SubscriberPull);
   h.subscribe_and_settle({{0, 1}, {0, 2}, {2, 1}, {2, 2}});
+  pull(h, 1)->witness_streams();
   auto& pub = h.net().node(NodeId{0});
   (void)pub.publish({Pattern{1}});
   (void)pub.publish({Pattern{2}});
@@ -154,6 +155,7 @@ TEST(PullDetection, StreamMarksLapReachesAStreamWitnessedMidLap) {
   // table would slot (0, 0) in behind the cursor and skip it).
   GossipHarness h(3, Algorithm::SubscriberPull);
   GossipProtocolBase* node = h.protocol(1);
+  node->witness_streams();
   const auto witness = [node](std::uint32_t source, std::uint32_t pattern,
                               std::uint64_t seq) {
     node->preload_cache({std::make_shared<EventData>(
@@ -197,6 +199,38 @@ TEST(PullDetection, StreamMarksLapReachesAStreamWitnessedMidLap) {
   witness(2, 3, 8);
   EXPECT_EQ(node->stream_marks_into(0, 99, out), 0u);
   EXPECT_EQ(out, (std::vector<StreamMark>{{NodeId{2}, Pattern{3}, SeqNo{8}}}));
+}
+
+TEST(PullDetection, StreamMarksAreNotRecordedUntilAReaderAsks) {
+  // Nothing in a simulation run reads the witnessed marks, so a protocol
+  // nobody asked records none: not for events it forwards, not for events
+  // it caches as a subscriber or publisher, not for a preloaded snapshot.
+  GossipHarness h(3, Algorithm::SubscriberPull);
+  h.subscribe_and_settle({{0, 1}, {0, 2}, {2, 1}, {2, 2}});
+  auto& pub = h.net().node(NodeId{0});
+  (void)pub.publish({Pattern{1}});
+  (void)pub.publish({Pattern{2}});
+  h.run_for(0.1);
+  pull(h, 1)->preload_cache({std::make_shared<EventData>(
+      EventId{NodeId{2}, 0}, std::vector<PatternSeq>{{Pattern{1}, SeqNo{4}}},
+      64, SimTime::zero())});
+  for (std::uint32_t node = 0; node < 3; ++node) {
+    std::vector<StreamMark> out;
+    EXPECT_EQ(pull(h, node)->stream_marks_into(0, 99, out), 0u) << node;
+    EXPECT_TRUE(out.empty()) << "node " << node << " recorded marks";
+  }
+  // The events themselves went through as before: the subscriber cached
+  // both and the forwarder holds the preloaded one.
+  EXPECT_EQ(pull(h, 2)->cache().size(), 2u);
+  EXPECT_EQ(pull(h, 1)->cache().size(), 1u);
+
+  // Asking starts the record with the next event; earlier ones stay unseen.
+  pull(h, 1)->witness_streams();
+  (void)pub.publish({Pattern{2}});
+  h.run_for(0.1);
+  std::vector<StreamMark> out;
+  (void)pull(h, 1)->stream_marks_into(0, 99, out);
+  EXPECT_EQ(out, (std::vector<StreamMark>{{NodeId{0}, Pattern{2}, SeqNo{2}}}));
 }
 
 TEST(PullDetection, NonSubscribersDoNotDetect) {
