@@ -76,9 +76,8 @@ struct EventId {
   friend constexpr auto operator<=>(const EventId&, const EventId&) = default;
 };
 
-/// Packs one (source, pattern) stream into a 64-bit key. The all-ones key
-/// would be (NodeId::invalid(), ~0), which never publishes, so hash tables
-/// may reserve it as their free-slot marker.
+/// Packs one (source, pattern) stream into a 64-bit key (loss-detector
+/// watermarks and stream marks).
 [[nodiscard]] constexpr std::uint64_t stream_key(NodeId source,
                                                  Pattern pattern) {
   return (static_cast<std::uint64_t>(source.value()) << 32) | pattern.value();

@@ -11,6 +11,17 @@
 //   * by (source, pattern, seq) — serves pull digests;
 //   * ids matching a pattern    — builds push digests (amortized via a
 //     per-pattern index, purged eagerly on eviction and lazily on lookup).
+// Only the id index is kept for every cache. The other two exist only for
+// a reader, since keeping them costs a probe and an insert per pattern of
+// every cached event:
+//   * the (source, pattern, seq) index is built from the cached events on
+//     the first find() and kept up to date from then on. A map built from
+//     the current contents answers exactly like one kept from the start,
+//     so a node that starts serving pull digests late (a push node under
+//     heterogeneous tolerance) serves them all the same;
+//   * the per-pattern index lists ids oldest-inserted first, an order the
+//     slots do not remember under LRU, so its reader (the push protocol)
+//     opts in with keep_pattern_index() before the first insert.
 // The slot vector is reserved to β up front; the indexes grow with what
 // the cache actually holds, so a node that caches little owns little.
 #pragma once
@@ -45,11 +56,16 @@ class EventCache {
   /// Event by id, or nullptr. Counts a hit/miss; refreshes recency for LRU.
   [[nodiscard]] EventPtr get(const EventId& id);
 
-  /// Event that the source tagged with (pattern, seq), or nullptr.
+  /// Event that the source tagged with (pattern, seq), or nullptr. The
+  /// first call builds the (source, pattern, seq) index.
   [[nodiscard]] EventPtr find(NodeId source, Pattern pattern, SeqNo seq);
 
+  /// Keeps the per-pattern id index that ids_matching() reads. Must be
+  /// called before the first insert: the index records insertion order.
+  void keep_pattern_index();
+
   /// Ids of cached events matching `pattern`, oldest first; at most
-  /// `max_entries` (0 = all).
+  /// `max_entries` (0 = all). Requires keep_pattern_index().
   [[nodiscard]] std::vector<EventId> ids_matching(Pattern pattern,
                                                   std::size_t max_entries);
 
@@ -58,16 +74,17 @@ class EventCache {
   void ids_matching_into(Pattern pattern, std::size_t max_entries,
                          std::vector<EventId>& out);
 
-  /// Total entries across the per-pattern id index, live + stale
-  /// (introspection: tests pin the eager-purge bound on this).
+  /// Total entries across the per-pattern id index, live + stale; 0 when
+  /// the index is not kept (introspection: tests pin the eager-purge bound
+  /// on this).
   [[nodiscard]] std::size_t pattern_index_entries() const;
 
   [[nodiscard]] std::size_t size() const { return by_id_.size(); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] CachePolicy policy() const { return policy_; }
 
-  /// Estimated bytes owned by the cache's containers (slots + indexes,
-  /// excluding the shared events themselves) — per-component memory
+  /// Estimated bytes owned by the cache's containers (slots + the indexes
+  /// kept, excluding the shared events themselves) — per-component memory
   /// accounting for the scale figures.
   [[nodiscard]] std::size_t memory_bytes() const;
 
@@ -89,12 +106,6 @@ class EventCache {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
-  struct PatternKey {
-    static constexpr Pattern empty() { return Pattern{~std::uint32_t{0}}; }
-    static constexpr std::uint64_t hash(Pattern p) {
-      return hash_mix(p.value());
-    }
-  };
   /// One pattern's cached ids, insertion-ordered: a queue over a vector,
   /// live from `head` on. The prefix is compacted away once it is at least
   /// half the vector, so pops are amortized O(1) and an empty queue owns no
@@ -111,8 +122,11 @@ class EventCache {
 
   void evict_one();
   void drop(std::uint32_t slot);
+  /// Adds the slot's event to the kept (source, pattern, seq) and
+  /// per-pattern indexes.
   void index_patterns(std::uint32_t slot);
   void unindex_patterns(const EventData& event);
+  void index_stream_seqs(std::uint32_t slot);
   /// Counts a hit, refreshes recency for LRU, returns the slot's event.
   [[nodiscard]] EventPtr hit(std::uint32_t slot);
 
@@ -143,17 +157,21 @@ class EventCache {
   std::uint32_t head_ = kNil;
   std::uint32_t tail_ = kNil;
   FlatHashMap<EventId, std::uint32_t, EventIdKey> by_id_;  // → slot
-  /// (source, pattern, seq) → slot, one entry per pattern of each event.
+  /// (source, pattern, seq) → slot, one entry per pattern of each event;
+  /// kept from the first find() on.
+  bool stream_seq_index_ = false;
   FlatHashMap<LostEntryInfo, std::uint32_t, LostEntryKey> by_stream_seq_;
   /// For Random eviction: the occupied slots as a dense vector (O(1)
   /// uniform sampling) and, per slot, its position in that vector.
   std::vector<std::uint32_t> random_pool_;
   std::vector<std::uint32_t> random_pos_;
 
-  /// Per-pattern id index. Stale (evicted) ids are purged eagerly from the
-  /// queue fronts on every eviction — under FIFO the victim *is* the
-  /// front, so the index stays tight at small β — and lazily elsewhere in
-  /// ids_matching() (LRU/random scatter).
+  /// Per-pattern id index, kept after keep_pattern_index(). Stale
+  /// (evicted) ids are purged eagerly from the queue fronts on every
+  /// eviction — under FIFO the victim *is* the front, so the index stays
+  /// tight at small β — and lazily elsewhere in ids_matching() (LRU/random
+  /// scatter).
+  bool pattern_index_ = false;
   FlatHashMap<Pattern, PatternIds, PatternKey> by_pattern_;
 };
 

@@ -5,14 +5,18 @@
 // is finally received, when they exceed the recovery TTL, or when the
 // buffer overflows (oldest first).
 //
-// Entries sit in an age-ordered list; a FlatHashMap keyed by the triple
-// points into it, so the per-event remove() probe (one per pattern of every
-// received event) is a flat-array lookup behind the pattern-mask reject.
+// Entries sit in one age-ordered vector, live from a head index; a
+// FlatHashMap keyed by the triple holds each entry's position, so the
+// per-event remove() probe (one per pattern of every received event) is a
+// flat-array lookup behind the pattern-mask reject, and every digest query
+// is one sequential scan. A removed entry becomes a tombstone: the dead
+// prefix is trimmed as the head passes it, and the vector is compacted
+// once tombstones outnumber live entries, so removal stays O(1) amortized
+// and the vector never holds more than about twice the live entries.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <vector>
 
 #include "epicast/common/flat_hash_map.hpp"
@@ -93,13 +97,25 @@ class LostBuffer {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
-  struct Node {
+  struct Entry {
     LostEntryInfo info;
     SimTime detected_at;
+    bool live = true;
   };
+  /// Calls fn(info) for every live entry, oldest first, until fn returns
+  /// false.
+  template <typename Fn>
+  void scan(Fn&& fn) const;
   template <typename Pred>
   [[nodiscard]] std::vector<LostEntryInfo> collect(
       Pred&& pred, std::size_t max_entries) const;
+
+  /// Tombstones the entry at `pos` and drops it from the index and the
+  /// pattern summary.
+  void kill(std::uint32_t pos);
+  /// Advances head_ past the dead prefix; compacts the vector when
+  /// tombstones outnumber live entries.
+  void settle();
 
   void note_added(Pattern p);
   void note_removed(Pattern p);
@@ -113,9 +129,9 @@ class LostBuffer {
 
   std::size_t capacity_;
   Duration ttl_;
-  std::list<Node> order_;  // oldest first
-  FlatHashMap<LostEntryInfo, std::list<Node>::iterator, LostEntryKey>
-      by_key_;
+  std::vector<Entry> order_;  // oldest first; live from head_ on
+  std::size_t head_ = 0;      // first live entry, or order_.size()
+  FlatHashMap<LostEntryInfo, std::uint32_t, LostEntryKey> by_key_;  // → pos
   /// Distinct-pattern summary: a bit per pattern with >= 1 entry plus
   /// per-pattern entry counts (so the bit can be cleared on last removal).
   /// Both the width-dynamic mask and the counts vector grow with the

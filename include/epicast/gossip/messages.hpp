@@ -4,6 +4,10 @@
 // requests and replies use the out-of-band channel (GossipRequest /
 // GossipReply). Every gossip message reports the nominal size configured in
 // GossipConfig, matching the paper's equal-size accounting assumption.
+//
+// The (source, pattern, seq) triple a negative digest names, LostEntryInfo,
+// also keys the β buffer's pull index and the Lost buffer; LostEntryKey is
+// its FlatHashMap hash.
 #pragma once
 
 #include <cstdint>
@@ -29,12 +33,8 @@ struct LostEntryInfo {
 };
 
 /// FlatHashMap key traits for (source, pattern, seq) triples: the β buffer's
-/// pull index and the Lost buffer. An invalid source never publishes, so it
-/// marks a free slot.
+/// pull index and the Lost buffer.
 struct LostEntryKey {
-  static constexpr LostEntryInfo empty() {
-    return LostEntryInfo{NodeId::invalid(), Pattern{}, SeqNo{}};
-  }
   static constexpr std::uint64_t hash(const LostEntryInfo& k) {
     return hash_mix(stream_key(k.source, k.pattern) +
                     k.seq.value() * 0x9e3779b97f4a7c15ULL);

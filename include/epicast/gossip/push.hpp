@@ -8,6 +8,10 @@
 // hop forwards only to a P_forward-random subset of the neighbours
 // subscribed to p. A receiver subscribed to p requests the ids it has never
 // seen over the out-of-band channel; the gossiper replies with the events.
+//
+// Push is the one reader of the β buffer's per-pattern id index, so its
+// constructor asks the cache to keep it (EventCache::keep_pattern_index());
+// the pull protocols' caches never build it.
 #pragma once
 
 #include "epicast/gossip/protocol.hpp"
@@ -17,7 +21,9 @@ namespace epicast {
 class PushProtocol final : public GossipProtocolBase {
  public:
   PushProtocol(Dispatcher& dispatcher, GossipConfig config)
-      : GossipProtocolBase(dispatcher, config) {}
+      : GossipProtocolBase(dispatcher, config) {
+    cache_.keep_pattern_index();
+  }
 
   [[nodiscard]] const char* name() const override { return "push"; }
 

@@ -7,12 +7,17 @@
 // stored route may be stale after a reconfiguration — the algorithm
 // tolerates that, since at worst the final element (the publisher itself)
 // is still right.
+//
+// update() runs for every event a pull node receives. The routes sit in
+// the common FlatHashMap keyed by source, and each update assigns into the
+// source's stored vector, so once a source's route length has been seen
+// an update allocates nothing.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "epicast/common/flat_hash_map.hpp"
 #include "epicast/common/ids.hpp"
 
 namespace epicast {
@@ -42,7 +47,7 @@ class RoutesBuffer {
   void clear() { routes_.clear(); }
 
  private:
-  std::unordered_map<NodeId, std::vector<NodeId>> routes_;
+  FlatHashMap<NodeId, std::vector<NodeId>, NodeIdKey> routes_;
   std::vector<NodeId> empty_;
 };
 

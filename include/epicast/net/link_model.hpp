@@ -7,9 +7,9 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "epicast/common/flat_hash_map.hpp"
 #include "epicast/common/ids.hpp"
 #include "epicast/common/rng.hpp"
 #include "epicast/sim/time.hpp"
@@ -62,9 +62,10 @@ class LinkModel {
   /// One loss-trial stream per sender, forked in node-id order.
   std::vector<Rng> rngs_;
   /// Per sender: destination node -> when that direction's sender side
-  /// becomes free. Indexed by the sending node, so each entry is only ever
-  /// touched by that node's lane.
-  std::vector<std::unordered_map<std::uint32_t, SimTime>> next_free_;
+  /// becomes free, in the common flat table (one probe per send). Indexed
+  /// by the sending node, so each table is only ever touched by that
+  /// node's lane.
+  std::vector<FlatHashMap<NodeId, SimTime, NodeIdKey>> next_free_;
 };
 
 }  // namespace epicast

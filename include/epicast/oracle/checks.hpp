@@ -47,12 +47,8 @@ struct DeliveryKey {
                                     const DeliveryKey&) = default;
 };
 
-/// FlatHashSet key traits for delivery pairs; the empty EventId marks a
-/// free slot (see EventIdKey).
+/// FlatHashSet key traits for delivery pairs.
 struct DeliveryKeyTraits {
-  static constexpr DeliveryKey empty() {
-    return DeliveryKey{EventIdKey::empty(), NodeId::invalid()};
-  }
   static constexpr std::uint64_t hash(const DeliveryKey& k) {
     return hash_mix(EventIdKey::hash(k.event) ^ k.node.value());
   }

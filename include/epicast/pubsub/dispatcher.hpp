@@ -19,9 +19,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "epicast/common/flat_hash_map.hpp"
 #include "epicast/common/ids.hpp"
 #include "epicast/common/message_pool.hpp"
 #include "epicast/common/rng.hpp"
@@ -131,12 +131,14 @@ class Dispatcher final : public TransportReceiver {
   /// are not delivered twice.
   void note_seen(const EventId& id) { seen_.insert(id); }
 
+  /// Last sequence number published per pattern.
+  using PatternSeqCounters = FlatHashMap<Pattern, std::uint64_t, PatternKey>;
+
   /// Restores the publish counters of a restarted daemon so its next
   /// publish continues the id sequence instead of reusing ids the cluster
   /// has already seen (which note_seen would then suppress everywhere).
-  void restore_sequences(
-      std::uint64_t next_source_seq,
-      const std::unordered_map<Pattern, std::uint64_t>& next_pattern_seq) {
+  void restore_sequences(std::uint64_t next_source_seq,
+                         const PatternSeqCounters& next_pattern_seq) {
     next_source_seq_ = next_source_seq;
     next_pattern_seq_ = next_pattern_seq;
   }
@@ -247,7 +249,8 @@ class Dispatcher final : public TransportReceiver {
   std::vector<SubSentMarks> sub_sent_;
 
   std::uint64_t next_source_seq_ = 0;
-  std::unordered_map<Pattern, std::uint64_t> next_pattern_seq_;
+  /// Per-pattern publish counters: one probe per pattern of every publish.
+  PatternSeqCounters next_pattern_seq_;
   Stats stats_;
 
   /// Scratch for forward_event: sends are asynchronous (the transport

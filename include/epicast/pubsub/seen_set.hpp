@@ -83,8 +83,7 @@ class SeenSet {
     return row[word];
   }
 
-  /// (source, 64-id block). NodeId::invalid() never publishes, so the key
-  /// cannot collide with U64Key's free-slot marker.
+  /// (source, 64-id block).
   [[nodiscard]] static std::uint64_t key_of(const EventId& id) {
     return (static_cast<std::uint64_t>(id.source.value()) << 32) |
            (id.source_seq >> 6);

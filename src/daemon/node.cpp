@@ -148,7 +148,7 @@ void NodeDaemon::replay_journal() {
   if (journal_ == nullptr || !restarted_) return;
   const Journal::Replay& rp = journal_->replay();
   std::uint64_t next_seq = 0;
-  std::unordered_map<Pattern, std::uint64_t> pattern_seq;
+  Dispatcher::PatternSeqCounters pattern_seq;
   for (const Journal::PublishEntry& p : rp.publishes) {
     published_.push_back(PublishRecord{p.seq, p.t_s, p.patterns});
     next_seq = std::max(next_seq, p.seq + 1);

@@ -79,19 +79,38 @@ bool EventCache::insert(const EventPtr& event) {
   return true;
 }
 
-void EventCache::index_patterns(std::uint32_t slot) {
+void EventCache::keep_pattern_index() {
+  EPICAST_ASSERT_MSG(stats_.insertions == 0,
+                     "the pattern index must be kept from the first insert");
+  pattern_index_ = true;
+}
+
+void EventCache::index_stream_seqs(std::uint32_t slot) {
   const EventData& event = *nodes_[slot].event;
   for (const PatternSeq& ps : event.patterns()) {
     by_stream_seq_[LostEntryInfo{event.source(), ps.pattern, ps.seq}] = slot;
+  }
+}
+
+void EventCache::index_patterns(std::uint32_t slot) {
+  if (stream_seq_index_) index_stream_seqs(slot);
+  if (!pattern_index_) return;
+  const EventData& event = *nodes_[slot].event;
+  for (const PatternSeq& ps : event.patterns()) {
     by_pattern_[ps.pattern].ids.push_back(event.id());
   }
 }
 
 void EventCache::unindex_patterns(const EventData& event) {
+  if (stream_seq_index_) {
+    for (const PatternSeq& ps : event.patterns()) {
+      by_stream_seq_.erase(LostEntryInfo{event.source(), ps.pattern, ps.seq});
+    }
+  }
+  if (!pattern_index_) return;
   // Precondition (see drop()): the event is already out of by_id_, so its
   // ids count as stale below.
   for (const PatternSeq& ps : event.patterns()) {
-    by_stream_seq_.erase(LostEntryInfo{event.source(), ps.pattern, ps.seq});
     // Eager head purge: under FIFO eviction the victim sits at the front
     // of its pattern queues, so the index cannot grow unboundedly at small
     // β. Stale ids in the middle (LRU/random) fall to ids_matching()'s
@@ -180,6 +199,13 @@ EventPtr EventCache::get(const EventId& id) {
 
 EventPtr EventCache::find(NodeId source, Pattern pattern, SeqNo seq) {
   HotpathProfiler::MaybeScope scope(profiler_, HotPhase::CacheOp);
+  if (!stream_seq_index_) {
+    // First reader: index what is cached now and keep the index from here.
+    stream_seq_index_ = true;
+    for (std::uint32_t i = head_; i != kNil; i = nodes_[i].next) {
+      index_stream_seqs(i);
+    }
+  }
   const std::uint32_t* slot =
       by_stream_seq_.find(LostEntryInfo{source, pattern, seq});
   if (slot == nullptr) {
@@ -198,6 +224,8 @@ std::vector<EventId> EventCache::ids_matching(Pattern pattern,
 
 void EventCache::ids_matching_into(Pattern pattern, std::size_t max_entries,
                                    std::vector<EventId>& out) {
+  EPICAST_ASSERT_MSG(pattern_index_,
+                     "ids_matching() needs keep_pattern_index()");
   out.clear();
   HotpathProfiler::MaybeScope scope(profiler_, HotPhase::CacheOp);
   PatternIds* bucket = by_pattern_.find(pattern);

@@ -25,18 +25,43 @@ void LostBuffer::note_removed(Pattern p) {
   if (--pattern_counts_[p.value()] == 0) pattern_mask_.clear(p);
 }
 
+void LostBuffer::kill(std::uint32_t pos) {
+  Entry& e = order_[pos];
+  e.live = false;
+  by_key_.erase(e.info);
+  note_removed(e.info.pattern);
+}
+
+void LostBuffer::settle() {
+  while (head_ < order_.size() && !order_[head_].live) ++head_;
+  const std::size_t live = by_key_.size();
+  if (order_.size() - live <= live) return;
+  // Tombstones outnumber live entries: slide the live ones down, oldest
+  // first, and re-point the index at their new positions.
+  std::size_t out = 0;
+  for (std::size_t i = head_; i < order_.size(); ++i) {
+    if (!order_[i].live) continue;
+    if (out != i) {
+      order_[out] = order_[i];
+      *by_key_.find(order_[out].info) = static_cast<std::uint32_t>(out);
+    }
+    ++out;
+  }
+  order_.resize(out);
+  head_ = 0;
+}
+
 bool LostBuffer::add(const LostEntryInfo& entry, SimTime now) {
   if (by_key_.contains(entry)) return false;
   if (by_key_.size() >= capacity_) {
     // Overflow: the oldest entry is the least likely to still be cached
     // anywhere, so it is the right one to abandon.
-    note_removed(order_.front().info.pattern);
-    by_key_.erase(order_.front().info);
-    order_.pop_front();
+    kill(static_cast<std::uint32_t>(head_));
+    settle();
     ++stats_.overflowed;
   }
-  order_.push_back(Node{entry, now});
-  by_key_.try_emplace(entry, std::prev(order_.end()));
+  by_key_.try_emplace(entry, static_cast<std::uint32_t>(order_.size()));
+  order_.push_back(Entry{entry, now});
   note_added(entry.pattern);
   ++stats_.added;
   return true;
@@ -46,21 +71,19 @@ bool LostBuffer::remove(const LostEntryInfo& entry) {
   // Fast reject via the pattern summary: this runs once per pattern of
   // every received event and almost always misses.
   if (surely_absent(entry.pattern)) return false;
-  const std::list<Node>::iterator* node = by_key_.find(entry);
-  if (node == nullptr) return false;
-  order_.erase(*node);
-  by_key_.erase(entry);
-  note_removed(entry.pattern);
+  const std::uint32_t* pos = by_key_.find(entry);
+  if (pos == nullptr) return false;
+  kill(*pos);
   ++stats_.recovered;
+  settle();
   return true;
 }
 
 std::size_t LostBuffer::expire(SimTime now) {
   std::size_t n = 0;
-  while (!order_.empty() && now - order_.front().detected_at > ttl_) {
-    note_removed(order_.front().info.pattern);
-    by_key_.erase(order_.front().info);
-    order_.pop_front();
+  while (head_ < order_.size() && now - order_[head_].detected_at > ttl_) {
+    kill(static_cast<std::uint32_t>(head_));
+    settle();
     ++n;
   }
   stats_.expired += n;
@@ -73,20 +96,28 @@ bool LostBuffer::contains(const LostEntryInfo& entry) const {
 
 void LostBuffer::clear() {
   order_.clear();
+  head_ = 0;
   by_key_.clear();
   pattern_mask_ = PatternSet{};
   std::fill(pattern_counts_.begin(), pattern_counts_.end(), 0);
+}
+
+template <typename Fn>
+void LostBuffer::scan(Fn&& fn) const {
+  for (std::size_t i = head_; i < order_.size(); ++i) {
+    if (order_[i].live && !fn(order_[i].info)) return;
+  }
 }
 
 template <typename Pred>
 std::vector<LostEntryInfo> LostBuffer::collect(Pred&& pred,
                                                std::size_t max_entries) const {
   std::vector<LostEntryInfo> out;
-  for (const Node& node : order_) {
-    if (!pred(node.info)) continue;
-    out.push_back(node.info);
-    if (max_entries != 0 && out.size() >= max_entries) break;
-  }
+  scan([&](const LostEntryInfo& info) {
+    if (!pred(info)) return true;
+    out.push_back(info);
+    return max_entries == 0 || out.size() < max_entries;
+  });
   return out;
 }
 
@@ -102,11 +133,11 @@ void LostBuffer::entries_for_pattern_into(
     std::vector<LostEntryInfo>& out) const {
   out.clear();
   if (surely_absent(p)) return;
-  for (const Node& node : order_) {
-    if (node.info.pattern != p) continue;
-    out.push_back(node.info);
-    if (max_entries != 0 && out.size() >= max_entries) break;
-  }
+  scan([&](const LostEntryInfo& info) {
+    if (info.pattern != p) return true;
+    out.push_back(info);
+    return max_entries == 0 || out.size() < max_entries;
+  });
 }
 
 std::vector<LostEntryInfo> LostBuffer::entries_for_source(
@@ -122,8 +153,7 @@ std::vector<LostEntryInfo> LostBuffer::all_entries(
 
 std::vector<Pattern> LostBuffer::patterns_with_losses() const {
   // The summary already holds the distinct patterns in ascending order —
-  // no walk over order_, no sort (the old implementation rescanned the
-  // whole list every gossip round).
+  // no walk over order_, no sort.
   std::vector<Pattern> out;
   out.reserve(patterns_with_losses_count());
   pattern_mask_.for_each([&out](Pattern p) { out.push_back(p); });
@@ -137,19 +167,23 @@ Pattern LostBuffer::pattern_with_losses_at(std::size_t k) const {
 std::vector<NodeId> LostBuffer::oldest_sources(
     std::size_t max_sources, const std::function<bool(NodeId)>& pred) const {
   std::vector<NodeId> out;
-  for (const Node& node : order_) {  // order_ is oldest first
-    const NodeId s = node.info.source;
-    if (std::find(out.begin(), out.end(), s) != out.end()) continue;
-    if (!pred(s)) continue;
+  scan([&](const LostEntryInfo& info) {  // oldest first
+    const NodeId s = info.source;
+    if (std::find(out.begin(), out.end(), s) != out.end()) return true;
+    if (!pred(s)) return true;
     out.push_back(s);
-    if (out.size() >= max_sources) break;
-  }
+    return out.size() < max_sources;
+  });
   return out;
 }
 
 std::vector<NodeId> LostBuffer::sources_with_losses() const {
   std::vector<NodeId> out;
-  for (const Node& node : order_) out.push_back(node.info.source);
+  out.reserve(by_key_.size());
+  scan([&out](const LostEntryInfo& info) {
+    out.push_back(info.source);
+    return true;
+  });
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;

@@ -11,19 +11,20 @@ void RoutesBuffer::update(NodeId source,
   if (forward_route.empty()) return;
   EPICAST_ASSERT_MSG(forward_route.front() == source,
                      "recorded route must start at the publisher");
-  std::vector<NodeId> back(forward_route.rbegin(), forward_route.rend());
-  routes_[source] = std::move(back);
+  routes_[source].assign(forward_route.rbegin(), forward_route.rend());
 }
 
 const std::vector<NodeId>& RoutesBuffer::route_to(NodeId source) const {
-  auto it = routes_.find(source);
-  return it == routes_.end() ? empty_ : it->second;
+  const std::vector<NodeId>* route = routes_.find(source);
+  return route == nullptr ? empty_ : *route;
 }
 
 std::vector<NodeId> RoutesBuffer::known_sources() const {
   std::vector<NodeId> out;
   out.reserve(routes_.size());
-  for (const auto& [source, route] : routes_) out.push_back(source);
+  routes_.for_each([&out](NodeId source, const std::vector<NodeId>&) {
+    out.push_back(source);
+  });
   std::sort(out.begin(), out.end());
   return out;
 }

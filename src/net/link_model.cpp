@@ -29,7 +29,7 @@ LinkModel::Outcome LinkModel::transmit(NodeId from, NodeId to,
                                        std::size_t bytes, SimTime now,
                                        bool lossless) {
   EPICAST_ASSERT(from.value() < next_free_.size());
-  SimTime& free_at = next_free_[from.value()][to.value()];
+  SimTime& free_at = next_free_[from.value()][to];
   const SimTime start = std::max(free_at, now);
   const SimTime done = start + serialization_time(bytes);
   free_at = done;

@@ -1,5 +1,6 @@
 // Unit tests for the retransmission buffer: capacity, eviction policies,
-// id and (source, pattern, seq) lookup, and the per-pattern digest index.
+// id and (source, pattern, seq) lookup, the per-pattern digest index, and
+// which of those indexes each protocol's cache keeps.
 #include "epicast/gossip/event_cache.hpp"
 
 #include <gtest/gtest.h>
@@ -8,6 +9,8 @@
 #include <list>
 #include <map>
 #include <utility>
+
+#include "gossip_harness.hpp"
 
 namespace epicast {
 namespace {
@@ -107,6 +110,7 @@ TEST(EventCache, RandomEvictionKeepsCapacityAndConsistency) {
 
 TEST(EventCache, IdsMatchingFiltersByPattern) {
   EventCache cache(10, CachePolicy::Fifo, Rng{1});
+  cache.keep_pattern_index();
   auto e1 = ev(0, 1, {{Pattern{1}, SeqNo{1}}});
   auto e2 = ev(0, 2, {{Pattern{2}, SeqNo{1}}});
   auto e3 = ev(0, 3, {{Pattern{1}, SeqNo{2}}, {Pattern{2}, SeqNo{2}}});
@@ -122,6 +126,7 @@ TEST(EventCache, IdsMatchingFiltersByPattern) {
 
 TEST(EventCache, IdsMatchingDropsEvictedEntries) {
   EventCache cache(2, CachePolicy::Fifo, Rng{1});
+  cache.keep_pattern_index();
   auto e1 = ev(0, 1, {{Pattern{1}, SeqNo{1}}});
   auto e2 = ev(0, 2, {{Pattern{1}, SeqNo{2}}});
   auto e3 = ev(0, 3, {{Pattern{1}, SeqNo{3}}});
@@ -134,6 +139,7 @@ TEST(EventCache, IdsMatchingDropsEvictedEntries) {
 
 TEST(EventCache, IdsMatchingHonoursCapKeepingNewest) {
   EventCache cache(10, CachePolicy::Fifo, Rng{1});
+  cache.keep_pattern_index();
   std::vector<EventPtr> events;
   for (std::uint64_t i = 0; i < 6; ++i) {
     auto e = ev(0, i, {{Pattern{1}, SeqNo{i + 1}}});
@@ -150,6 +156,7 @@ class CachePolicySweep : public ::testing::TestWithParam<CachePolicy> {};
 
 TEST_P(CachePolicySweep, NeverExceedsCapacityAndStaysConsistent) {
   EventCache cache(32, GetParam(), Rng{7});
+  cache.keep_pattern_index();
   Rng rng(99);
   for (std::uint64_t i = 0; i < 1000; ++i) {
     auto e = ev(static_cast<std::uint32_t>(rng.next_below(4)), i,
@@ -172,6 +179,8 @@ INSTANTIATE_TEST_SUITE_P(Policies, CachePolicySweep,
 TEST_P(CachePolicySweep, IdsMatchingIntoAgreesWithAllocatingVariant) {
   EventCache a(16, GetParam(), Rng{5});
   EventCache b(16, GetParam(), Rng{5});
+  a.keep_pattern_index();
+  b.keep_pattern_index();
   Rng rng(123);
   std::vector<EventId> scratch;
   for (std::uint64_t i = 0; i < 400; ++i) {
@@ -193,6 +202,7 @@ TEST(EventCache, PatternIndexStaysTightUnderFifoChurn) {
   // The eager head purge keeps the per-pattern index at O(live entries)
   // under FIFO eviction: every victim's ids sit at its buckets' fronts.
   EventCache cache(8, CachePolicy::Fifo, Rng{1});
+  cache.keep_pattern_index();
   for (std::uint64_t i = 0; i < 1000; ++i) {
     cache.insert(ev(0, i,
                     {{Pattern{static_cast<std::uint32_t>(i % 2)},
@@ -206,6 +216,7 @@ TEST(EventCache, FifoDigestNeedsNoLivenessFiltering) {
   // Interleave two patterns so evictions hit buckets the query never
   // touches; the FIFO digest must still be exactly the live ids.
   EventCache cache(4, CachePolicy::Fifo, Rng{1});
+  cache.keep_pattern_index();
   std::vector<EventPtr> events;
   for (std::uint64_t i = 0; i < 12; ++i) {
     auto e = ev(0, i,
@@ -346,11 +357,17 @@ TEST_P(CachePolicySweep, LookupsAgreeWithNaiveModelAfterEvictions) {
   // Random inserts (fresh events and re-inserts of cached ones), id and
   // (source, pattern, seq) lookups — hits refresh LRU recency — and
   // per-pattern digests, compared with the naive model after every step.
+  // The first (source, pattern, seq) lookup comes only after many
+  // evictions, so the index it builds from the cached events must answer
+  // like one kept from the start.
   constexpr std::size_t kCapacity = 24;
   constexpr std::uint32_t kSources = 5;
   constexpr std::uint32_t kPatterns = 7;
+  constexpr int kFirstFindStep = 1000;
   EventCache cache(kCapacity, GetParam(), Rng{31});
+  cache.keep_pattern_index();
   NaiveCache model(kCapacity, GetParam(), Rng{31});
+  std::uint64_t evictions_before_first_find = 0;
   Rng rng(2024);
   std::vector<EventPtr> published;
   std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint64_t> next_seq;
@@ -381,9 +398,12 @@ TEST_P(CachePolicySweep, LookupsAgreeWithNaiveModelAfterEvictions) {
         if (model.contains(e->id())) {
           ASSERT_FALSE(cache.insert(e));
         }
-      } else if (op < 7) {
+      } else if (op < 7 || (op < 9 && step < kFirstFindStep)) {
         ASSERT_EQ(cache.get(e->id()), model.get(e->id()));
       } else if (op < 9) {
+        if (evictions_before_first_find == 0) {
+          evictions_before_first_find = cache.stats().evictions;
+        }
         const PatternSeq& ps =
             e->patterns()[rng.next_below(e->patterns().size())];
         ASSERT_EQ(cache.find(e->source(), ps.pattern, ps.seq),
@@ -397,7 +417,7 @@ TEST_P(CachePolicySweep, LookupsAgreeWithNaiveModelAfterEvictions) {
     }
     ASSERT_EQ(cache.size(), model.size());
   }
-  EXPECT_GT(cache.stats().evictions, 0u);
+  EXPECT_GT(evictions_before_first_find, 10 * kCapacity);
   // Final sweep over every event ever published, without touching recency.
   for (const EventPtr& e : published) {
     ASSERT_EQ(cache.contains(e->id()), model.contains(e->id()));
@@ -407,6 +427,67 @@ TEST_P(CachePolicySweep, LookupsAgreeWithNaiveModelAfterEvictions) {
               model.ids_matching(Pattern{p}, 0));
   }
 }
+
+TEST(EventCache, IndexesAreBuiltOnlyForTheirReader) {
+  EventCache cache(8, CachePolicy::Fifo, Rng{1});
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    cache.insert(ev(0, i, {{Pattern{1}, SeqNo{i + 1}}}));
+  }
+  const std::size_t id_index_only = cache.memory_bytes();
+  EXPECT_EQ(cache.pattern_index_entries(), 0u);
+  // The first find() indexes the cached events, evicted ones excluded.
+  EXPECT_EQ(cache.find(NodeId{0}, Pattern{1}, SeqNo{20})->id(),
+            (EventId{NodeId{0}, 19}));
+  EXPECT_EQ(cache.find(NodeId{0}, Pattern{1}, SeqNo{12}), nullptr);
+  EXPECT_GT(cache.memory_bytes(), id_index_only);
+  cache.insert(ev(0, 20, {{Pattern{1}, SeqNo{21}}}));
+  EXPECT_EQ(cache.find(NodeId{0}, Pattern{1}, SeqNo{13}), nullptr);
+  EXPECT_NE(cache.find(NodeId{0}, Pattern{1}, SeqNo{21}), nullptr);
+}
+
+TEST(EventCacheDeath, IdsMatchingNeedsTheOptIn) {
+  EventCache cache(4, CachePolicy::Fifo, Rng{1});
+  cache.insert(ev(0, 0, {{Pattern{1}, SeqNo{1}}}));
+  EXPECT_DEATH((void)cache.ids_matching(Pattern{1}, 0), "keep_pattern_index");
+  EXPECT_DEATH(cache.keep_pattern_index(), "first insert");
+}
+
+/// Lossy traffic through a 4-node line under each algorithm: only the push
+/// protocol, the one reader of digests by pattern, keeps that index.
+class ProtocolCacheIndexes : public ::testing::TestWithParam<Algorithm> {};
+
+TEST_P(ProtocolCacheIndexes, OnlyPushKeepsThePerPatternIndex) {
+  testing::GossipHarness h(4, GetParam());
+  h.subscribe_and_settle({{0, 1}, {1, 2}, {2, 1}, {3, 1}, {3, 2}});
+  h.start_recovery();
+  Rng rng(5);
+  for (int i = 0; i < 60; ++i) {
+    const auto publisher = static_cast<std::uint32_t>(rng.next_below(4));
+    const EventPtr e = h.net().node(NodeId{publisher}).publish(
+        {Pattern{1 + static_cast<std::uint32_t>(rng.next_below(2))}});
+    if (i % 4 == 1) h.drop_event_on_link(NodeId{1}, NodeId{2}, e->id());
+    h.run_for(0.05);
+  }
+  h.run_for(1.0);
+  const bool push = GetParam() == Algorithm::Push;
+  std::size_t cached = 0;
+  for (std::uint32_t n = 0; n < 4; ++n) {
+    const EventCache& cache = h.protocol(n)->cache();
+    cached += cache.size();
+    if (push) {
+      EXPECT_EQ(cache.pattern_index_entries(), cache.size()) << "node " << n;
+    } else {
+      EXPECT_EQ(cache.pattern_index_entries(), 0u) << "node " << n;
+    }
+  }
+  EXPECT_GT(cached, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Algorithms, ProtocolCacheIndexes,
+    ::testing::Values(Algorithm::Push, Algorithm::SubscriberPull,
+                      Algorithm::PublisherPull, Algorithm::CombinedPull,
+                      Algorithm::RandomPull));
 
 }  // namespace
 }  // namespace epicast

@@ -1,7 +1,8 @@
 // Property tests for the open-addressed FlatHashMap, checked against
 // std::unordered_map. Deliberately weak hashes pile keys onto a few home
-// slots so long clusters, wrap-around at the end of the slot array and
-// backward-shift erase across a cluster all run on every sequence.
+// slots, or onto one tag byte, so long clusters, wrap-around at the end of
+// the slot array, backward-shift erase across a cluster and full-key
+// compares behind a matching tag all run on every sequence.
 #include "epicast/common/flat_hash_map.hpp"
 
 #include <gtest/gtest.h>
@@ -12,22 +13,37 @@
 #include <unordered_map>
 
 #include "epicast/common/rng.hpp"
+#include "epicast/gossip/messages.hpp"
 
 namespace epicast {
 namespace {
 
 /// Every key homes on one of four slots at the start of the array.
 struct ClusteringKey {
-  static constexpr std::uint64_t empty() { return ~std::uint64_t{0}; }
   static constexpr std::uint64_t hash(std::uint64_t k) { return k % 4; }
 };
 
 /// Every key homes on one of the last three slots, so each cluster wraps
 /// around to slot 0.
 struct WrappingKey {
-  static constexpr std::uint64_t empty() { return ~std::uint64_t{0}; }
   static constexpr std::uint64_t hash(std::uint64_t k) {
     return ~std::uint64_t{0} - k % 3;
+  }
+};
+
+/// Every key carries the same tag byte and homes on one of three slots;
+/// odd keys have a zero top byte, which the table folds onto the same
+/// tag as an explicit 1.
+struct SharedTagAndHomeKey {
+  static constexpr std::uint64_t hash(std::uint64_t k) {
+    return (k % 2 == 0 ? std::uint64_t{1} << 56 : 0) | k % 3;
+  }
+};
+
+/// Every key carries the same tag byte; homes are spread by the mixer.
+struct SharedTagKey {
+  static constexpr std::uint64_t hash(std::uint64_t k) {
+    return (std::uint64_t{0xAB} << 56) | (hash_mix(k) >> 8);
   }
 };
 
@@ -106,6 +122,18 @@ TEST(FlatHashMap, WrappingClustersAgreeWithUnorderedMap) {
   }
 }
 
+TEST(FlatHashMap, KeysSharingTagAndHomeAgreeWithUnorderedMap) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    run_against_reference<SharedTagAndHomeKey>(seed);
+  }
+}
+
+TEST(FlatHashMap, KeysSharingATagButNotAHomeAgreeWithUnorderedMap) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    run_against_reference<SharedTagKey>(seed);
+  }
+}
+
 TEST(FlatHashMap, MixedHashAgreesWithUnorderedMap) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     run_against_reference<U64Key>(seed);
@@ -157,13 +185,65 @@ TEST(FlatHashMap, GrowsFromEmptyByDoublingPastSevenEighths) {
     if (map.size() * 8 > expected_capacity * 7) expected_capacity *= 2;
     ASSERT_EQ(map.capacity(), expected_capacity) << "after " << k + 1;
   }
-  EXPECT_EQ(map.memory_bytes(), expected_capacity * 2 * sizeof(std::uint64_t));
+  // One {key, value} slot and one tag byte per slot.
+  EXPECT_EQ(map.memory_bytes(),
+            expected_capacity * (2 * sizeof(std::uint64_t) + 1));
   for (std::uint64_t k = 7; k < 1000; ++k) ASSERT_EQ(*map.find(k), k * 3);
   // clear() keeps the slot array.
   map.clear();
   EXPECT_TRUE(map.empty());
   EXPECT_EQ(map.capacity(), expected_capacity);
   EXPECT_EQ(map.find(5), nullptr);
+}
+
+/// Inserts `special` among enough ordinary keys to grow the table twice,
+/// then checks it is found, visited once, erased and re-inserted like any
+/// other key.
+template <typename K, typename Traits, typename MakeKey>
+void expect_ordinary_key(const K& special, MakeKey make_key) {
+  using Map = FlatHashMap<K, int, Traits>;
+  Map map;
+  ASSERT_FALSE(map.contains(special));
+  ASSERT_TRUE(map.try_emplace(special, -1).second);
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(map.try_emplace(make_key(i), i).second);
+  }
+  ASSERT_GT(map.capacity(), Map::kInitialSlots * 2);
+  ASSERT_NE(map.find(special), nullptr);
+  EXPECT_EQ(*map.find(special), -1);
+  int visits = 0;
+  map.for_each([&](const K& k, int v) {
+    if (k == special) {
+      ++visits;
+      EXPECT_EQ(v, -1);
+    }
+  });
+  EXPECT_EQ(visits, 1);
+  EXPECT_FALSE(map.try_emplace(special, 7).second);
+  EXPECT_TRUE(map.erase(special));
+  EXPECT_FALSE(map.contains(special));
+  EXPECT_FALSE(map.erase(special));
+  EXPECT_EQ(map.size(), 40u);
+  for (int i = 0; i < 40; ++i) ASSERT_EQ(*map.find(make_key(i)), i);
+  map[special] = 5;
+  EXPECT_EQ(*map.find(special), 5);
+  EXPECT_EQ(map.size(), 41u);
+}
+
+TEST(FlatHashMap, FormerFreeSlotKeysAreOrdinaryKeys) {
+  expect_ordinary_key<std::uint64_t, U64Key>(
+      ~std::uint64_t{0}, [](int i) { return static_cast<std::uint64_t>(i); });
+  expect_ordinary_key<EventId, EventIdKey>(
+      EventId{NodeId::invalid(), 0}, [](int i) {
+        return EventId{NodeId{static_cast<std::uint32_t>(i % 4)},
+                       static_cast<std::uint64_t>(i)};
+      });
+  expect_ordinary_key<LostEntryInfo, LostEntryKey>(
+      LostEntryInfo{NodeId::invalid(), Pattern{}, SeqNo{}}, [](int i) {
+        return LostEntryInfo{NodeId{static_cast<std::uint32_t>(i % 3)},
+                             Pattern{static_cast<std::uint32_t>(i % 5)},
+                             SeqNo{static_cast<std::uint64_t>(i)}};
+      });
 }
 
 }  // namespace

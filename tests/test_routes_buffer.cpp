@@ -29,6 +29,17 @@ TEST(RoutesBuffer, MostRecentRouteWins) {
   EXPECT_EQ(routes.size(), 1u);
 }
 
+TEST(RoutesBuffer, ShorterRouteAfterLongerLeavesNoStaleHops) {
+  RoutesBuffer routes;
+  routes.update(NodeId{0},
+                {NodeId{0}, NodeId{1}, NodeId{2}, NodeId{3}, NodeId{4}});
+  routes.update(NodeId{0}, {NodeId{0}, NodeId{6}});
+  EXPECT_EQ(routes.route_to(NodeId{0}),
+            (std::vector<NodeId>{NodeId{6}, NodeId{0}}));
+  routes.update(NodeId{0}, {NodeId{0}});
+  EXPECT_EQ(routes.route_to(NodeId{0}), (std::vector<NodeId>{NodeId{0}}));
+}
+
 TEST(RoutesBuffer, UnknownSourceYieldsEmpty) {
   RoutesBuffer routes;
   EXPECT_FALSE(routes.knows(NodeId{9}));
