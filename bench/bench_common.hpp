@@ -43,13 +43,7 @@ struct BenchEnv {
     if (const char* v = std::getenv("EPICAST_BENCH_FAST")) {
       e.fast = v[0] != '\0' && v[0] != '0';
     }
-    if (const char* v = std::getenv("EPICAST_JOBS")) {
-      char* end = nullptr;
-      const unsigned long n = std::strtoul(v, &end, 10);
-      if (end != v && *end == '\0' && n > 0 && n < 4096) {
-        e.jobs = static_cast<unsigned>(n);
-      }
-    }
+    e.jobs = SweepRunner::jobs_from_env(std::getenv("EPICAST_JOBS"));
     if (const char* v = std::getenv("EPICAST_BENCH_JSON")) e.json_path = v;
     return e;
   }

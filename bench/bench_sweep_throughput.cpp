@@ -1,7 +1,11 @@
-// Sweep-throughput benchmark: tracks the two quantities this library's
+// Sweep-throughput benchmark: tracks the quantities this library's
 // performance work optimizes — raw single-thread scheduler throughput
-// (events/sec under schedule/cancel churn) and whole-sweep wall time
-// (serial vs parallel on the SweepRunner, Fig. 3a's 12-scenario sweep).
+// (events/sec under schedule/cancel churn), whole-sweep wall time (serial
+// vs parallel on the SweepRunner, Fig. 3a's 12-scenario sweep), and the
+// serial events/sec of one scale scenario (N = 10³ random-regular overlay,
+// combined pull), where per-node state and the timer heap dominate instead
+// of the paper tree's dispatch and gossip. CI gates both serial events/sec
+// figures against the committed baseline.
 // Emits a machine-readable JSON report (default BENCH_sweep.json, override
 // with EPICAST_BENCH_JSON / --json=PATH) so the perf trajectory is
 // comparable across commits.
@@ -83,6 +87,13 @@ std::vector<LabeledConfig> fig3a_sweep() {
   return configs;
 }
 
+// -- macro: one scale scenario, serial ----------------------------------------
+
+ScenarioConfig scale_scenario() {
+  return figures::scale(Algorithm::CombinedPull, OverlayKind::RandomRegular,
+                        1000, measure_s(4.0));
+}
+
 bool results_identical(const std::vector<LabeledResult>& a,
                        const std::vector<LabeledResult>& b) {
   if (a.size() != b.size()) return false;
@@ -139,6 +150,15 @@ int main(int argc, char** argv) {
   const auto parallel = parallel_runner.run(configs);
   const SweepStats parallel_stats = parallel_runner.last_stats();
 
+  std::fprintf(stderr, "scale scenario (N=1000 random-regular, serial)...\n");
+  const ScenarioConfig scale_cfg = scale_scenario();
+  const ScenarioResult scale = run_scenario(scale_cfg);
+  const double scale_events_per_sec =
+      scale.wall_seconds > 0.0
+          ? static_cast<double>(scale.sim_events_executed) /
+                scale.wall_seconds
+          : 0.0;
+
   const bool identical = results_identical(serial, parallel);
   const double speedup =
       parallel_stats.wall_seconds > 0.0
@@ -155,6 +175,11 @@ int main(int argc, char** argv) {
       serial_stats.events_per_second(), jobs, parallel_stats.wall_seconds,
       parallel_stats.events_per_second(), speedup,
       identical ? "yes" : "NO — DETERMINISM BUG");
+  std::printf(
+      "\nscale scenario (N=%u random-regular, combined pull, serial):\n"
+      "  %" PRIu64 " sim events in %.2fs  ->  %.0f sim events/sec\n",
+      scale_cfg.nodes, scale.sim_events_executed, scale.wall_seconds,
+      scale_events_per_sec);
 
   const std::string json_path = BenchEnv::get().json_path.empty()
                                     ? std::string("BENCH_sweep.json")
@@ -182,6 +207,12 @@ int main(int argc, char** argv) {
         "    \"events_per_sec\": %.0f,\n"
         "    \"results_identical\": %s\n"
         "  },\n"
+        "  \"scale_serial\": {\n"
+        "    \"nodes\": %u,\n"
+        "    \"sim_events_executed\": %" PRIu64 ",\n"
+        "    \"wall_seconds\": %.6f,\n"
+        "    \"events_per_sec\": %.0f\n"
+        "  },\n"
         "  \"fast_mode\": %s\n"
         "}\n",
         micro.executed, micro.wall_seconds, micro.events_per_second(),
@@ -191,7 +222,8 @@ int main(int argc, char** argv) {
         parallel_stats.scenarios_per_second(),
         parallel_stats.sim_events_executed, serial_stats.events_per_second(),
         parallel_stats.events_per_second(), identical ? "true" : "false",
-        fast_mode() ? "true" : "false");
+        scale_cfg.nodes, scale.sim_events_executed, scale.wall_seconds,
+        scale_events_per_sec, fast_mode() ? "true" : "false");
     std::fclose(f);
     std::printf("\nwrote %s\n", json_path.c_str());
   } else {

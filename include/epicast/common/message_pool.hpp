@@ -10,11 +10,8 @@
 //
 // Lifetime rules:
 //   * One pool per Simulator (i.e., per scenario). Scenarios are
-//     single-threaded inside sweep workers, so the pool defaults to
-//     UNSYNCHRONIZED — never share one across threads unless
-//     set_thread_safe(true) was called (the sharded engine's threaded
-//     windows do: a MessagePtr allocated on one lane can drop its last
-//     reference on another, or at the barrier replay).
+//     single-threaded inside sweep workers, so the pool is UNSYNCHRONIZED
+//     — never share one across threads.
 //   * `make_pooled<T>` uses std::allocate_shared with an allocator that
 //     holds a shared_ptr to the pool's internal state, so outstanding
 //     objects (and their control blocks) stay valid even if they outlive
@@ -29,7 +26,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <new>
 #include <utility>
 #include <vector>
@@ -76,11 +72,6 @@ class MessagePool {
   [[nodiscard]] void* allocate(std::size_t bytes);
   void deallocate(void* p, std::size_t bytes) noexcept;
 
-  /// Serializes allocate/deallocate behind a mutex. The scenario runner
-  /// enables this before a threaded run; off (the default) the pool stays
-  /// lock-free single-threaded with zero overhead.
-  void set_thread_safe(bool on);
-
   /// The process-wide default: PassThrough under ASan or EPICAST_POOL=off,
   /// Pooling otherwise (EPICAST_POOL=on overrides the ASan default).
   [[nodiscard]] static Mode default_mode();
@@ -105,8 +96,6 @@ class MessagePool {
     void deallocate(void* p, std::size_t bytes) noexcept;
 
     Mode mode;
-    bool thread_safe = false;  ///< set before threads exist, stable after
-    std::mutex mu;             ///< taken only when thread_safe
     Stats stats;
     /// Freelist heads per size class; each free block's first word links to
     /// the next free block of the class.

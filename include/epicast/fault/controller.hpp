@@ -22,13 +22,11 @@
 // order (churns, bursts, partitions) at construction. Each burst process
 // further forks one stream per *sender* node in node order, and per-link
 // burst channels fork from their sender's stream in that sender's
-// first-traffic order — a node's sends all execute on its own engine lane,
-// so threaded lookahead windows consume these streams in exactly the serial
-// order without locking. A run with an empty plan constructs no controller
-// at all and is bit-identical to a fault-free build.
+// first-traffic order; the seed guards pin this split. A run with an empty
+// plan constructs no controller at all and is bit-identical to a
+// fault-free build.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
@@ -53,9 +51,7 @@ class FaultController {
  public:
   /// Validates the plan, forks the per-process RNG streams, and installs
   /// the crash/burst fault filter. References must outlive the controller.
-  /// Scheduling and forks go through the runtime seam, so the controller
-  /// runs unchanged on the serial simulator and the sharded engine's
-  /// master lane.
+  /// Scheduling and forks go through the runtime seam.
   FaultController(runtime::Runtime& rt, Transport& transport,
                   PubSubNetwork& network, FaultPlan plan,
                   FaultControllerConfig config);
@@ -99,12 +95,11 @@ class FaultController {
     BurstSpec spec;
     /// One stream per sender node (forked in node order at construction);
     /// channels[from] forks lazily from senders[from] per destination, in
-    /// the sender's first-traffic order. Partitioned by sender so the send
-    /// path stays lane-local under the threaded engine.
+    /// the sender's first-traffic order.
     std::vector<Rng> senders;
     std::vector<std::unordered_map<std::uint32_t, GilbertElliottChannel>>
         channels;
-    bool active = false;  ///< master-written (serial windows), worker-read
+    bool active = false;
   };
   struct PartitionState {
     PartitionSpec spec;
@@ -138,11 +133,6 @@ class FaultController {
   std::vector<std::uint8_t> crashed_;
   std::vector<std::uint32_t> alive_scratch_;
   FaultStats stats_;
-  /// allow() runs on the send path — worker lanes during threaded windows —
-  /// so its drop counters are relaxed atomics, folded into stats() (an
-  /// order-independent sum, hence still deterministic).
-  std::atomic<std::uint64_t> crash_drops_{0};
-  std::atomic<std::uint64_t> burst_drops_{0};
   SimTime last_heal_ = SimTime::zero();
 };
 

@@ -49,26 +49,15 @@ class HotpathProfiler {
   struct PhaseTotals {
     std::uint64_t ops = 0;
     std::uint64_t ns = 0;  ///< 0 unless timing was enabled
-
-    PhaseTotals& operator+=(const PhaseTotals& o) {
-      ops += o.ops;
-      ns += o.ns;
-      return *this;
-    }
   };
 
-  /// Copyable aggregate for ScenarioResult / cross-scenario summing.
+  /// Copyable aggregate for ScenarioResult.
   struct Snapshot {
     std::array<PhaseTotals, kHotPhaseCount> phase{};
     bool timed = false;
 
     [[nodiscard]] const PhaseTotals& operator[](HotPhase p) const {
       return phase[static_cast<std::size_t>(p)];
-    }
-    Snapshot& operator+=(const Snapshot& o) {
-      for (std::size_t i = 0; i < kHotPhaseCount; ++i) phase[i] += o.phase[i];
-      timed = timed || o.timed;
-      return *this;
     }
   };
 

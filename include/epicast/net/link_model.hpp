@@ -26,9 +26,8 @@ class LinkModel {
  public:
   /// Forks one loss-trial stream per sender node off `base` (in node-id
   /// order), and keeps the per-direction queue state partitioned by sender
-  /// too. All of a node's sends execute on its own engine lane, so the
-  /// threaded windows draw from these streams in exactly the serial order —
-  /// no lock, no divergence.
+  /// too. The seed guards pin this split: one shared stream would reorder
+  /// the draws.
   LinkModel(LinkParams params, Rng base, std::uint32_t nodes);
 
   struct Outcome {
@@ -62,9 +61,8 @@ class LinkModel {
   /// One loss-trial stream per sender, forked in node-id order.
   std::vector<Rng> rngs_;
   /// Per sender: destination node -> when that direction's sender side
-  /// becomes free, in the common flat table (one probe per send). Indexed
-  /// by the sending node, so each table is only ever touched by that
-  /// node's lane.
+  /// becomes free, in the common flat table (one probe per send), indexed
+  /// by the sending node.
   std::vector<FlatHashMap<NodeId, SimTime, NodeIdKey>> next_free_;
 };
 

@@ -11,8 +11,7 @@
 // (paper's ρ = 0.2 s); with ρ smaller, several links can be down at once
 // (ρ = 0.03 s), the paper's "extreme test case".
 //
-// The reconfigurator runs on the runtime seam: pass the Simulator itself,
-// or the sharded engine's master-lane ShardRuntime.
+// The reconfigurator runs on the runtime seam: pass the Simulator itself.
 #pragma once
 
 #include <cstdint>

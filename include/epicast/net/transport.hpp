@@ -61,13 +61,9 @@ class Transport final : public runtime::Transport {
   void attach(NodeId node, TransportReceiver& receiver) override;
 
   /// Registers an additional observer (metrics, tracing); all registered
-  /// observers see every send/loss/drop, in registration order. During
-  /// threaded windows, observers whose concurrent_safe() is false observe
-  /// deferred replays at the window barrier instead of inline calls (same
-  /// per-observer order; see TransportObserver).
+  /// observers see every send/loss/drop, in registration order.
   void add_observer(TransportObserver& observer) {
     observers_.push_back(&observer);
-    if (!observer.concurrent_safe()) have_deferred_observers_ = true;
   }
 
   /// Deterministic fault injection (FaultController, tests, failure-injection
@@ -80,17 +76,6 @@ class Transport final : public runtime::Transport {
                                          const Message& msg, bool overlay)>;
   void add_fault_filter(FaultFilter filter) {
     faults_.push_back(std::move(filter));
-  }
-
-  /// Reroutes delivery events. By default an arrival is scheduled on the
-  /// simulator heap; the sharded engine installs a router that sends it
-  /// through the cross-shard mailbox grid instead. The loss draws, delay
-  /// computation, and observer callbacks are unaffected — only where the
-  /// delivery callback waits changes.
-  using ArrivalRouter =
-      std::function<void(NodeId to, Duration delay, Scheduler::Callback cb)>;
-  void set_arrival_router(ArrivalRouter router) {
-    router_ = std::move(router);
   }
 
   /// Sends over the overlay link (from → to). If the link does not exist
@@ -122,29 +107,21 @@ class Transport final : public runtime::Transport {
   TransportReceiver& receiver_for(NodeId node) const;
   bool faults_allow(NodeId from, NodeId to, const Message& msg,
                     bool overlay) const;
-  /// Observer fan-out, lane-aware: outside parallel windows every observer
-  /// fires inline in registration order; under a worker lane the
-  /// concurrent-safe ones fire inline and the rest are deferred to the
-  /// window barrier (the MessagePtr keeps the message alive until replay).
-  void notify_send(NodeId from, NodeId to, const MessagePtr& msg,
-                   bool overlay);
-  void notify_loss(NodeId from, NodeId to, const MessagePtr& msg,
-                   bool overlay);
-  void notify_drop_no_link(NodeId from, NodeId to, const MessagePtr& msg);
+  /// Observer fan-out, in registration order.
+  void notify_send(NodeId from, NodeId to, const Message& msg, bool overlay);
+  void notify_loss(NodeId from, NodeId to, const Message& msg, bool overlay);
+  void notify_drop_no_link(NodeId from, NodeId to, const Message& msg);
 
   Simulator& sim_;
   Topology& topology_;
   TransportConfig config_;
   LinkModel link_model_;
-  /// One direct-channel stream (loss + latency draws) per sender node; a
-  /// node's direct sends all execute on its own engine lane, so threaded
-  /// windows consume these streams in serial order without locking.
+  /// One direct-channel stream (loss + latency draws) per sender node. The
+  /// seed guards pin this split: one shared stream would reorder the draws.
   std::vector<Rng> direct_rngs_;
   std::vector<TransportReceiver*> receivers_;
   std::vector<TransportObserver*> observers_;
-  bool have_deferred_observers_ = false;
   std::vector<FaultFilter> faults_;
-  ArrivalRouter router_;
 };
 
 }  // namespace epicast

@@ -107,9 +107,6 @@ class ConservationOracle final : public Oracle {
 class BufferBoundOracle final : public Oracle {
  public:
   [[nodiscard]] const char* name() const override { return "buffer-bound"; }
-  /// Stateless and reads only the *sender's* cache — must run inline on the
-  /// sending lane (a barrier-deferred read could see later evictions).
-  [[nodiscard]] bool concurrent_safe() const override { return true; }
   void on_send(NodeId from, NodeId to, const Message& msg,
                bool overlay) override;
   void on_scenario_end() override;
@@ -130,9 +127,6 @@ class BufferBoundOracle final : public Oracle {
 class DigestCoverageOracle final : public Oracle {
  public:
   [[nodiscard]] const char* name() const override { return "digest-coverage"; }
-  /// Stateless and reads only the sender's own cache; the digest/cache
-  /// agreement is only meaningful synchronously with the send.
-  [[nodiscard]] bool concurrent_safe() const override { return true; }
   void on_send(NodeId from, NodeId to, const Message& msg,
                bool overlay) override;
 };

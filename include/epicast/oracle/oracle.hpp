@@ -23,10 +23,8 @@
 // benchmarking; see docs/EXTENDING.md for how to register a new oracle.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -69,15 +67,6 @@ class Oracle {
   virtual ~Oracle() = default;
 
   [[nodiscard]] virtual const char* name() const = 0;
-
-  /// True when every hook of this oracle only reads state owned by the
-  /// lane invoking it (e.g. the sending node's own retransmission buffer)
-  /// and keeps no cross-node mutable members. Such oracles check sends
-  /// inline on worker threads during threaded windows — necessary when the
-  /// property is only meaningful synchronously with the send (a cache read
-  /// deferred to the barrier could see later evictions). Everything else
-  /// observes the deferred replay at the window barrier.
-  [[nodiscard]] virtual bool concurrent_safe() const { return false; }
 
   /// A dispatcher published a new event.
   virtual void on_publish(const EventPtr& event) { (void)event; }
@@ -135,28 +124,15 @@ class OracleSuite final : public TransportObserver {
   void notify_scenario_end();
 
   // -- TransportObserver ----------------------------------------------------
-  // The suite itself stays a deferred observer (concurrent_safe() false):
-  // when sync_observer() has been registered it dispatches on_send only to
-  // the non-concurrent-safe oracles; otherwise to all of them.
   void on_send(NodeId from, NodeId to, const Message& msg,
                bool overlay) override;
   void on_loss(NodeId, NodeId, const Message&, bool) override {}
   void on_drop_no_link(NodeId, NodeId, const Message&) override {}
 
-  /// A second TransportObserver dispatching on_send only to the
-  /// concurrent-safe oracles, inline on the sending lane. Register it
-  /// *alongside* the suite (the scenario runner does) whenever the
-  /// transport may run threaded windows; from the first call on, the
-  /// suite's own on_send stops covering the safe oracles, so each send is
-  /// checked exactly once per oracle in serial and threaded runs alike.
-  [[nodiscard]] TransportObserver& sync_observer();
-
   [[nodiscard]] const OracleContext& context() const { return ctx_; }
   [[nodiscard]] std::size_t oracle_count() const { return oracles_.size(); }
   /// Total checks performed across all oracles.
-  [[nodiscard]] std::uint64_t checks() const {
-    return checks_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t checks() const { return checks_; }
   /// Recorded violations (FailMode::Record only — Abort never returns).
   [[nodiscard]] const std::vector<Violation>& violations() const {
     return violations_;
@@ -165,32 +141,12 @@ class OracleSuite final : public TransportObserver {
  private:
   friend class Oracle;
   void report(const Oracle& oracle, NodeId node, std::string detail);
-  void dispatch_send(NodeId from, NodeId to, const Message& msg, bool overlay,
-                     bool safe_group);
-
-  struct SyncObserver final : TransportObserver {
-    OracleSuite* suite = nullptr;
-    [[nodiscard]] bool concurrent_safe() const override { return true; }
-    void on_send(NodeId from, NodeId to, const Message& msg,
-                 bool overlay) override {
-      suite->dispatch_send(from, to, msg, overlay, /*safe_group=*/true);
-    }
-    void on_loss(NodeId, NodeId, const Message&, bool) override {}
-    void on_drop_no_link(NodeId, NodeId, const Message&) override {}
-  };
 
   OracleContext ctx_;
   FailMode mode_;
   std::vector<std::unique_ptr<Oracle>> oracles_;
   std::vector<Violation> violations_;
-  /// Relaxed: checked() may fire from worker lanes; the total is an
-  /// order-independent sum, so the count (and result_json's oracle_checks)
-  /// stays deterministic.
-  std::atomic<std::uint64_t> checks_{0};
-  /// Guards violations_ in Record mode (worker-lane oracles may fail too).
-  std::mutex report_mu_;
-  SyncObserver sync_;
-  bool split_dispatch_ = false;  ///< sync_observer() handed out
+  std::uint64_t checks_ = 0;
 };
 
 /// Installs the six built-in oracles (oracle/checks.hpp) into `suite`.

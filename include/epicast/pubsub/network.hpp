@@ -1,9 +1,8 @@
 // epicast — the assembled dispatching network.
 //
 // Owns one Dispatcher per topology node — each running on the Simulator
-// as its runtime, or on its shard lane's ShardRuntime under the sharded
-// engine — wires them to the transport, and provides the two pieces of
-// global machinery the simulation needs:
+// as its runtime — wires them to the transport, and provides the two
+// pieces of global machinery the simulation needs:
 //
 //  * route rebuilding after a topological reconfiguration — the converged
 //    outcome of the reconfiguration protocol of paper ref [7] (see
@@ -14,7 +13,6 @@
 //    rebuild produce identical state.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -32,17 +30,6 @@ class PubSubNetwork {
   /// keeps direct access to the transport — it is sim-side machinery
   /// (oracle rebuilds, global consistency checks), not protocol code.
   PubSubNetwork(Transport& transport, DispatcherConfig dispatcher_config);
-
-  /// Picks the runtime a given node's dispatcher runs on — the sharded
-  /// engine maps each node to its shard-lane ShardRuntime. Returned
-  /// references must outlive this network.
-  using RuntimeProvider = std::function<runtime::Runtime&(NodeId)>;
-
-  /// As above, but each dispatcher runs on `per_node(its id)` instead of
-  /// on the Simulator. Dispatchers are still constructed in node order, so
-  /// RNG fork order is unchanged.
-  PubSubNetwork(Transport& transport, DispatcherConfig dispatcher_config,
-                const RuntimeProvider& per_node);
 
   PubSubNetwork(const PubSubNetwork&) = delete;
   PubSubNetwork& operator=(const PubSubNetwork&) = delete;

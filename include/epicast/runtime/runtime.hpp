@@ -1,14 +1,13 @@
 // epicast — the runtime seam: clock, timers, transport, randomness.
 //
 // Everything a protocol component needs from its environment, behind one
-// interface with three implementations: the Simulator itself (the
-// deterministic scheduler plus the simulated net::Transport built on it),
-// ShardRuntime (one lane of the sharded engine), and AsyncRuntime (a
-// monotonic clock, timerfd wakeups and epoll UDP sockets). Protocol code
-// written against `Runtime` runs on all three unchanged — the property the
-// conformance suite in tests/runtime/ pins.
+// interface with two implementations: the Simulator itself (the
+// deterministic scheduler plus the simulated net::Transport built on it)
+// and AsyncRuntime (a monotonic clock, timerfd wakeups and epoll UDP
+// sockets). Protocol code written against `Runtime` runs on both unchanged
+// — the property the conformance suite in tests/runtime/ pins.
 //
-// All three keep their timers in a Scheduler (sim/scheduler.hpp), so a
+// Both keep their timers in a Scheduler (sim/scheduler.hpp), so a
 // TimerHandle is the scheduler's EventHandle and a timer callback is its
 // SmallCallback: one cancellation mechanism and one FIFO tie-break
 // everywhere.

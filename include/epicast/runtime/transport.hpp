@@ -35,16 +35,6 @@ class TransportObserver {
  public:
   virtual ~TransportObserver() = default;
 
-  /// True when the observer may be invoked inline from a worker thread
-  /// while the sharded engine executes a parallel window. That requires the
-  /// hooks to only read state owned by the sending node's lane and to keep
-  /// any own mutable state race-free (atomics or lane-partitioned). The
-  /// default (false) makes the simulated transport defer the callback to
-  /// the window barrier, where it replays on the master thread in the exact
-  /// serial observation order — the safe choice for anything with plain
-  /// counters or cross-node containers.
-  [[nodiscard]] virtual bool concurrent_safe() const { return false; }
-
   virtual void on_send(NodeId from, NodeId to, const Message& msg,
                        bool overlay) = 0;
   virtual void on_loss(NodeId from, NodeId to, const Message& msg,

@@ -121,34 +121,20 @@ struct ScenarioConfig {
   /// Nanosecond timing for the hot-path phase profiler. Op counts are always
   /// collected (ScenarioResult::hotpath); enabling this adds two clock reads
   /// per phase entry, so it is off by default. Defaults from
-  /// EPICAST_PROFILE=1. Timing changes no RNG draw and no simulated time:
-  /// results stay bit-identical either way.
+  /// EPICAST_PROFILE (see profile_from_env). Timing changes no RNG draw and
+  /// no simulated time: results stay bit-identical either way.
   bool profile_hotpath = profile_default_enabled();
 
-  /// True iff EPICAST_PROFILE is set to a truthy value ("1", "on").
+  /// profile_from_env() of the EPICAST_PROFILE environment variable (read
+  /// once, first call).
   [[nodiscard]] static bool profile_default_enabled();
 
-  /// Shard count of the conservative parallel engine (`--shards`). 1 (the
-  /// default) runs the serial scheduler; K > 1 partitions the nodes into K
-  /// contiguous blocks driven through per-shard heaps with cross-shard
-  /// mailboxes. Results are bit-identical either way (the tests/parallel
-  /// tier proves it). Defaults from EPICAST_SHARDS.
-  std::uint32_t shards = shards_default();
-
-  /// EPICAST_SHARDS as a shard count; 1 when unset or invalid.
-  [[nodiscard]] static std::uint32_t shards_default();
-
-  /// Worker threads of the sharded engine (`--threads`). 1 (the default)
-  /// executes windows serially on the calling thread; N > 1 drains shard
-  /// lanes concurrently on a persistent pool, with deferred side effects
-  /// replayed at window barriers so results stay byte-identical to the
-  /// serial run for every thread count. Only meaningful with shards > 1;
-  /// the runner clamps to min(shards, host parallelism). Defaults from
-  /// EPICAST_THREADS.
-  std::uint32_t threads = threads_default();
-
-  /// EPICAST_THREADS as a thread count; 1 when unset or invalid.
-  [[nodiscard]] static std::uint32_t threads_default();
+  /// Leftovers of the removed sharded engine: the only accepted value is 1,
+  /// and validate() aborts on any other. They remain only because
+  /// perfbench/workload.cpp still assigns both; they go once the benchmark
+  /// drops that pin.
+  std::uint32_t shards = 1;
+  std::uint32_t threads = 1;
 
   // -- link details -------------------------------------------------------------
   double link_bandwidth_bps = 10e6;         ///< 10 Mbit/s Ethernet (§IV-A)
@@ -196,5 +182,10 @@ struct ScenarioConfig {
   /// Human-readable one-per-line dump (bench_fig2_params).
   [[nodiscard]] std::string describe() const;
 };
+
+/// Parses an EPICAST_PROFILE value: unset, empty, "0", "off", "OFF" or
+/// "false" mean off; "1", "on", "ON" or "true" mean on. Any other spelling
+/// aborts with a message naming the variable.
+[[nodiscard]] bool profile_from_env(const char* value);
 
 }  // namespace epicast

@@ -98,20 +98,6 @@ struct ScenarioResult {
   };
   MemoryBreakdown memory;
 
-  // -- sharded-engine execution (not serialized into result_json — the
-  // engine must not influence the scientific output, only how fast it is
-  // computed) ------------------------------------------------------------------
-  struct ShardExecution {
-    std::uint32_t shards = 1;            ///< effective shard count
-    std::uint32_t threads = 1;           ///< effective worker threads
-    std::uint64_t windows = 0;           ///< lookahead windows opened
-    std::uint64_t parallel_windows = 0;  ///< ... run on the worker pool
-    double events_per_window = 0.0;      ///< mean events inside a window
-    double cross_post_ratio = 0.0;       ///< cross-shard share of arrivals
-    double barrier_wait_seconds = 0.0;   ///< master wall time at barriers
-  };
-  ShardExecution shard;
-
   // -- bookkeeping ----------------------------------------------------------------
   std::uint64_t sim_events_executed = 0;
   /// Conformance checks performed by the oracle suite (0 when oracles are

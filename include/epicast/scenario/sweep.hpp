@@ -75,11 +75,16 @@ class SweepRunner {
   /// Timings of the most recent run().
   [[nodiscard]] const SweepStats& last_stats() const { return stats_; }
 
-  /// 0 → EPICAST_JOBS environment variable, if unset/invalid →
-  /// available_parallelism(), never less than 1. An explicit request (arg
-  /// or env) is honored verbatim; only the auto-detected default is clamped
-  /// to the CPUs this process may actually run on.
+  /// 0 → jobs_from_env() of the EPICAST_JOBS environment variable, if
+  /// that is auto → available_parallelism(), never less than 1. An explicit
+  /// request (arg or env) is honored verbatim; only the auto-detected
+  /// default is clamped to the CPUs this process may actually run on.
   [[nodiscard]] static unsigned resolve_jobs(unsigned requested);
+
+  /// Parses an EPICAST_JOBS value: unset or empty means auto (returns 0);
+  /// 1–4095 is a worker count. Any other spelling aborts with a message
+  /// naming the variable, so a typo cannot silently fall back to auto.
+  [[nodiscard]] static unsigned jobs_from_env(const char* value);
 
   /// CPUs available to this process: hardware_concurrency clamped to the
   /// scheduling affinity mask (a container limited to 1 CPU reports 1 here

@@ -19,7 +19,6 @@
 //     (no floods); the runner then calls PubSubNetwork::rebuild_routes().
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -50,26 +49,16 @@ class Workload {
   /// Starts every dispatcher's Poisson publishing at `at`, until `until`.
   void start_publishing(SimTime at, SimTime until);
 
-  /// Reroutes publish events to a per-node scheduler — the sharded engine
-  /// places each publisher's events on its owning shard lane. The default
-  /// schedules on the simulator heap. Set before start_publishing.
-  using NodeScheduler =
-      std::function<void(NodeId, SimTime, Scheduler::Callback)>;
-  void set_node_scheduler(NodeScheduler sched) {
-    node_sched_ = std::move(sched);
-  }
-
-  [[nodiscard]] std::uint64_t events_published() const {
-    return published_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t events_published() const { return published_; }
 
   /// The patterns node `n` was subscribed to (valid after
   /// issue_subscriptions).
   [[nodiscard]] const std::vector<Pattern>& subscriptions_of(NodeId n) const;
 
  private:
-  void schedule_next_publish(NodeId node, SimTime until);
-  void schedule_node(NodeId node, SimTime at, Scheduler::Callback cb);
+  /// Schedules `node`'s next publish at `at`; the publish draws its content
+  /// and the gap to the one after from the node's own stream.
+  void publish_at(NodeId node, SimTime at, SimTime until);
   /// `k` distinct patterns via the configured popularity law: uniform
   /// (exactly the PatternUniverse draws) unless zipf_exponent > 0.
   [[nodiscard]] std::vector<Pattern> draw_patterns(std::uint32_t k, Rng& rng);
@@ -81,13 +70,12 @@ class Workload {
   const ScenarioConfig& cfg_;
   PatternUniverse universe_;
   Rng rng_;
-  std::vector<Rng> node_rngs_;  // one stream per publisher
+  /// One stream per node. The seed guards pin this split: one shared stream
+  /// would reorder the subscription and publish draws.
+  std::vector<Rng> node_rngs_;
   std::vector<std::vector<Pattern>> subscriptions_;
   PublishListener on_publish_;
-  NodeScheduler node_sched_;
-  /// Relaxed: publish callbacks run on worker lanes during threaded
-  /// windows; the total is an order-independent sum.
-  std::atomic<std::uint64_t> published_{0};
+  std::uint64_t published_ = 0;
 
   /// CDF of the Zipf pattern-popularity law (empty when uniform).
   std::vector<double> zipf_cdf_;

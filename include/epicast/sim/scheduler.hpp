@@ -71,59 +71,9 @@ class Scheduler {
   /// Schedules `cb` after `delay` from now. Precondition: delay >= 0.
   EventHandle schedule_after(Duration delay, Callback cb);
 
-  // -- sharded-engine hooks (sim/shard_engine.hpp) ---------------------------
-  // The conservative engine splits one scenario across several of these
-  // heaps. Equal-time ordering must stay global, so all lanes draw their
-  // tie-break sequences from one shared counter, and the engine pumps events
-  // itself (peek/take_front) instead of through step().
-
-  /// Draw tie-break sequences from `counter` instead of the internal one.
-  /// Set once, before anything is scheduled.
-  void use_external_seq(std::uint64_t* counter) {
-    EPICAST_ASSERT(heap_.empty() && next_seq_ == 0);
-    external_seq_ = counter;
-  }
-
-  /// Re-points the external tie-break counter. The threaded engine swaps in
-  /// a per-lane provisional counter for the span of a parallel window (so
-  /// workers never contend on the shared one) and swaps the shared counter
-  /// back at the barrier. Only valid on a scheduler already in external-seq
-  /// mode.
-  void rebind_external_seq(std::uint64_t* counter) {
-    EPICAST_ASSERT(external_seq_ != nullptr && counter != nullptr);
-    external_seq_ = counter;
-  }
-
-  /// Rewrites every pending entry whose seq is >= `threshold` through `fn`
-  /// (provisional seq -> final seq). `fn` must be strictly monotone over
-  /// the seqs present in this heap — the heap's (at, seq) order is then
-  /// unchanged and no re-sift is needed. Entries cancelled after creation
-  /// are mapped too (their stale heap keys must stay well-ordered until
-  /// lazily collected); their slots are untouched because live_seq no
-  /// longer matches.
-  template <typename Fn>
-  void renumber_pending(std::uint64_t threshold, Fn&& fn) {
-    for (HeapEntry& e : heap_) {
-      if (e.seq < threshold) continue;
-      const std::uint64_t renumbered = fn(e.seq);
-      Slot& s = slots_[e.slot];
-      if (s.live_seq == e.seq) s.live_seq = renumbered;
-      e.seq = renumbered;
-    }
-  }
-
-  /// Schedules `cb` with a caller-assigned tie-break sequence (mailbox
-  /// drains re-inserting entries stamped at send time). `seq` must be unique
-  /// across all heaps sharing the counter.
-  EventHandle schedule_at_seq(SimTime at, std::uint64_t seq, Callback cb);
-
   /// Key of the earliest live entry (lazily discarding cancelled ones), or
   /// false when the heap is empty.
   bool peek(SimTime& at, std::uint64_t& seq);
-
-  /// Pops the earliest live entry, advances now() to it, and returns its
-  /// callback without invoking it. Precondition: peek() just returned true.
-  Callback take_front();
 
   /// Runs the earliest pending event. Returns false when the queue is empty
   /// (cancelled entries are skipped transparently).
@@ -175,9 +125,6 @@ class Scheduler {
   void heap_push(HeapEntry e);
   void heap_pop_front();
 
-  /// Shared tail of schedule_at / schedule_at_seq: slot + heap insertion.
-  EventHandle insert_entry(SimTime at, std::uint64_t seq, Callback cb);
-
   [[nodiscard]] bool entry_live(const HeapEntry& e) const {
     return slots_[e.slot].live_seq == e.seq;
   }
@@ -194,7 +141,6 @@ class Scheduler {
   std::vector<std::uint32_t> free_slots_;
   SimTime now_;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t* external_seq_ = nullptr;  // shared tie-break counter, if any
   std::uint64_t executed_ = 0;
 };
 

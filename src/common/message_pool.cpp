@@ -60,15 +60,11 @@ void MessagePool::deallocate(void* p, std::size_t bytes) noexcept {
   state_->deallocate(p, bytes);
 }
 
-void MessagePool::set_thread_safe(bool on) { state_->thread_safe = on; }
-
 MessagePool::State::~State() {
   for (void* slab : slabs) ::operator delete(slab);
 }
 
 void* MessagePool::State::allocate(std::size_t bytes) {
-  std::unique_lock<std::mutex> lock(mu, std::defer_lock);
-  if (thread_safe) lock.lock();
   ++stats.allocations;
   const std::size_t c = class_of(bytes);
   if (mode == Mode::PassThrough || c == kClasses) {
@@ -96,8 +92,6 @@ void* MessagePool::State::allocate(std::size_t bytes) {
 }
 
 void MessagePool::State::deallocate(void* p, std::size_t bytes) noexcept {
-  std::unique_lock<std::mutex> lock(mu, std::defer_lock);
-  if (thread_safe) lock.lock();
   ++stats.deallocations;
   const std::size_t c = class_of(bytes);
   if (mode == Mode::PassThrough || c == kClasses) {

@@ -51,7 +51,7 @@ bool FaultController::allow(NodeId from, NodeId to, const Message& msg,
                             bool overlay) {
   // A crashed node neither sends nor receives, on either channel.
   if (crashed_[from.value()] != 0 || crashed_[to.value()] != 0) {
-    crash_drops_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.crash_drops;
     return false;
   }
   if (!overlay) return true;
@@ -68,7 +68,7 @@ bool FaultController::allow(NodeId from, NodeId to, const Message& msg,
   }
   if (lost && !(transport_.config().control_lossless &&
                 msg.message_class() == MessageClass::Control)) {
-    burst_drops_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.burst_drops;
     return false;
   }
   return true;
@@ -206,8 +206,6 @@ void FaultController::heal_partition(PartitionState& partition) {
 
 FaultStats FaultController::stats() const {
   FaultStats total = stats_;
-  total.crash_drops += crash_drops_.load(std::memory_order_relaxed);
-  total.burst_drops += burst_drops_.load(std::memory_order_relaxed);
   for (const BurstState& b : bursts_) {
     for (const auto& channels : b.channels) {
       for (const auto& [key, channel] : channels) {

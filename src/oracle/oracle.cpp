@@ -7,7 +7,6 @@
 
 #include "epicast/common/assert.hpp"
 #include "epicast/oracle/checks.hpp"
-#include "epicast/sim/lane_context.hpp"
 
 namespace epicast::oracle {
 
@@ -17,9 +16,7 @@ const OracleContext& Oracle::ctx() const {
   return suite_->ctx_;
 }
 
-void Oracle::checked() {
-  suite_->checks_.fetch_add(1, std::memory_order_relaxed);
-}
+void Oracle::checked() { ++suite_->checks_; }
 
 void Oracle::fail(NodeId node, std::string detail) {
   suite_->report(*this, node, std::move(detail));
@@ -49,32 +46,12 @@ void OracleSuite::notify_scenario_end() {
 
 void OracleSuite::on_send(NodeId from, NodeId to, const Message& msg,
                           bool overlay) {
-  // Once sync_observer() has been handed out, the concurrent-safe oracles
-  // are covered by that inline observer — dispatching them here too would
-  // double-check every send.
-  dispatch_send(from, to, msg, overlay, /*safe_group=*/false);
-  if (!split_dispatch_) dispatch_send(from, to, msg, overlay,
-                                      /*safe_group=*/true);
-}
-
-void OracleSuite::dispatch_send(NodeId from, NodeId to, const Message& msg,
-                                bool overlay, bool safe_group) {
-  for (const auto& o : oracles_) {
-    if (o->concurrent_safe() == safe_group) o->on_send(from, to, msg, overlay);
-  }
-}
-
-TransportObserver& OracleSuite::sync_observer() {
-  sync_.suite = this;
-  split_dispatch_ = true;
-  return sync_;
+  for (const auto& o : oracles_) o->on_send(from, to, msg, overlay);
 }
 
 void OracleSuite::report(const Oracle& oracle, NodeId node,
                          std::string detail) {
-  const std::lock_guard<std::mutex> lock(report_mu_);
-  const SimTime when = LaneContext::now_or(
-      ctx_.sim != nullptr ? ctx_.sim->now() : SimTime::zero());
+  const SimTime when = ctx_.sim != nullptr ? ctx_.sim->now() : SimTime::zero();
   Violation v{when, node, oracle.name(), std::move(detail)};
   if (mode_ == FailMode::Abort) {
     const std::string msg = "conformance oracle '" + v.oracle +

@@ -9,19 +9,12 @@ namespace epicast {
 
 PubSubNetwork::PubSubNetwork(Transport& transport,
                              DispatcherConfig dispatcher_config)
-    : PubSubNetwork(transport, dispatcher_config, RuntimeProvider{}) {}
-
-PubSubNetwork::PubSubNetwork(Transport& transport,
-                             DispatcherConfig dispatcher_config,
-                             const RuntimeProvider& per_node)
     : transport_(transport) {
   const std::uint32_t n = transport.topology().node_count();
   nodes_.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
-    runtime::Runtime& rt = per_node ? per_node(NodeId{i})
-                                    : transport.simulator();
-    nodes_.push_back(
-        std::make_unique<Dispatcher>(NodeId{i}, rt, dispatcher_config));
+    nodes_.push_back(std::make_unique<Dispatcher>(
+        NodeId{i}, transport.simulator(), dispatcher_config));
   }
 }
 

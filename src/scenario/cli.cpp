@@ -76,12 +76,6 @@ CliParse parse_cli(const std::vector<std::string>& args) {
       cfg.algorithm = *algo;
     } else if (key == "nodes" && parse_u64(value, u) && u >= 2) {
       cfg.nodes = static_cast<std::uint32_t>(u);
-    } else if (key == "shards" && parse_u64(value, u) && u >= 1 &&
-               u <= 4096) {
-      cfg.shards = static_cast<std::uint32_t>(u);
-    } else if (key == "threads" && parse_u64(value, u) && u >= 1 &&
-               u <= 4096) {
-      cfg.threads = static_cast<std::uint32_t>(u);
     } else if (key == "epsilon" && parse_double(value, d) && d >= 0 &&
                d <= 1) {
       cfg.link_error_rate = d;
@@ -189,13 +183,6 @@ std::string cli_usage() {
       "                  publisher-pull | combined-pull (default) |\n"
       "                  random-pull\n"
       "  --nodes=N       dispatchers (default 100)\n"
-      "  --shards=K      conservative parallel engine shard count (default\n"
-      "                  1 = serial; also: EPICAST_SHARDS; results are\n"
-      "                  bit-identical for every K)\n"
-      "  --threads=N     worker threads draining shard lanes (default 1;\n"
-      "                  also: EPICAST_THREADS; clamped to shards and host\n"
-      "                  parallelism, floored at 4; results are\n"
-      "                  bit-identical for every N)\n"
       "  --epsilon=E     link error rate (default 0.1)\n"
       "  --rate=R        publishes per second per dispatcher (default 50)\n"
       "  --beta=B        retransmission buffer size (default 1500)\n"

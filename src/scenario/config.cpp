@@ -1,5 +1,6 @@
 #include "epicast/scenario/config.hpp"
 
+#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <string_view>
@@ -41,8 +42,12 @@ void ScenarioConfig::validate() const {
   EPICAST_ASSERT(gossip.buffer_size > 0);
   EPICAST_ASSERT(gossip.request_timeout >= Duration::zero());
   EPICAST_ASSERT(gossip.request_backoff >= 1.0);
-  EPICAST_ASSERT_MSG(shards >= 1, "shard count must be at least 1");
-  EPICAST_ASSERT_MSG(threads >= 1, "thread count must be at least 1");
+  EPICAST_ASSERT_MSG(shards == 1,
+                     "ScenarioConfig::shards must be 1 (the sharded engine "
+                     "was removed)");
+  EPICAST_ASSERT_MSG(threads == 1,
+                     "ScenarioConfig::threads must be 1 (the sharded engine "
+                     "was removed)");
   faults.validate();
 }
 
@@ -94,12 +99,6 @@ std::string ScenarioConfig::describe() const {
      << "recovery horizon [s]             " << recovery_horizon.to_seconds()
      << '\n'
      << "seed                             " << seed << '\n';
-  if (shards > 1) {
-    os << "shards                           " << shards << '\n';
-  }
-  if (threads > 1) {
-    os << "threads                          " << threads << '\n';
-  }
   return os.str();
 }
 
@@ -107,37 +106,21 @@ bool ScenarioConfig::oracle_default_enabled() {
   return oracle::oracles_enabled_by_default();
 }
 
-std::uint32_t ScenarioConfig::shards_default() {
-  static const std::uint32_t shards = []() -> std::uint32_t {
-    const char* env = std::getenv("EPICAST_SHARDS");
-    if (env == nullptr || *env == '\0') return 1;
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(env, &end, 10);
-    if (end == env || *end != '\0' || v < 1 || v > 4096) return 1;
-    return static_cast<std::uint32_t>(v);
-  }();
-  return shards;
-}
-
-std::uint32_t ScenarioConfig::threads_default() {
-  static const std::uint32_t threads = []() -> std::uint32_t {
-    const char* env = std::getenv("EPICAST_THREADS");
-    if (env == nullptr || *env == '\0') return 1;
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(env, &end, 10);
-    if (end == env || *end != '\0' || v < 1 || v > 4096) return 1;
-    return static_cast<std::uint32_t>(v);
-  }();
-  return threads;
+bool profile_from_env(const char* value) {
+  const std::string_view v = value != nullptr ? value : "";
+  if (v.empty() || v == "0" || v == "off" || v == "OFF" || v == "false") {
+    return false;
+  }
+  if (v == "1" || v == "on" || v == "ON" || v == "true") return true;
+  std::fprintf(stderr,
+               "EPICAST_PROFILE: unknown value '%s' (expected 1, on, ON, "
+               "true, 0, off, OFF or false)\n",
+               value);
+  std::abort();
 }
 
 bool ScenarioConfig::profile_default_enabled() {
-  static const bool enabled = []() {
-    const char* env = std::getenv("EPICAST_PROFILE");
-    if (env == nullptr) return false;
-    const std::string_view v(env);
-    return v == "1" || v == "on" || v == "ON";
-  }();
+  static const bool enabled = profile_from_env(std::getenv("EPICAST_PROFILE"));
   return enabled;
 }
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "epicast/common/assert.hpp"
-#include "epicast/sim/lane_context.hpp"
 
 namespace epicast {
 namespace {
@@ -117,41 +116,22 @@ void Workload::start_publishing(SimTime at, SimTime until) {
     // Poisson processes are in steady state from the window start.
     const Duration first = Duration::seconds(
         node_rngs_[i].exponential(1.0 / cfg_.publish_rate_hz));
-    schedule_node(node, at + first, [this, node, until]() {
-      if (LaneContext::now_or(sim_.now()) >= until) return;
-      const auto content =
-          draw_patterns(cfg_.patterns_per_event, node_rngs_[node.value()]);
-      const EventPtr event =
-          network_.node(node).publish(content, cfg_.event_payload_bytes);
-      published_.fetch_add(1, std::memory_order_relaxed);
-      if (on_publish_) on_publish_(event);
-      schedule_next_publish(node, until);
-    });
+    publish_at(node, at + first, until);
   }
 }
 
-void Workload::schedule_node(NodeId node, SimTime at,
-                             Scheduler::Callback cb) {
-  if (node_sched_) {
-    node_sched_(node, at, std::move(cb));
-  } else {
-    sim_.at(at, std::move(cb));
-  }
-}
-
-void Workload::schedule_next_publish(NodeId node, SimTime until) {
-  const Duration gap = Duration::seconds(
-      node_rngs_[node.value()].exponential(1.0 / cfg_.publish_rate_hz));
-  schedule_node(node, LaneContext::now_or(sim_.now()) + gap,
-                [this, node, until]() {
-    if (LaneContext::now_or(sim_.now()) >= until) return;
-    const auto content =
-        draw_patterns(cfg_.patterns_per_event, node_rngs_[node.value()]);
+void Workload::publish_at(NodeId node, SimTime at, SimTime until) {
+  sim_.at(at, [this, node, until]() {
+    if (sim_.now() >= until) return;
+    Rng& rng = node_rngs_[node.value()];
+    const auto content = draw_patterns(cfg_.patterns_per_event, rng);
     const EventPtr event =
         network_.node(node).publish(content, cfg_.event_payload_bytes);
-    published_.fetch_add(1, std::memory_order_relaxed);
+    ++published_;
     if (on_publish_) on_publish_(event);
-    schedule_next_publish(node, until);
+    const Duration gap =
+        Duration::seconds(rng.exponential(1.0 / cfg_.publish_rate_hz));
+    publish_at(node, sim_.now() + gap, until);
   });
 }
 

@@ -20,20 +20,7 @@ bool EventHandle::pending() const {
 EventHandle Scheduler::schedule_at(SimTime at, Callback cb) {
   EPICAST_ASSERT_MSG(at >= now_, "cannot schedule into the past");
   EPICAST_ASSERT(static_cast<bool>(cb));
-  const std::uint64_t seq =
-      external_seq_ != nullptr ? (*external_seq_)++ : next_seq_++;
-  return insert_entry(at, seq, std::move(cb));
-}
-
-EventHandle Scheduler::schedule_at_seq(SimTime at, std::uint64_t seq,
-                                       Callback cb) {
-  EPICAST_ASSERT_MSG(at >= now_, "cannot schedule into the past");
-  EPICAST_ASSERT(static_cast<bool>(cb));
-  return insert_entry(at, seq, std::move(cb));
-}
-
-EventHandle Scheduler::insert_entry(SimTime at, std::uint64_t seq,
-                                    Callback cb) {
+  const std::uint64_t seq = next_seq_++;
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -66,17 +53,6 @@ bool Scheduler::peek(SimTime& at, std::uint64_t& seq) {
     return true;
   }
   return false;
-}
-
-Scheduler::Callback Scheduler::take_front() {
-  EPICAST_ASSERT(!heap_.empty());
-  const HeapEntry top = heap_.front();
-  EPICAST_ASSERT_MSG(entry_live(top), "take_front without a successful peek");
-  heap_pop_front();
-  now_ = top.at;
-  Callback cb = release_slot(top.slot);
-  ++executed_;
-  return cb;
 }
 
 void Scheduler::heap_push(HeapEntry e) {

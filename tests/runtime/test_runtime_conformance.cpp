@@ -1,6 +1,5 @@
-// Seam conformance: all three Runtime backends — the Simulator, a
-// ShardRuntime lane of the sharded engine, and the socket AsyncRuntime —
-// must honour the same contract: timer deadline ordering with FIFO
+// Seam conformance: both Runtime backends — the Simulator and the socket
+// AsyncRuntime — must honour the same contract: timer deadline ordering with FIFO
 // tie-break, one-shot cancellation semantics, a monotonic clock,
 // periodic-timer lifecycle, and transport delivery with correct
 // sender/channel attribution. The protocol layer is written against
@@ -18,8 +17,6 @@
 #include "epicast/pubsub/messages.hpp"
 #include "epicast/runtime/async_runtime.hpp"
 #include "epicast/runtime/runtime.hpp"
-#include "epicast/runtime/shard_runtime.hpp"
-#include "epicast/sim/shard_engine.hpp"
 #include "epicast/sim/simulator.hpp"
 
 namespace epicast {
@@ -47,22 +44,6 @@ class SimBackend final : public Backend {
   Simulator sim_;
 };
 
-/// Lane 0 of a 2-shard engine over the master Simulator.
-class ShardBackend final : public Backend {
- public:
-  ShardBackend()
-      : sim_(1),
-        engine_(sim_, /*nodes=*/2, /*shards=*/2, Duration::millis(1)),
-        rt_(engine_, /*lane=*/0, sim_, /*own_pool=*/true) {}
-  runtime::Runtime& rt() override { return rt_; }
-  void advance(Duration d) override { engine_.run_until(engine_.now() + d); }
-
- private:
-  Simulator sim_;
-  ShardEngine engine_;
-  runtime::ShardRuntime rt_;
-};
-
 class AsyncBackend final : public Backend {
  public:
   AsyncBackend() : rt_(config()) {}
@@ -88,7 +69,6 @@ class RuntimeConformanceTest
   std::unique_ptr<Backend> make_backend() {
     const std::string name = GetParam();
     if (name == "sim") return std::make_unique<SimBackend>();
-    if (name == "shard") return std::make_unique<ShardBackend>();
     return std::make_unique<AsyncBackend>();
   }
 };
@@ -311,7 +291,7 @@ TEST_P(RuntimeConformanceTest, ForkRngStreamsDiffer) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, RuntimeConformanceTest,
-                         ::testing::Values("sim", "shard", "async"),
+                         ::testing::Values("sim", "async"),
                          [](const auto& info) {
                            return std::string(info.param);
                          });
@@ -384,31 +364,6 @@ TEST(TransportConformance, SimBackendHonoursContract) {
   }
   check_transport_contract(rt.transport(), sinks, [&sim]() {
     sim.run_until(sim.now() + Duration::seconds(1.0));
-  });
-}
-
-TEST(TransportConformance, ShardBackendHonoursContract) {
-  Simulator sim(1);
-  Topology topo = Topology::line(3);
-  TransportConfig tc;
-  tc.link.loss_rate = 0.0;
-  tc.direct_loss_rate = 0.0;
-  Transport transport(sim, topo, tc);
-  ShardEngine engine(sim, 3, 2,
-                     ShardEngine::compute_lookahead(tc.link.propagation,
-                                                    tc.direct_latency_min));
-  transport.set_arrival_router(
-      [&engine](NodeId to, Duration delay, Scheduler::Callback cb) {
-        engine.schedule_arrival(to, delay, std::move(cb));
-      });
-  runtime::ShardRuntime rt(engine, engine.lane_of(NodeId{0}), sim,
-                           /*own_pool=*/false);
-  Sink sinks[3];
-  for (std::uint32_t i = 0; i < 3; ++i) {
-    rt.transport().attach(NodeId{i}, sinks[i]);
-  }
-  check_transport_contract(rt.transport(), sinks, [&engine]() {
-    engine.run_until(engine.now() + Duration::seconds(1.0));
   });
 }
 

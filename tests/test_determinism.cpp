@@ -84,10 +84,9 @@ TEST(Determinism, NominalModeMatchesPreWireSeedReference) {
         recovered_pairs, sim_events_executed, gossip_sends, event_sends;
     double delivery_rate;
   };
-  // Pin bump (worker-pool PR): the link/direct/burst loss and latency
-  // streams moved from one shared RNG to per-sender forks so worker lanes
-  // never contend on a stream. That reorders the draw sequence once, in
-  // serial and sharded paths alike; values re-captured at this commit.
+  // Pin bump: the link/direct/burst loss and latency streams moved from one
+  // shared RNG to per-sender forks, which reordered the draw sequence once;
+  // values re-captured at that commit. These pins now fix that order.
   const Reference refs[] = {
       {Algorithm::Push, 2653, 1580, 1356, 280, 19531, 2451, 3493,
        0x1.b769a3f839087p-1},
@@ -95,31 +94,20 @@ TEST(Determinism, NominalModeMatchesPreWireSeedReference) {
        0x1.ac12259701f1cp-1},
   };
   for (const Reference& ref : refs) {
-    // shards=4 runs through the conservative parallel engine and
-    // shards=4/threads=4 through its worker pool — both bit-identical to
-    // the serial path by contract, so the committed pins must hold
-    // unchanged there too.
-    for (const auto& [shards, threads] :
-         {std::pair{1u, 1u}, {4u, 1u}, {4u, 4u}}) {
-      ScenarioConfig cfg = quick(ref.algorithm, 404);
-      // Pin explicitly: this guard must hold even when the suite runs under
-      // EPICAST_SIZING=wire (the CI wire job).
-      cfg.sizing_mode = SizingMode::Nominal;
-      cfg.shards = shards;
-      cfg.threads = threads;
-      const ScenarioResult r = run_scenario(cfg);
-      SCOPED_TRACE(std::string(to_string(ref.algorithm)) + " shards=" +
-                   std::to_string(shards) + " threads=" +
-                   std::to_string(threads));
-      EXPECT_EQ(r.events_published, ref.events_published);
-      EXPECT_EQ(r.expected_pairs, ref.expected_pairs);
-      EXPECT_EQ(r.delivered_pairs, ref.delivered_pairs);
-      EXPECT_EQ(r.recovered_pairs, ref.recovered_pairs);
-      EXPECT_EQ(r.sim_events_executed, ref.sim_events_executed);
-      EXPECT_EQ(r.traffic.gossip_sends(), ref.gossip_sends);
-      EXPECT_EQ(r.traffic.event_sends(), ref.event_sends);
-      EXPECT_DOUBLE_EQ(r.delivery_rate, ref.delivery_rate);
-    }
+    ScenarioConfig cfg = quick(ref.algorithm, 404);
+    // Pin explicitly: this guard must hold even when the suite runs under
+    // EPICAST_SIZING=wire (the CI wire job).
+    cfg.sizing_mode = SizingMode::Nominal;
+    const ScenarioResult r = run_scenario(cfg);
+    SCOPED_TRACE(to_string(ref.algorithm));
+    EXPECT_EQ(r.events_published, ref.events_published);
+    EXPECT_EQ(r.expected_pairs, ref.expected_pairs);
+    EXPECT_EQ(r.delivered_pairs, ref.delivered_pairs);
+    EXPECT_EQ(r.recovered_pairs, ref.recovered_pairs);
+    EXPECT_EQ(r.sim_events_executed, ref.sim_events_executed);
+    EXPECT_EQ(r.traffic.gossip_sends(), ref.gossip_sends);
+    EXPECT_EQ(r.traffic.event_sends(), ref.event_sends);
+    EXPECT_DOUBLE_EQ(r.delivery_rate, ref.delivery_rate);
   }
 }
 
@@ -144,36 +132,37 @@ TEST(Determinism, WireModeMatchesSeedReference) {
        0x1.afa2ac651a928p-1},
   };
   for (const Reference& ref : refs) {
-    for (const auto& [shards, threads] :
-         {std::pair{1u, 1u}, {4u, 1u}, {4u, 4u}}) {
-      ScenarioConfig cfg = quick(ref.algorithm, 404);
-      cfg.sizing_mode = SizingMode::Wire;
-      cfg.shards = shards;
-      cfg.threads = threads;
-      const ScenarioResult r = run_scenario(cfg);
-      SCOPED_TRACE(std::string(to_string(ref.algorithm)) + " shards=" +
-                   std::to_string(shards) + " threads=" +
-                   std::to_string(threads));
-      EXPECT_EQ(r.events_published, 2653u);
-      EXPECT_EQ(r.expected_pairs, 1580u);
-      EXPECT_EQ(r.delivered_pairs, ref.delivered_pairs);
-      EXPECT_EQ(r.recovered_pairs, ref.recovered_pairs);
-      EXPECT_EQ(r.sim_events_executed, ref.sim_events_executed);
-      EXPECT_EQ(r.traffic.gossip_sends(), ref.gossip_sends);
-      EXPECT_EQ(r.traffic.event_sends(), ref.event_sends);
-      EXPECT_EQ(r.traffic.gossip_bytes(), ref.gossip_bytes);
-      EXPECT_EQ(r.traffic.event_bytes(), ref.event_bytes);
-      EXPECT_DOUBLE_EQ(r.delivery_rate, ref.delivery_rate);
-    }
+    ScenarioConfig cfg = quick(ref.algorithm, 404);
+    cfg.sizing_mode = SizingMode::Wire;
+    const ScenarioResult r = run_scenario(cfg);
+    SCOPED_TRACE(to_string(ref.algorithm));
+    EXPECT_EQ(r.events_published, 2653u);
+    EXPECT_EQ(r.expected_pairs, 1580u);
+    EXPECT_EQ(r.delivered_pairs, ref.delivered_pairs);
+    EXPECT_EQ(r.recovered_pairs, ref.recovered_pairs);
+    EXPECT_EQ(r.sim_events_executed, ref.sim_events_executed);
+    EXPECT_EQ(r.traffic.gossip_sends(), ref.gossip_sends);
+    EXPECT_EQ(r.traffic.event_sends(), ref.event_sends);
+    EXPECT_EQ(r.traffic.gossip_bytes(), ref.gossip_bytes);
+    EXPECT_EQ(r.traffic.event_bytes(), ref.event_bytes);
+    EXPECT_DOUBLE_EQ(r.delivery_rate, ref.delivery_rate);
   }
 }
 
-TEST(Determinism, ShardingIsOptIn) {
-  // The parallel engine only engages when asked: the default config (no
-  // EPICAST_SHARDS in the environment, no --shards flag) is serial, so
-  // every existing pin and published figure runs the serial scheduler.
+TEST(DeterminismDeathTest, ValidateRejectsShardsOrThreadsOtherThanOne) {
+  // The sharded engine is gone; the two fields remain only as leftovers
+  // pinned to 1, and a config asking for anything else must not run
+  // serially in silence.
   EXPECT_EQ(ScenarioConfig{}.shards, 1u);
-  EXPECT_EQ(ScenarioConfig::paper_defaults(Algorithm::Push).shards, 1u);
+  EXPECT_EQ(ScenarioConfig{}.threads, 1u);
+  for (const std::uint32_t bad : {0u, 2u, 4u}) {
+    ScenarioConfig shards = quick(Algorithm::Push, 1);
+    shards.shards = bad;
+    EXPECT_DEATH(shards.validate(), "ScenarioConfig::shards") << bad;
+    ScenarioConfig threads = quick(Algorithm::Push, 1);
+    threads.threads = bad;
+    EXPECT_DEATH(threads.validate(), "ScenarioConfig::threads") << bad;
+  }
 }
 
 TEST(Determinism, EmptyFaultPlanAndRetryDefaultsAreInert) {

@@ -187,5 +187,22 @@ TEST(ScenarioConfigDeath, ValidateCatchesNonsense) {
   EXPECT_DEATH(cfg.validate(), "within the pattern universe");
 }
 
+TEST(ProfileEnv, AcceptsExactlyTheDocumentedSpellings) {
+  for (const char* off : {"", "0", "off", "OFF", "false"}) {
+    EXPECT_FALSE(profile_from_env(off)) << off;
+  }
+  EXPECT_FALSE(profile_from_env(nullptr));
+  for (const char* on : {"1", "on", "ON", "true"}) {
+    EXPECT_TRUE(profile_from_env(on)) << on;
+  }
+}
+
+TEST(ProfileEnvDeathTest, RejectsUnknownSpellingsNamingTheVariable) {
+  // These used to mean "off" without a word.
+  for (const char* bad : {"yes", "On", "TRUE", "2", " 1", "1 ", "enabled"}) {
+    EXPECT_DEATH((void)profile_from_env(bad), "EPICAST_PROFILE") << bad;
+  }
+}
+
 }  // namespace
 }  // namespace epicast

@@ -125,10 +125,30 @@ TEST(SweepRunner, ResolveJobsPrefersExplicitThenEnvThenHardware) {
   ASSERT_EQ(setenv("EPICAST_JOBS", "3", 1), 0);
   EXPECT_EQ(SweepRunner::resolve_jobs(5), 5u);
   EXPECT_EQ(SweepRunner::resolve_jobs(0), 3u);
-  ASSERT_EQ(setenv("EPICAST_JOBS", "not-a-number", 1), 0);
-  EXPECT_GE(SweepRunner::resolve_jobs(0), 1u);
+  ASSERT_EQ(setenv("EPICAST_JOBS", "", 1), 0);
+  EXPECT_EQ(SweepRunner::resolve_jobs(0),
+            SweepRunner::available_parallelism());
   ASSERT_EQ(unsetenv("EPICAST_JOBS"), 0);
-  EXPECT_GE(SweepRunner::resolve_jobs(0), 1u);
+  EXPECT_EQ(SweepRunner::resolve_jobs(0),
+            SweepRunner::available_parallelism());
+}
+
+TEST(SweepRunner, JobsFromEnvAcceptsAutoAndCounts) {
+  EXPECT_EQ(SweepRunner::jobs_from_env(nullptr), 0u);  // auto
+  EXPECT_EQ(SweepRunner::jobs_from_env(""), 0u);       // auto
+  EXPECT_EQ(SweepRunner::jobs_from_env("1"), 1u);
+  EXPECT_EQ(SweepRunner::jobs_from_env("16"), 16u);
+  EXPECT_EQ(SweepRunner::jobs_from_env("4095"), 4095u);
+}
+
+TEST(SweepRunnerDeathTest, JobsFromEnvRejectsUnknownSpellingsNamingTheVariable) {
+  // These used to fall back to auto without a word.
+  for (const char* bad :
+       {"0", "4096", "99999999999", "-1", "+2", " 2", "2 ", "1.5", "two",
+        "not-a-number"}) {
+    EXPECT_DEATH((void)SweepRunner::jobs_from_env(bad), "EPICAST_JOBS")
+        << bad;
+  }
 }
 
 TEST(SweepRunner, AvailableParallelismIsClampedToAffinity) {
