@@ -1,19 +1,24 @@
 // Sweep-throughput benchmark: tracks the quantities this library's
 // performance work optimizes — raw single-thread scheduler throughput
 // (events/sec under schedule/cancel churn), whole-sweep wall time (serial
-// vs parallel on the SweepRunner, Fig. 3a's 12-scenario sweep), and the
+// vs parallel on the SweepRunner, Fig. 3a's 12-scenario sweep), the
 // serial events/sec of one scale scenario (N = 10³ random-regular overlay,
 // combined pull), where per-node state and the timer heap dominate instead
-// of the paper tree's dispatch and gossip. CI gates both serial events/sec
-// figures against the committed baseline.
+// of the paper tree's dispatch and gossip, and the set-up CPU time of one
+// N = 3000 Barabási–Albert scale scenario (overlay, all-pairs distance,
+// routing-oracle bootstrap). CI gates both serial events/sec figures and
+// the set-up time against the committed baseline.
 // Emits a machine-readable JSON report (default BENCH_sweep.json, override
 // with EPICAST_BENCH_JSON / --json=PATH) so the perf trajectory is
 // comparable across commits.
 #include "bench_common.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cmath>
+#include <ctime>
+#include <vector>
 
 namespace {
 
@@ -94,6 +99,45 @@ ScenarioConfig scale_scenario() {
                         1000, measure_s(4.0));
 }
 
+// -- macro: one scale scenario's set-up, serial -------------------------------
+
+constexpr std::uint32_t kSetupNodes = 3000;
+constexpr int kSetupRuns = 3;
+
+/// figures::scale combined pull on Barabási–Albert at N = 3000 with every
+/// window cut to the minimum validate() accepts: what remains is
+/// construction, overlay generation, the mean-distance pass and the
+/// routing-oracle bootstrap. Independent of fast mode.
+ScenarioConfig scale_setup_scenario() {
+  ScenarioConfig cfg = figures::scale(
+      Algorithm::CombinedPull, OverlayKind::BarabasiAlbert, kSetupNodes, 1.0);
+  cfg.warmup = Duration::zero();
+  cfg.measure = Duration::nanos(1);
+  cfg.recovery_horizon = Duration::nanos(1);
+  return cfg;
+}
+
+double process_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+/// Median CPU seconds of kSetupRuns set-up-only runs. CPU time, not wall:
+/// on a shared host wall time also carries steal.
+double scale_setup_cpu_seconds() {
+  const ScenarioConfig cfg = scale_setup_scenario();
+  std::vector<double> cpu;
+  for (int i = 0; i < kSetupRuns; ++i) {
+    const double t0 = process_cpu_seconds();
+    (void)run_scenario(cfg);
+    cpu.push_back(process_cpu_seconds() - t0);
+  }
+  std::sort(cpu.begin(), cpu.end());
+  return cpu[cpu.size() / 2];
+}
+
 bool results_identical(const std::vector<LabeledResult>& a,
                        const std::vector<LabeledResult>& b) {
   if (a.size() != b.size()) return false;
@@ -159,6 +203,10 @@ int main(int argc, char** argv) {
                 scale.wall_seconds
           : 0.0;
 
+  std::fprintf(stderr, "scale set-up (N=%u Barabasi-Albert, %d runs)...\n",
+               kSetupNodes, kSetupRuns);
+  const double setup_cpu = scale_setup_cpu_seconds();
+
   const bool identical = results_identical(serial, parallel);
   const double speedup =
       parallel_stats.wall_seconds > 0.0
@@ -180,6 +228,10 @@ int main(int argc, char** argv) {
       "  %" PRIu64 " sim events in %.2fs  ->  %.0f sim events/sec\n",
       scale_cfg.nodes, scale.sim_events_executed, scale.wall_seconds,
       scale_events_per_sec);
+  std::printf(
+      "\nscale set-up (N=%u Barabasi-Albert, combined pull, windows cut):\n"
+      "  median of %d runs: %.3fs CPU\n",
+      kSetupNodes, kSetupRuns, setup_cpu);
 
   const std::string json_path = BenchEnv::get().json_path.empty()
                                     ? std::string("BENCH_sweep.json")
@@ -213,6 +265,11 @@ int main(int argc, char** argv) {
         "    \"wall_seconds\": %.6f,\n"
         "    \"events_per_sec\": %.0f\n"
         "  },\n"
+        "  \"scale_setup\": {\n"
+        "    \"nodes\": %u,\n"
+        "    \"runs\": %d,\n"
+        "    \"cpu_seconds\": %.6f\n"
+        "  },\n"
         "  \"fast_mode\": %s\n"
         "}\n",
         micro.executed, micro.wall_seconds, micro.events_per_second(),
@@ -223,7 +280,8 @@ int main(int argc, char** argv) {
         parallel_stats.sim_events_executed, serial_stats.events_per_second(),
         parallel_stats.events_per_second(), identical ? "true" : "false",
         scale_cfg.nodes, scale.sim_events_executed, scale.wall_seconds,
-        scale_events_per_sec, fast_mode() ? "true" : "false");
+        scale_events_per_sec, kSetupNodes, kSetupRuns, setup_cpu,
+        fast_mode() ? "true" : "false");
     std::fclose(f);
     std::printf("\nwrote %s\n", json_path.c_str());
   } else {

@@ -10,10 +10,10 @@
 // instead of falling back to sorted side maps.
 //
 // Invariants:
-//   * width only grows, and only via set() / reserve() / |= — test() on a
-//     pattern beyond the current width is simply false, so width is an
-//     implementation detail: two sets are equal iff their members are,
-//     regardless of width;
+//   * width only grows, and only via set() / set_all() / reserve() / |= —
+//     test() on a pattern beyond the current width is simply false, so
+//     width is an implementation detail: two sets are equal iff their
+//     members are, regardless of width;
 //   * iteration and nth() enumerate set bits in ascending pattern order,
 //     which equals the sorted order of the vectors they replaced — this is
 //     what keeps RNG-driven sampling (`patterns[rng.next_below(n)]`)
@@ -23,6 +23,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "epicast/common/arena.hpp"
 #include "epicast/common/assert.hpp"
@@ -84,6 +85,21 @@ class PatternSet {
     const bool added = (w & bit) == 0;
     w |= bit;
     return added;
+  }
+
+  /// Sets every member of `o`: the same members and the same width as
+  /// calling set() for each of them in ascending order, in one word pass
+  /// (bulk route installs keep the per-pattern memory footprint this way).
+  void set_all(const PatternSet& o) { set_words({o.words_, o.nwords_}); }
+
+  /// set_all() over raw bitset words: word i holds patterns 64i … 64i+63.
+  void set_words(std::span<const std::uint64_t> words) {
+    for (std::uint32_t i = 0; i < words.size(); ++i) {
+      if (words[i] == 0) continue;
+      // set() of this word's lowest member would grow exactly so.
+      if (i >= nwords_) grow(i + 1 > nwords_ * 2 ? i + 1 : nwords_ * 2);
+      words_[i] |= words[i];
+    }
   }
 
   /// Clears the bit for `p`. Returns true if it was set.

@@ -8,9 +8,10 @@
 // by the cluster harness.
 //
 // Routes are bootstrapped the way PubSubNetwork::rebuild_routes() does it
-// in simulation (oracle bootstrap): each daemon computes the cluster-wide
-// BFS routing oracle from the shared config file and installs its own rows
-// — no subscription flooding phase, and all daemons agree by construction.
+// in simulation (oracle bootstrap): each daemon runs the one routing oracle
+// (compute_routing_oracle, pubsub/routing_oracle.hpp) over the shared
+// config file and installs its own rows — no subscription flooding phase,
+// and all daemons agree by construction.
 #pragma once
 
 #include <csignal>

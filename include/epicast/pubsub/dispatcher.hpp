@@ -166,7 +166,11 @@ class Dispatcher final : public TransportReceiver {
   /// Records that sub(p) was (or counts as) sent towards `neighbor`
   /// — duplicate-suppression state of subscription forwarding.
   void note_sub_sent(Pattern p, NodeId neighbor);
+  /// note_sub_sent(p, neighbor) for every p in `patterns`, in one pass.
+  void note_sub_sent(const PatternSet& patterns, NodeId neighbor);
   void clear_sub_sent();
+  /// True if sub(p) was (or counts as) sent towards `neighbor`.
+  [[nodiscard]] bool sub_sent(Pattern p, NodeId neighbor) const;
 
   // -- distributed reconfiguration (protocol mode) ----------------------------
   // The message-level reaction to overlay changes, in the spirit of the
@@ -218,8 +222,9 @@ class Dispatcher final : public TransportReceiver {
                      const std::vector<NodeId>& route_so_far);
   /// Sends unsub(p) in directions that no longer lead to any subscriber.
   void maybe_propagate_unsub(Pattern p, NodeId skip);
-  [[nodiscard]] bool sub_sent(Pattern p, NodeId neighbor) const;
   struct SubSentMarks;
+  /// The marks for `neighbor`, inserted (empty) if absent.
+  SubSentMarks& sub_sent_to(NodeId neighbor);
   [[nodiscard]] const SubSentMarks* find_sub_sent(NodeId neighbor) const;
 
   NodeId id_;

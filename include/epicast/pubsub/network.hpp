@@ -8,9 +8,15 @@
 //    outcome of the reconfiguration protocol of paper ref [7] (see
 //    DESIGN.md, substitution table);
 //  * a consistency oracle that recomputes, from global knowledge, what every
-//    subscription table must contain on the current tree — used by tests to
-//    verify that the distributed subscription-forwarding protocol and the
-//    rebuild produce identical state.
+//    subscription table must contain on the current overlay — used by tests
+//    to verify that the distributed subscription-forwarding protocol and
+//    the rebuild produce identical state.
+//
+// Both go through compute_routing_oracle (pubsub/routing_oracle.hpp), the
+// one routing oracle the simulator and the daemon share. Its tie-break
+// pins the tables on cyclic overlays: a FIFO BFS from each subscriber over
+// the topology's neighbour order, in which the first discoverer of a node
+// becomes its next hop.
 #pragma once
 
 #include <memory>
@@ -19,6 +25,7 @@
 #include "epicast/net/topology.hpp"
 #include "epicast/net/transport.hpp"
 #include "epicast/pubsub/dispatcher.hpp"
+#include "epicast/pubsub/routing_oracle.hpp"
 #include "epicast/sim/simulator.hpp"
 
 namespace epicast {
@@ -48,8 +55,8 @@ class PubSubNetwork {
   void set_delivery_listener(Dispatcher::DeliveryListener listener);
 
   /// Rebuilds every subscription table from local subscriptions and the
-  /// *current* topology: clears all routes, then installs, for every
-  /// (subscriber, pattern), the reverse-path entries along the tree; also
+  /// *current* topology: clears all routes, then installs the routing
+  /// oracle's rows, one pattern mask per (node, next hop); also
   /// reconstructs the duplicate-suppression state so later dynamic
   /// (un)subscriptions keep working. Call after a reconfiguration repair.
   void rebuild_routes();
@@ -74,17 +81,8 @@ class PubSubNetwork {
   [[nodiscard]] std::size_t subscriber_count(Pattern p) const;
 
  private:
-  /// The route entries each node must hold, as one pattern bitmask per
-  /// next-hop neighbour (entries sorted by NodeId) — mirrors the
-  /// SubscriptionTable layout. The old (pattern, next_hop)-pair lists were
-  /// O(N · subscribers · π_max) pairs and dominated memory at N = 10⁴;
-  /// the mask form is O(E · Π/8) bytes total.
-  struct OracleEntry {
-    NodeId next_hop;
-    PatternSet patterns;
-  };
-  using Oracle = std::vector<std::vector<OracleEntry>>;
-  [[nodiscard]] Oracle compute_oracle() const;
+  /// The routing oracle over the current topology and local masks.
+  [[nodiscard]] RoutingOracle compute_oracle() const;
 
   Transport& transport_;
   std::vector<std::unique_ptr<Dispatcher>> nodes_;

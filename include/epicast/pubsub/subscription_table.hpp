@@ -51,6 +51,10 @@ class SubscriptionTable {
   /// Returns false if that route was already present.
   bool add_route(Pattern p, NodeId next_hop);
 
+  /// add_route(p, next_hop) for every p in `patterns`, in one pass — the
+  /// same table state, memory footprint included.
+  void add_routes(NodeId next_hop, const PatternSet& patterns);
+
   /// Removes one route. Returns false if it was not present.
   bool remove_route(Pattern p, NodeId next_hop);
 
@@ -124,6 +128,8 @@ class SubscriptionTable {
     PatternSet patterns;
   };
 
+  /// The entry for `next_hop`, inserted (empty) if absent.
+  NeighborRoutes& routes_to(NodeId next_hop);
   [[nodiscard]] NeighborRoutes* find_routes(NodeId neighbor);
   [[nodiscard]] const NeighborRoutes* find_routes(NodeId neighbor) const;
   /// After clearing `p` somewhere: drop the known bit unless `p` is still

@@ -1,7 +1,6 @@
 #include "epicast/daemon/node.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <sstream>
 #include <utility>
 
@@ -9,6 +8,7 @@
 #include "epicast/gossip/protocol.hpp"
 #include "epicast/gossip/pull_base.hpp"
 #include "epicast/metrics/result_json.hpp"
+#include "epicast/pubsub/routing_oracle.hpp"
 
 namespace epicast::daemon {
 
@@ -220,52 +220,41 @@ void NodeDaemon::write_snapshot() {
 }
 
 void NodeDaemon::install_routes() {
-  // The cluster-wide routing oracle, mirrored from
-  // PubSubNetwork::compute_oracle()/rebuild_routes(): one BFS per
-  // subscriber; every node routes the subscriber's patterns towards its
-  // BFS predecessor. Only self's rows are installed here, plus the
-  // duplicate-suppression marks for neighbours that route *through* self.
+  // The cluster-wide routing oracle over the shared config — the same
+  // function PubSubNetwork::rebuild_routes() installs in simulation. Only
+  // self's rows are installed here, plus the duplicate-suppression marks
+  // for neighbours that route *through* self. The CSR keeps each node's
+  // neighbours in config link order: that order is the oracle's tie-break.
   const std::uint32_t n = cluster_.node_count();
-  std::vector<std::vector<NodeId>> adj(n);
+  std::vector<std::uint32_t> offsets(n + 1, 0);
   for (const auto& [a, b] : cluster_.links) {
-    adj[a.value()].push_back(b);
-    adj[b.value()].push_back(a);
+    ++offsets[a.value() + 1];
+    ++offsets[b.value() + 1];
+  }
+  for (std::uint32_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
+  std::vector<NodeId> neighbors(offsets[n]);
+  std::vector<std::uint32_t> fill(offsets.begin(), offsets.end() - 1);
+  for (const auto& [a, b] : cluster_.links) {
+    neighbors[fill[a.value()]++] = b;
+    neighbors[fill[b.value()]++] = a;
   }
   std::vector<PatternSet> local(n);
   for (const auto& [node, p] : cluster_.subscriptions) {
     local[node.value()].set(p);
   }
 
-  std::vector<NodeId> pred(n);
-  std::vector<bool> seen(n);
-  for (std::uint32_t s = 0; s < n; ++s) {
-    if (local[s].none()) continue;
-    std::fill(seen.begin(), seen.end(), false);
-    seen[s] = true;
-    std::deque<NodeId> frontier{NodeId{s}};
-    while (!frontier.empty()) {
-      const NodeId cur = frontier.front();
-      frontier.pop_front();
-      for (NodeId nxt : adj[cur.value()]) {
-        if (seen[nxt.value()]) continue;
-        seen[nxt.value()] = true;
-        pred[nxt.value()] = cur;
-        frontier.push_back(nxt);
-      }
-    }
-    for (std::uint32_t v = 0; v < n; ++v) {
-      if (v == s || !seen[v]) continue;
-      const NodeId hop = pred[v];
-      if (v == self_.value()) {
-        local[s].for_each(
-            [&](Pattern p) { dispatcher_->table().add_route(p, hop); });
-      }
-      if (hop == self_) {
-        // v holds routes towards self for s's patterns, i.e. self's flood
-        // of sub(p) crossed the self—v link — record that fact so route
-        // maintenance stays consistent with the flooded-bootstrap state.
-        local[s].for_each(
-            [&](Pattern p) { dispatcher_->note_sub_sent(p, NodeId{v}); });
+  const RoutingOracle oracle =
+      compute_routing_oracle(CsrAdjacency{offsets, neighbors}, local);
+  for (const RouteRow& row : oracle.rows_of(self_)) {
+    dispatcher_->table().add_routes(row.next_hop, row.patterns);
+  }
+  for (std::uint32_t v = 0; v < n; ++v) {
+    for (const RouteRow& row : oracle.rows_of(NodeId{v})) {
+      // v routes towards self for these patterns, i.e. self's flood of
+      // sub(p) crossed the self—v link — record that fact so route
+      // maintenance stays consistent with the flooded-bootstrap state.
+      if (row.next_hop == self_) {
+        dispatcher_->note_sub_sent(row.patterns, NodeId{v});
       }
     }
   }

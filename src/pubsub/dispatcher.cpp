@@ -46,7 +46,7 @@ bool Dispatcher::sub_sent(Pattern p, NodeId neighbor) const {
   return s != nullptr && s->patterns.test(p);
 }
 
-void Dispatcher::note_sub_sent(Pattern p, NodeId neighbor) {
+Dispatcher::SubSentMarks& Dispatcher::sub_sent_to(NodeId neighbor) {
   auto it = std::lower_bound(sub_sent_.begin(), sub_sent_.end(), neighbor,
                              [](const SubSentMarks& s, NodeId n) {
                                return s.neighbor < n;
@@ -54,7 +54,16 @@ void Dispatcher::note_sub_sent(Pattern p, NodeId neighbor) {
   if (it == sub_sent_.end() || it->neighbor != neighbor) {
     it = sub_sent_.insert(it, SubSentMarks{neighbor, PatternSet{}});
   }
-  it->patterns.set(p);
+  return *it;
+}
+
+void Dispatcher::note_sub_sent(Pattern p, NodeId neighbor) {
+  sub_sent_to(neighbor).patterns.set(p);
+}
+
+void Dispatcher::note_sub_sent(const PatternSet& patterns, NodeId neighbor) {
+  if (patterns.none()) return;
+  sub_sent_to(neighbor).patterns.set_all(patterns);
 }
 
 void Dispatcher::clear_sub_sent() { sub_sent_.clear(); }

@@ -1,7 +1,6 @@
 #include "epicast/pubsub/network.hpp"
 
 #include <algorithm>
-#include <deque>
 
 #include "epicast/common/assert.hpp"
 
@@ -33,68 +32,27 @@ void PubSubNetwork::set_delivery_listener(
   for (auto& d : nodes_) d->set_delivery_listener(listener);
 }
 
-PubSubNetwork::Oracle PubSubNetwork::compute_oracle() const {
-  const Topology& topo = transport_.topology();
-  Oracle oracle(nodes_.size());
-
-  // One BFS per subscriber: every reachable node v must route the
-  // subscriber's whole local pattern mask towards pred(v), its next hop on
-  // the path back to the subscriber. Masks from different subscribers that
-  // agree on the next hop merge into one entry, so the footprint is bounded
-  // by the edges, not by the subscriber × pattern product.
-  std::vector<NodeId> pred(nodes_.size());
-  std::vector<bool> seen(nodes_.size());
-  std::vector<NodeId> order;
-  for (const auto& sub : nodes_) {
-    const NodeId s = sub->id();
-    const PatternSet& local = sub->table().local_mask();
-    if (local.none()) continue;
-
-    std::fill(seen.begin(), seen.end(), false);
-    seen[s.value()] = true;
-    std::deque<NodeId> frontier{s};
-    order.clear();
-    while (!frontier.empty()) {
-      const NodeId cur = frontier.front();
-      frontier.pop_front();
-      for (NodeId nxt : topo.neighbors(cur)) {
-        if (seen[nxt.value()]) continue;
-        seen[nxt.value()] = true;
-        pred[nxt.value()] = cur;
-        order.push_back(nxt);
-        frontier.push_back(nxt);
-      }
-    }
-    for (NodeId v : order) {
-      auto& entries = oracle[v.value()];
-      const NodeId hop = pred[v.value()];
-      auto it = std::lower_bound(
-          entries.begin(), entries.end(), hop,
-          [](const OracleEntry& e, NodeId n) { return e.next_hop < n; });
-      if (it == entries.end() || it->next_hop != hop) {
-        it = entries.insert(it, OracleEntry{hop, PatternSet{}});
-      }
-      it->patterns |= local;
-    }
+RoutingOracle PubSubNetwork::compute_oracle() const {
+  std::vector<PatternSet> local(nodes_.size());
+  for (std::size_t v = 0; v < nodes_.size(); ++v) {
+    local[v] = nodes_[v]->table().local_mask();
   }
-  return oracle;
+  return compute_routing_oracle(transport_.topology().csr(), local);
 }
 
 void PubSubNetwork::rebuild_routes() {
-  const Oracle oracle = compute_oracle();
+  const RoutingOracle oracle = compute_oracle();
   for (auto& d : nodes_) {
     d->table().clear_routes();
     d->clear_sub_sent();
   }
   for (std::uint32_t v = 0; v < nodes_.size(); ++v) {
-    for (const OracleEntry& entry : oracle[v]) {
-      entry.patterns.for_each([&](Pattern p) {
-        nodes_[v]->table().add_route(p, entry.next_hop);
-        // v holding a route (p → next_hop) means a subscriber lives on
-        // next_hop's far side, i.e. next_hop's flood of sub(p) crossed the
-        // link towards v — reconstruct that duplicate-suppression fact.
-        nodes_[entry.next_hop.value()]->note_sub_sent(p, NodeId{v});
-      });
+    for (const RouteRow& row : oracle.rows_of(NodeId{v})) {
+      nodes_[v]->table().add_routes(row.next_hop, row.patterns);
+      // v holding a route (p → next_hop) means a subscriber lives on
+      // next_hop's far side, i.e. next_hop's flood of sub(p) crossed the
+      // link towards v — reconstruct that duplicate-suppression fact.
+      nodes_[row.next_hop.value()]->note_sub_sent(row.patterns, NodeId{v});
     }
   }
 }
@@ -113,7 +71,7 @@ void PubSubNetwork::enable_protocol_reconfiguration() {
 }
 
 bool PubSubNetwork::routes_consistent() const {
-  const Oracle oracle = compute_oracle();
+  const RoutingOracle oracle = compute_oracle();
   std::vector<Pattern> patterns;
   std::vector<NodeId> hops;
   for (std::uint32_t v = 0; v < nodes_.size(); ++v) {
@@ -121,10 +79,10 @@ bool PubSubNetwork::routes_consistent() const {
     // Every oracle (pattern, next-hop) bit must be present in the table...
     std::size_t expected_bits = 0;
     bool all_present = true;
-    for (const OracleEntry& entry : oracle[v]) {
-      expected_bits += entry.patterns.count();
-      entry.patterns.for_each([&](Pattern p) {
-        if (!table.has_route(p, entry.next_hop)) all_present = false;
+    for (const RouteRow& row : oracle.rows_of(NodeId{v})) {
+      expected_bits += row.patterns.count();
+      row.patterns.for_each([&](Pattern p) {
+        if (!table.has_route(p, row.next_hop)) all_present = false;
       });
     }
     if (!all_present) return false;

@@ -54,7 +54,8 @@ bool SubscriptionTable::remove_local(Pattern p) {
   return true;
 }
 
-bool SubscriptionTable::add_route(Pattern p, NodeId next_hop) {
+SubscriptionTable::NeighborRoutes& SubscriptionTable::routes_to(
+    NodeId next_hop) {
   EPICAST_ASSERT(next_hop.valid());
   auto it = std::lower_bound(routes_.begin(), routes_.end(), next_hop,
                              [](const NeighborRoutes& r, NodeId n) {
@@ -67,9 +68,20 @@ bool SubscriptionTable::add_route(Pattern p, NodeId next_hop) {
                              : PatternSet{}};
     it = routes_.insert(it, std::move(fresh));
   }
-  if (!it->patterns.set(p)) return false;
+  return *it;
+}
+
+bool SubscriptionTable::add_route(Pattern p, NodeId next_hop) {
+  if (!routes_to(next_hop).patterns.set(p)) return false;
   known_mask_.set(p);
   return true;
+}
+
+void SubscriptionTable::add_routes(NodeId next_hop,
+                                   const PatternSet& patterns) {
+  if (patterns.none()) return;
+  routes_to(next_hop).patterns.set_all(patterns);
+  known_mask_.set_all(patterns);
 }
 
 bool SubscriptionTable::remove_route(Pattern p, NodeId next_hop) {

@@ -24,6 +24,8 @@
 #include "epicast/daemon/journal.hpp"
 #include "epicast/daemon/node.hpp"
 #include "epicast/gossip/event_cache.hpp"
+#include "epicast/net/topology.hpp"
+#include "epicast/pubsub/network.hpp"
 #include "epicast/runtime/cluster.hpp"
 
 namespace epicast {
@@ -190,6 +192,68 @@ TEST(NodeDaemon, StatsJsonCarriesTheAgreedKeys) {
       EXPECT_NE(json.find(key), std::string::npos)
           << "missing " << key << " in " << json.substr(0, 200);
     }
+  }
+}
+
+// -- route bootstrap: the daemon installs the simulator's oracle rows --------
+
+TEST(NodeDaemon, InstalledRoutesEqualTheSimulatorsRebuild) {
+  // A cyclic 9-node cluster whose links are listed out of NodeId order, so
+  // the oracle's tie-break (neighbours in config link order) decides which
+  // of several shortest paths each node routes along. Every daemon's table
+  // and sub-sent marks must equal PubSubNetwork::rebuild_routes()'s rows for
+  // the same node on a Topology built from the same link list.
+  constexpr std::uint32_t kNodes = 9;
+  constexpr std::uint32_t kUniverse = 200;  // wide (non-inline) masks too
+  runtime::ClusterConfig cfg =
+      line_cluster(kNodes, /*drop_rate=*/0.0, /*rate_hz=*/0.0,
+                   /*run_s=*/1.0, /*drain_s=*/0.0);
+  cfg.links.clear();
+  for (const auto& [a, b] : std::vector<std::pair<std::uint32_t,
+                                                  std::uint32_t>>{
+           {4, 5}, {0, 8}, {2, 3}, {5, 6}, {7, 8}, {1, 2}, {3, 4}, {0, 1},
+           {6, 7}, {6, 2}, {8, 4}, {1, 5}, {3, 7}}) {
+    cfg.links.emplace_back(NodeId{a}, NodeId{b});
+  }
+  cfg.pattern_universe = kUniverse;
+  cfg.subscriptions = {{NodeId{0}, Pattern{1}},   {NodeId{0}, Pattern{150}},
+                       {NodeId{2}, Pattern{1}},   {NodeId{3}, Pattern{7}},
+                       {NodeId{5}, Pattern{199}}, {NodeId{5}, Pattern{7}},
+                       {NodeId{6}, Pattern{64}},  {NodeId{8}, Pattern{1}},
+                       {NodeId{8}, Pattern{130}}};  // 1, 4, 7: none
+
+  Simulator sim(1);
+  Topology topo{kNodes, kNodes};
+  for (const auto& [a, b] : cfg.links) topo.add_link(a, b);
+  TransportConfig tc;
+  tc.link.loss_rate = 0.0;
+  Transport transport(sim, topo, tc);
+  PubSubNetwork net(transport, DispatcherConfig{});
+  for (const auto& [node, p] : cfg.subscriptions) {
+    net.node(node).subscribe_local(p);
+  }
+  net.rebuild_routes();
+
+  for (std::uint32_t v = 0; v < kNodes; ++v) {
+    daemon::NodeDaemon d(cfg, NodeId{v});
+    const Dispatcher& sim_node = net.node(NodeId{v});
+    std::size_t routes = 0;
+    for (std::uint32_t p = 0; p < kUniverse; ++p) {
+      for (std::uint32_t u = 0; u < kNodes; ++u) {
+        const bool route = sim_node.table().has_route(Pattern{p}, NodeId{u});
+        routes += route ? 1 : 0;
+        EXPECT_EQ(d.dispatcher().table().has_route(Pattern{p}, NodeId{u}),
+                  route)
+            << "node " << v << " pattern " << p << " via " << u;
+        EXPECT_EQ(d.dispatcher().sub_sent(Pattern{p}, NodeId{u}),
+                  sim_node.sub_sent(Pattern{p}, NodeId{u}))
+            << "node " << v << " pattern " << p << " towards " << u;
+      }
+    }
+    EXPECT_GT(routes, 0u) << "node " << v;
+    EXPECT_EQ(d.dispatcher().routing_memory_bytes(),
+              sim_node.routing_memory_bytes())
+        << "node " << v;
   }
 }
 

@@ -149,6 +149,37 @@ TEST(Determinism, WireModeMatchesSeedReference) {
   }
 }
 
+// Seed guard on the set-up passes: mean_pairwise_distance is not part of
+// result_json, so the identity checks above never see it. Pinned to the
+// values of the one-BFS-per-source scan on the paper's tree and on a
+// Barabási–Albert overlay with Oracle bootstrap — the latter also pins the
+// counts of a run whose routes come from the routing oracle on a cyclic
+// graph, where its tie-break decides every table.
+TEST(Determinism, SetupPassesMatchSeedReference) {
+  ScenarioConfig tree = quick(Algorithm::CombinedPull, 404);
+  tree.sizing_mode = SizingMode::Nominal;
+  EXPECT_EQ(run_scenario(tree).mean_pairwise_distance,
+            0x1.ec7691840ac77p+1);  // 3.8473684210526318
+
+  ScenarioConfig ba = quick(Algorithm::CombinedPull, 404);
+  ba.sizing_mode = SizingMode::Nominal;
+  ba.nodes = 120;
+  ba.publisher_count = 12;
+  ba.overlay = OverlayKind::BarabasiAlbert;
+  ba.overlay_degree = 4;
+  ba.bootstrap = ScenarioConfig::SubscriptionBootstrap::Oracle;
+  const ScenarioResult r = run_scenario(ba);
+  EXPECT_EQ(r.mean_pairwise_distance, 0x1.841af6641af66p+1);  // 3.03207…
+  EXPECT_EQ(r.events_published, 1613u);
+  EXPECT_EQ(r.expected_pairs, 5814u);
+  EXPECT_EQ(r.delivered_pairs, 5746u);
+  EXPECT_EQ(r.recovered_pairs, 197u);
+  EXPECT_EQ(r.sim_events_executed, 129977u);
+  EXPECT_EQ(r.traffic.gossip_sends(), 1354u);
+  EXPECT_EQ(r.traffic.event_sends(), 45229u);
+  EXPECT_DOUBLE_EQ(r.delivery_rate, 0x1.fa02fe80bfa03p-1);
+}
+
 TEST(DeterminismDeathTest, ValidateRejectsShardsOrThreadsOtherThanOne) {
   // The sharded engine is gone; the two fields remain only as leftovers
   // pinned to 1, and a config asking for anything else must not run

@@ -84,6 +84,35 @@ TEST(PatternSet, GrowsBeyondInlineOnSet) {
   EXPECT_EQ(s.nth(1), Pattern{300});
 }
 
+TEST(PatternSet, SetAllMatchesPerMemberSetWidthIncluded) {
+  // Bulk installs must leave the footprint per-pattern set() calls leave:
+  // same members, same width, from inline, heap and arena starting points.
+  Rng rng(17);
+  for (int trial = 0; trial < 200; ++trial) {
+    PatternSet src;
+    const std::uint64_t k = rng.next_below(6);
+    for (std::uint64_t i = 0; i < k; ++i) {
+      src.set(Pattern{static_cast<std::uint32_t>(rng.next_below(2000))});
+    }
+    Arena arena_a, arena_b;
+    const std::uint32_t start = static_cast<std::uint32_t>(rng.next_below(3));
+    PatternSet bulk = start == 0   ? PatternSet{}
+                      : start == 1 ? PatternSet(300)
+                                   : PatternSet(300, &arena_a);
+    PatternSet each = start == 0   ? PatternSet{}
+                      : start == 1 ? PatternSet(300)
+                                   : PatternSet(300, &arena_b);
+    bulk.set(Pattern{7});
+    each.set(Pattern{7});
+    bulk.set_all(src);
+    src.for_each([&](Pattern p) { each.set(p); });
+    EXPECT_TRUE(bulk == each);
+    EXPECT_EQ(bulk.capacity(), each.capacity()) << "trial " << trial;
+    EXPECT_EQ(bulk.memory_bytes(), each.memory_bytes());
+    EXPECT_EQ(arena_a.bytes_allocated(), arena_b.bytes_allocated());
+  }
+}
+
 TEST(PatternSet, ReservePresizesWithoutMembers) {
   PatternSet s(1000);
   EXPECT_GE(s.capacity(), 1000u);

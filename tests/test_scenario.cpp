@@ -1,11 +1,16 @@
 // Integration tests on whole scenarios: determinism, the paper's headline
 // qualitative claims on small instances, the reconfiguration scenario, and
-// config plumbing. Sizes are kept small so the suite stays fast.
+// config plumbing. Sizes are kept small so the suite stays fast; the one
+// paper-scale claim runs its seeds in parallel through the SweepRunner.
 #include "epicast/scenario/runner.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "epicast/scenario/config.hpp"
+#include "epicast/scenario/sweep.hpp"
 
 namespace epicast {
 namespace {
@@ -73,21 +78,78 @@ INSTANTIATE_TEST_SUITE_P(Algorithms, RecoveryImproves,
                                            Algorithm::CombinedPull,
                                            Algorithm::RandomPull));
 
+/// Delivery rate of every (algorithm, seed) scenario `make` builds, run
+/// through the SweepRunner (one worker per CPU): rates[a][k] is algorithm
+/// a at seeds[k].
+template <typename Make>
+std::vector<std::vector<double>> delivery_rates(
+    const std::vector<Algorithm>& algorithms,
+    const std::vector<std::uint64_t>& seeds, Make make) {
+  std::vector<ScenarioConfig> configs;
+  for (Algorithm a : algorithms) {
+    for (std::uint64_t seed : seeds) configs.push_back(make(a, seed));
+  }
+  SweepRunner runner(SweepOptions{0, /*progress=*/false});
+  const std::vector<ScenarioResult> results = runner.run(configs);
+  std::vector<std::vector<double>> rates(algorithms.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    rates[i / seeds.size()].push_back(results[i].delivery_rate);
+  }
+  return rates;
+}
+
+double mean(const std::vector<double>& v) {
+  double sum = 0.0;
+  for (double x : v) sum += x;
+  return sum / static_cast<double>(v.size());
+}
+
 TEST(Scenario, CombinedPullBeatsEitherPullAlone) {
-  // Averaged over a few seeds: at 30 nodes a single run's margin between
-  // combined and publisher-pull is within seed noise.
-  const auto mean_delivery = [](Algorithm a) {
-    double sum = 0.0;
-    for (const std::uint64_t seed : {11u, 12u, 13u}) {
-      sum += run_scenario(small(a, seed)).delivery_rate;
-    }
-    return sum / 3.0;
-  };
-  const double combined = mean_delivery(Algorithm::CombinedPull);
-  const double sub = mean_delivery(Algorithm::SubscriberPull);
-  const double pub = mean_delivery(Algorithm::PublisherPull);
+  // The paper's ordering (Fig. 3a) where the paper makes it: N=100,
+  // ε=0.1, here with a 3 s window. A paired-seed sign test: combined pull
+  // must beat publisher pull and subscriber pull on each of seeds 1–10.
+  // If the two were equally good, each pair would be a fair coin, and
+  // 10/10 wins has one-sided p = 2⁻¹⁰ < 0.001 per comparison. Measured
+  // margins: 8.8 points over publisher pull in nominal sizing (8.9 in wire
+  // sizing), smallest pair 7.7; 17.9 over subscriber pull.
+  const std::vector<std::uint64_t> seeds = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+  const auto rates = delivery_rates(
+      {Algorithm::CombinedPull, Algorithm::PublisherPull,
+       Algorithm::SubscriberPull},
+      seeds, [](Algorithm a, std::uint64_t seed) {
+        ScenarioConfig cfg = ScenarioConfig::paper_defaults(a);
+        cfg.seed = seed;
+        cfg.measure = Duration::seconds(3.0);
+        // The safety oracles (a fifth of the CPU under the sanitizers)
+        // check every other scenario here; this test checks delivery only.
+        cfg.oracles = false;
+        return cfg;
+      });
+  for (std::size_t k = 0; k < seeds.size(); ++k) {
+    EXPECT_GT(rates[0][k], rates[1][k]) << "publisher pull, seed " << seeds[k];
+    EXPECT_GT(rates[0][k], rates[2][k]) << "subscriber pull, seed " << seeds[k];
+  }
+}
+
+TEST(Scenario, PublisherPullMatchesCombinedOnSmallNetworks) {
+  // At N=30 (1 s warm-up, 2 s window) the paper's ordering holds only
+  // against subscriber pull, by about 21 points. Against publisher pull it
+  // reverses into seed noise (EXPERIMENTS.md, known deviation 3): over
+  // seeds 1–40, combined minus publisher pull averages −0.0008 in nominal
+  // sizing (sd 0.0039, combined ahead in 18/40) and −0.0021 in wire sizing
+  // (sd 0.0042, 11/40). The mean of 3 seeds then has sd ≈ 0.0042/√3 ≈
+  // 0.0024, so combined leading by more than −0.0008 + 3·0.0024 ≈ 0.0065
+  // would mean the small-N behaviour changed.
+  const std::vector<std::uint64_t> seeds = {11, 12, 13};
+  const auto rates = delivery_rates(
+      {Algorithm::CombinedPull, Algorithm::PublisherPull,
+       Algorithm::SubscriberPull},
+      seeds, [](Algorithm a, std::uint64_t seed) { return small(a, seed); });
+  const double combined = mean(rates[0]);
+  const double pub = mean(rates[1]);
+  const double sub = mean(rates[2]);
   EXPECT_GT(combined, sub);
-  EXPECT_GT(combined, pub);
+  EXPECT_GE(pub, combined - 0.0065);
 }
 
 TEST(Scenario, ReconfigurationScenarioLosesAndRecovers) {

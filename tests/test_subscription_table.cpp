@@ -205,6 +205,35 @@ TEST(SubscriptionTable, MixedInlineAndWideEventMatching) {
   EXPECT_TRUE(t.matches_local(*ev));
 }
 
+TEST(SubscriptionTable, AddRoutesMatchesPerPatternAddRoute) {
+  // The bulk install rebuild_routes() uses must leave the same table —
+  // routes, known mask and memory footprint — as add_route per pattern.
+  PatternSet first;
+  first.set(Pattern{3});
+  first.set(Pattern{130});
+  first.set(Pattern{900});
+  PatternSet second;
+  second.set(Pattern{64});
+  second.set(Pattern{1500});
+  SubscriptionTable bulk;
+  SubscriptionTable each;
+  for (SubscriptionTable* t : {&bulk, &each}) t->add_local(Pattern{5});
+  bulk.add_routes(NodeId{4}, first);
+  bulk.add_routes(NodeId{2}, second);
+  bulk.add_routes(NodeId{9}, PatternSet{});  // empty: no entry
+  first.for_each([&](Pattern p) { each.add_route(p, NodeId{4}); });
+  second.for_each([&](Pattern p) { each.add_route(p, NodeId{2}); });
+  EXPECT_TRUE(bulk.known_mask() == each.known_mask());
+  EXPECT_EQ(bulk.entry_count(), each.entry_count());
+  EXPECT_EQ(bulk.memory_bytes(), each.memory_bytes());
+  for (Pattern p : each.known_patterns()) {
+    EXPECT_EQ(bulk.route_targets(p, NodeId::invalid()),
+              each.route_targets(p, NodeId::invalid()));
+  }
+  EXPECT_TRUE(bulk.route_targets(Pattern{0}, NodeId::invalid()).empty());
+  EXPECT_FALSE(bulk.has_route(Pattern{3}, NodeId{9}));
+}
+
 TEST(SubscriptionTable, ReserveUniversePresizesMasksFromArena) {
   Arena arena;
   SubscriptionTable t;
