@@ -114,7 +114,8 @@ BENCHMARK(BM_SubscriptionTableRouteTargetsInto);
 // Both cache benches measure a push node's cache, the one that keeps the
 // per-pattern digest index.
 void BM_EventCacheInsertEvict(benchmark::State& state) {
-  EventCache cache(1500, CachePolicy::Fifo, Rng{4});
+  EventRegistry registry;
+  EventCache cache(1500, CachePolicy::Fifo, Rng{4}, registry);
   cache.keep_pattern_index();
   std::uint64_t seq = 0;
   for (auto _ : state) {
@@ -131,7 +132,8 @@ void BM_EventCacheInsertEvict(benchmark::State& state) {
 BENCHMARK(BM_EventCacheInsertEvict);
 
 void BM_EventCacheDigest(benchmark::State& state) {
-  EventCache cache(1500, CachePolicy::Fifo, Rng{5});
+  EventRegistry registry;
+  EventCache cache(1500, CachePolicy::Fifo, Rng{5}, registry);
   cache.keep_pattern_index();
   for (std::uint64_t i = 0; i < 1500; ++i) {
     cache.insert(std::make_shared<EventData>(

@@ -1,14 +1,14 @@
 // epicast — the open-addressed hash table behind per-event keyed state.
 //
-// Every event crossing a dispatcher is indexed in the β buffer by id, is
-// checked against the loss detector and the Lost buffer, and advances the
-// route and link state of the nodes it crosses; every pull digest probes
-// the β buffer's (source, pattern, seq) index once per wanted entry, and
-// nearly every such probe misses; every delivery is checked against the
-// oracles' published, offered and delivered sets and counted in the
-// delivery tracker. FlatHashMap serves all of these, the sparse seen-set,
-// the dispatcher's publish counters and the daemon's stream marks, with
-// one layout:
+// Every event a β buffer caches is indexed by id in its runtime's event
+// registry; every event crossing a dispatcher is checked against the loss
+// detector and the Lost buffer, and advances the route and link state of
+// the nodes it crosses; every pull digest probes the registry's (source,
+// pattern, seq) index once per wanted entry, and nearly every such probe
+// misses; every delivery is checked against the oracles' published,
+// offered and delivered sets and counted in the delivery tracker.
+// FlatHashMap serves all of these, the sparse seen-set, the dispatcher's
+// publish counters and the daemon's stream marks, with one layout:
 //   * one flat array of {key, value} slots, power-of-two sized, probed
 //     linearly from the key's home slot: a lookup reads consecutive memory
 //     and allocates nothing;
@@ -57,6 +57,13 @@ namespace epicast {
 /// Key traits for 64-bit keys.
 struct U64Key {
   static constexpr std::uint64_t hash(std::uint64_t key) {
+    return hash_mix(key);
+  }
+};
+
+/// Key traits for 32-bit keys (event-registry entries).
+struct U32Key {
+  static constexpr std::uint64_t hash(std::uint32_t key) {
     return hash_mix(key);
   }
 };
@@ -133,6 +140,14 @@ class FlatHashMap {
   bool erase(const K& key) {
     const std::size_t i = locate(key);
     if (i == kAbsent) return false;
+    erase_slot(i);
+    return true;
+  }
+
+  /// Removes `key` only while it maps to `value`. Returns true if removed.
+  bool erase_if_mapped_to(const K& key, const V& value) {
+    const std::size_t i = locate(key);
+    if (i == kAbsent || !(slots_[i].value == value)) return false;
     erase_slot(i);
     return true;
   }

@@ -5,25 +5,25 @@
 // from it. The paper uses FIFO eviction; LRU and random eviction are
 // provided for the cache-policy ablation.
 //
-// Lookup paths (all O(1) expected; the first two are one FlatHashMap probe
-// straight to the event's cache slot):
-//   * by event id        — serves push requests;
-//   * by (source, pattern, seq) — serves pull digests;
-//   * ids matching a pattern    — builds push digests (amortized via a
-//     per-pattern index, purged eagerly on eviction and lazily on lookup).
-// Only the id index is kept for every cache. The other two exist only for
-// a reader, since keeping them costs a probe and an insert per pattern of
-// every cached event:
-//   * the (source, pattern, seq) index is built from the cached events on
-//     the first find() and kept up to date from then on. A map built from
-//     the current contents answers exactly like one kept from the start,
-//     so a node that starts serving pull digests late (a push node under
-//     heterogeneous tolerance) serves them all the same;
-//   * the per-pattern index lists ids oldest-inserted first, an order the
-//     slots do not remember under LRU, so its reader (the push protocol)
-//     opts in with keep_pattern_index() before the first insert.
-// The slot vector is reserved to β up front; the indexes grow with what
-// the cache actually holds, so a node that caches little owns little.
+// The cache keeps only what is its own: its eviction order and one
+// membership bit per entry of its runtime's EventRegistry, which indexes
+// every event some cache on the runtime holds (gossip/event_registry.hpp).
+// An event cached by several dispatchers is indexed once, by its first
+// holder, and unindexed once, by its last. Lookups:
+//   * by event id — serves push requests: a registry id probe plus a bit
+//     test;
+//   * by (source, pattern, seq) — serves pull digests: a registry stream
+//     probe plus a bit test;
+//   * ids matching a pattern — builds push digests from a per-pattern id
+//     index kept per cache, since a digest lists this node's ids in this
+//     node's insertion order. Only its reader (the push protocol) keeps
+//     it, opting in with keep_pattern_index() before the first insert.
+// LRU also keeps an entry → slot map for its refresh; only the
+// cache-policy ablation uses LRU. The slot vector is reserved to β up
+// front; the bits and the pattern index grow with what the cache holds.
+//
+// A cache must not outlive the runtime whose registry it uses — the rule
+// timers follow. Its destructor and clear() release every entry it holds.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +33,7 @@
 #include "epicast/common/ids.hpp"
 #include "epicast/common/rng.hpp"
 #include "epicast/gossip/config.hpp"
-#include "epicast/gossip/messages.hpp"
+#include "epicast/gossip/event_registry.hpp"
 #include "epicast/metrics/hotpath_profiler.hpp"
 #include "epicast/pubsub/event.hpp"
 
@@ -41,7 +41,11 @@ namespace epicast {
 
 class EventCache {
  public:
-  EventCache(std::size_t capacity, CachePolicy policy, Rng rng);
+  EventCache(std::size_t capacity, CachePolicy policy, Rng rng,
+             EventRegistry& registry);
+  ~EventCache();
+  EventCache(const EventCache&) = delete;
+  EventCache& operator=(const EventCache&) = delete;
 
   /// Optional hot-path profiler: every public cache operation counts one
   /// HotPhase::CacheOp. Pass nullptr to detach.
@@ -57,7 +61,7 @@ class EventCache {
   [[nodiscard]] EventPtr get(const EventId& id);
 
   /// Event that the source tagged with (pattern, seq), or nullptr. The
-  /// first call builds the (source, pattern, seq) index.
+  /// first call on the runtime builds the registry's stream index.
   [[nodiscard]] EventPtr find(NodeId source, Pattern pattern, SeqNo seq);
 
   /// Keeps the per-pattern id index that ids_matching() reads. Must be
@@ -79,17 +83,19 @@ class EventCache {
   /// on this).
   [[nodiscard]] std::size_t pattern_index_entries() const;
 
-  [[nodiscard]] std::size_t size() const { return by_id_.size(); }
+  [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] CachePolicy policy() const { return policy_; }
 
-  /// Estimated bytes owned by the cache's containers (slots + the indexes
-  /// kept, excluding the shared events themselves) — per-component memory
-  /// accounting for the scale figures.
+  /// Estimated bytes owned by the cache's containers (slots, membership
+  /// bits and the per-cache indexes kept; the registry and the shared
+  /// events are counted once per runtime, not here) — per-component
+  /// memory accounting for the scale figures.
   [[nodiscard]] std::size_t memory_bytes() const;
 
-  /// Drops every cached event and all indexes (cold restart). Counters are
-  /// kept — a crash does not un-happen the traffic that preceded it.
+  /// Drops every cached event and all indexes, releasing each registry
+  /// entry (cold restart). Counters are kept — a crash does not un-happen
+  /// the traffic that preceded it.
   void clear();
 
   /// Every cached event in eviction order (next victim first). Warm-restart
@@ -122,13 +128,16 @@ class EventCache {
 
   void evict_one();
   void drop(std::uint32_t slot);
-  /// Adds the slot's event to the kept (source, pattern, seq) and
-  /// per-pattern indexes.
-  void index_patterns(std::uint32_t slot);
+  /// Drops the evicted event's ids from its pattern queues.
   void unindex_patterns(const EventData& event);
-  void index_stream_seqs(std::uint32_t slot);
-  /// Counts a hit, refreshes recency for LRU, returns the slot's event.
-  [[nodiscard]] EventPtr hit(std::uint32_t slot);
+  /// True if this cache holds the registry entry (kNone never is).
+  [[nodiscard]] bool holds(std::uint32_t entry) const {
+    const std::size_t word = entry >> 6;
+    return word < member_.size() && ((member_[word] >> (entry & 63)) & 1U);
+  }
+  /// Counts a hit or a miss for a registry lookup; on a hit refreshes
+  /// recency for LRU and returns the entry's event.
+  [[nodiscard]] EventPtr hit_or_miss(std::uint32_t entry);
 
   static constexpr std::uint32_t kNil = ~std::uint32_t{0};
   void link_back(std::uint32_t slot);
@@ -137,8 +146,10 @@ class EventCache {
   std::size_t capacity_;
   CachePolicy policy_;
   Rng rng_;
+  EventRegistry& registry_;
   Stats stats_;
   HotpathProfiler* profiler_ = nullptr;
+  std::size_t size_ = 0;
 
   /// Eviction-order storage: a flat slot vector threaded with an intrusive
   /// doubly-linked index list (head_ = next victim for FIFO/LRU, tail_ =
@@ -148,7 +159,7 @@ class EventCache {
   /// unlink/link_back pair; Random evicts a uniform element of the dense
   /// pool below.
   struct Node {
-    EventPtr event;
+    std::uint32_t entry = EventRegistry::kNone;  // registry entry
     std::uint32_t prev = kNil;
     std::uint32_t next = kNil;
   };
@@ -156,21 +167,21 @@ class EventCache {
   std::vector<std::uint32_t> free_;
   std::uint32_t head_ = kNil;
   std::uint32_t tail_ = kNil;
-  FlatHashMap<EventId, std::uint32_t, EventIdKey> by_id_;  // → slot
-  /// (source, pattern, seq) → slot, one entry per pattern of each event;
-  /// kept from the first find() on.
-  bool stream_seq_index_ = false;
-  FlatHashMap<LostEntryInfo, std::uint32_t, LostEntryKey> by_stream_seq_;
+  /// One bit per registry entry: set while this cache holds it.
+  std::vector<std::uint64_t> member_;
+  /// LRU only: the slot of each held entry, for the refresh on a hit.
+  /// Sized by what the cache holds, not by the registry.
+  FlatHashMap<std::uint32_t, std::uint32_t, U32Key> lru_slot_;
   /// For Random eviction: the occupied slots as a dense vector (O(1)
   /// uniform sampling) and, per slot, its position in that vector.
   std::vector<std::uint32_t> random_pool_;
   std::vector<std::uint32_t> random_pos_;
 
-  /// Per-pattern id index, kept after keep_pattern_index(). Stale
-  /// (evicted) ids are purged eagerly from the queue fronts on every
-  /// eviction — under FIFO the victim *is* the front, so the index stays
-  /// tight at small β — and lazily elsewhere in ids_matching() (LRU/random
-  /// scatter).
+  /// Per-pattern id index, kept after keep_pattern_index(). Evicted ids
+  /// leave the queue fronts on every eviction: under FIFO the victim *is*
+  /// the front of each of its queues and is popped without a liveness
+  /// probe, so the queues hold live ids only; under LRU/random stale fronts
+  /// are purged eagerly and stale ids elsewhere lazily in ids_matching().
   bool pattern_index_ = false;
   FlatHashMap<Pattern, PatternIds, PatternKey> by_pattern_;
 };

@@ -34,6 +34,7 @@
 #include "epicast/common/rng.hpp"
 #include "epicast/fault/gilbert_elliott.hpp"
 #include "epicast/fault/plan.hpp"
+#include "epicast/gossip/event_registry.hpp"
 #include "epicast/metrics/hotpath_profiler.hpp"
 #include "epicast/runtime/runtime.hpp"
 #include "epicast/sim/scheduler.hpp"
@@ -122,6 +123,7 @@ class AsyncRuntime final : public Runtime,
   [[nodiscard]] Transport& transport() override { return *this; }
   Rng fork_rng() override { return root_rng_.fork(); }
   [[nodiscard]] MessagePool& pool() override { return pool_; }
+  [[nodiscard]] EventRegistry& event_registry() override { return registry_; }
   [[nodiscard]] HotpathProfiler& profiler() override { return profiler_; }
 
   // -- Clock ----------------------------------------------------------------
@@ -251,6 +253,7 @@ class AsyncRuntime final : public Runtime,
   Rng root_rng_;
   Rng drop_rng_;
   MessagePool pool_;
+  EventRegistry registry_;
   HotpathProfiler profiler_;
 
   std::int64_t start_ns_ = 0;

@@ -31,6 +31,10 @@
 #include "epicast/sim/scheduler.hpp"
 #include "epicast/sim/time.hpp"
 
+namespace epicast {
+class EventRegistry;
+}  // namespace epicast
+
 namespace epicast::runtime {
 
 /// Time source. Simulated time or monotonic-since-start; either way a
@@ -124,6 +128,11 @@ class Runtime {
   /// Message/event allocation pool shared by every component on this
   /// runtime.
   [[nodiscard]] virtual MessagePool& pool() = 0;
+
+  /// The one index of cached events behind every β buffer on this runtime
+  /// (gossip/event_registry.hpp): an event cached by several dispatchers
+  /// is indexed once. A cache on it must not outlive the runtime.
+  [[nodiscard]] virtual EventRegistry& event_registry() = 0;
 
   /// Hot-path phase counters.
   [[nodiscard]] virtual HotpathProfiler& profiler() = 0;

@@ -76,7 +76,8 @@ struct ScenarioResult {
   /// Bytes owned by the hot per-node state at scenario end, by component.
   /// `routing` covers subscription tables + duplicate-suppression masks
   /// across all dispatchers; `seen` the event dedup sets; `caches` the
-  /// retransmission buffers' containers (not the shared events); `topology`
+  /// retransmission buffers' containers plus, once, the runtime's event
+  /// registry that indexes them (not the shared events); `topology`
   /// the adjacency (mutation vectors + CSR + BFS scratch); `tracker` the
   /// delivery-metric bookkeeping.
   struct MemoryBreakdown {

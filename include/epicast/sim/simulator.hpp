@@ -13,6 +13,7 @@
 
 #include "epicast/common/message_pool.hpp"
 #include "epicast/common/rng.hpp"
+#include "epicast/gossip/event_registry.hpp"
 #include "epicast/metrics/hotpath_profiler.hpp"
 #include "epicast/runtime/runtime.hpp"
 #include "epicast/sim/scheduler.hpp"
@@ -60,6 +61,10 @@ class Simulator final : public runtime::Runtime,
   /// reference-counted by outstanding allocations).
   [[nodiscard]] MessagePool& pool() override { return pool_; }
 
+  /// The scenario's one index of cached events, shared by every
+  /// dispatcher's β buffer; the caches must be gone before the simulator.
+  [[nodiscard]] EventRegistry& event_registry() override { return registry_; }
+
   /// Hot-path phase counters (ops always, ns when a scenario enables
   /// timing); aggregated into ScenarioResult.
   [[nodiscard]] HotpathProfiler& profiler() override { return profiler_; }
@@ -92,6 +97,7 @@ class Simulator final : public runtime::Runtime,
   Scheduler scheduler_;
   Rng root_rng_;
   MessagePool pool_;
+  EventRegistry registry_;
   HotpathProfiler profiler_;
   runtime::Transport* transport_ = nullptr;
 };

@@ -350,7 +350,8 @@ std::string NodeDaemon::stats_json() const {
   local.memory.routing_bytes = dispatcher_->routing_memory_bytes();
   local.memory.seen_bytes = dispatcher_->seen_memory_bytes();
   if (const EventCache* c = dispatcher_->recovery()->event_cache()) {
-    local.memory.cache_bytes = c->memory_bytes();
+    local.memory.cache_bytes =
+        c->memory_bytes() + rt_->event_registry().memory_bytes();
   }
   if (oracles_ != nullptr) local.oracle_checks = oracles_->checks();
 

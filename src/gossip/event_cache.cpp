@@ -13,16 +13,23 @@ void EventCache::PatternIds::pop_front() {
   }
 }
 
-EventCache::EventCache(std::size_t capacity, CachePolicy policy, Rng rng)
-    : capacity_(capacity), policy_(policy), rng_(rng) {
+EventCache::EventCache(std::size_t capacity, CachePolicy policy, Rng rng,
+                       EventRegistry& registry)
+    : capacity_(capacity), policy_(policy), rng_(rng), registry_(registry) {
   EPICAST_ASSERT_MSG(capacity > 0, "cache capacity must be positive");
   // The cache runs at exactly `capacity` entries in steady state; reserving
   // the slot vector up front keeps the insert-evict churn reallocation-free.
-  // The indexes grow with content instead (see the header).
+  // The bits and the pattern index grow with content instead.
   nodes_.reserve(capacity);
   if (policy == CachePolicy::Random) {
     random_pool_.reserve(capacity);
     random_pos_.reserve(capacity);
+  }
+}
+
+EventCache::~EventCache() {
+  for (std::uint32_t i = head_; i != kNil; i = nodes_[i].next) {
+    registry_.release(nodes_[i].entry);
   }
 }
 
@@ -55,8 +62,16 @@ void EventCache::unlink(std::uint32_t slot) {
 bool EventCache::insert(const EventPtr& event) {
   EPICAST_ASSERT(event != nullptr);
   HotpathProfiler::MaybeScope scope(profiler_, HotPhase::CacheOp);
-  if (by_id_.contains(event->id())) return false;
-  while (by_id_.size() >= capacity_) evict_one();
+  std::uint32_t entry = registry_.find(event->id());
+  if (holds(entry)) return false;
+  while (size_ >= capacity_) evict_one();
+  // Eviction releases only entries this cache holds, so `entry` stays
+  // live. The first holder registers the event; later ones only count.
+  if (entry == EventRegistry::kNone) {
+    entry = registry_.add(event);
+  } else {
+    registry_.retain(entry);
+  }
 
   std::uint32_t slot;
   if (!free_.empty()) {
@@ -66,15 +81,24 @@ bool EventCache::insert(const EventPtr& event) {
     slot = static_cast<std::uint32_t>(nodes_.size());
     nodes_.emplace_back();
   }
-  nodes_[slot].event = event;
+  nodes_[slot].entry = entry;
   link_back(slot);
-  by_id_.try_emplace(event->id(), slot);
-  if (policy_ == CachePolicy::Random) {
+  const std::size_t word = entry >> 6;
+  if (word >= member_.size()) member_.resize(word + 1);
+  member_[word] |= std::uint64_t{1} << (entry & 63);
+  if (policy_ == CachePolicy::Lru) {
+    lru_slot_.try_emplace(entry, slot);
+  } else if (policy_ == CachePolicy::Random) {
     if (slot >= random_pos_.size()) random_pos_.resize(slot + 1);
     random_pos_[slot] = static_cast<std::uint32_t>(random_pool_.size());
     random_pool_.push_back(slot);
   }
-  index_patterns(slot);
+  if (pattern_index_) {
+    for (const PatternSeq& ps : event->patterns()) {
+      by_pattern_[ps.pattern].ids.push_back(event->id());
+    }
+  }
+  ++size_;
   ++stats_.insertions;
   return true;
 }
@@ -85,40 +109,23 @@ void EventCache::keep_pattern_index() {
   pattern_index_ = true;
 }
 
-void EventCache::index_stream_seqs(std::uint32_t slot) {
-  const EventData& event = *nodes_[slot].event;
-  for (const PatternSeq& ps : event.patterns()) {
-    by_stream_seq_[LostEntryInfo{event.source(), ps.pattern, ps.seq}] = slot;
-  }
-}
-
-void EventCache::index_patterns(std::uint32_t slot) {
-  if (stream_seq_index_) index_stream_seqs(slot);
-  if (!pattern_index_) return;
-  const EventData& event = *nodes_[slot].event;
-  for (const PatternSeq& ps : event.patterns()) {
-    by_pattern_[ps.pattern].ids.push_back(event.id());
-  }
-}
-
 void EventCache::unindex_patterns(const EventData& event) {
-  if (stream_seq_index_) {
-    for (const PatternSeq& ps : event.patterns()) {
-      by_stream_seq_.erase(LostEntryInfo{event.source(), ps.pattern, ps.seq});
-    }
-  }
-  if (!pattern_index_) return;
-  // Precondition (see drop()): the event is already out of by_id_, so its
-  // ids count as stale below.
+  // Precondition (see drop()): the event's membership bit is already
+  // clear, so its ids count as stale below.
   for (const PatternSeq& ps : event.patterns()) {
-    // Eager head purge: under FIFO eviction the victim sits at the front
-    // of its pattern queues, so the index cannot grow unboundedly at small
-    // β. Stale ids in the middle (LRU/random) fall to ids_matching()'s
-    // lazy purge.
     PatternIds* bucket = by_pattern_.find(ps.pattern);
-    if (bucket == nullptr) continue;
-    while (!bucket->empty() && !by_id_.contains(bucket->front())) {
+    if (policy_ == CachePolicy::Fifo) {
+      // FIFO evicts the oldest insertion, and every queue holds live ids
+      // in insertion order: the victim is the front of each of its queues.
+      EPICAST_ASSERT(bucket != nullptr && bucket->front() == event.id());
       bucket->pop_front();
+    } else {
+      // Eager head purge; stale ids in the middle (LRU/random scatter)
+      // fall to ids_matching()'s lazy purge.
+      if (bucket == nullptr) continue;
+      while (!bucket->empty() && !contains(bucket->front())) {
+        bucket->pop_front();
+      }
     }
     if (bucket->empty()) by_pattern_.erase(ps.pattern);
   }
@@ -136,13 +143,16 @@ void EventCache::evict_one() {
 }
 
 void EventCache::drop(std::uint32_t slot) {
-  // Remove from by_id_ before unindexing so the eager purge sees the
-  // victim's own ids as stale.
-  const EventPtr victim = std::move(nodes_[slot].event);
+  const std::uint32_t entry = nodes_[slot].entry;
   unlink(slot);
   free_.push_back(slot);
-  by_id_.erase(victim->id());
-  unindex_patterns(*victim);
+  // Clear the bit before unindexing so the eager purge sees the victim's
+  // own ids as stale; release last, while the event is still registered.
+  member_[entry >> 6] &= ~(std::uint64_t{1} << (entry & 63));
+  --size_;
+  if (policy_ == CachePolicy::Lru) lru_slot_.erase(entry);
+  if (pattern_index_) unindex_patterns(*registry_.event(entry));
+  registry_.release(entry);
   if (policy_ == CachePolicy::Random) {
     // Swap-pop keeps the sampling pool dense.
     const std::uint32_t pos = random_pos_[slot];
@@ -154,12 +164,16 @@ void EventCache::drop(std::uint32_t slot) {
 }
 
 void EventCache::clear() {
+  for (std::uint32_t i = head_; i != kNil; i = nodes_[i].next) {
+    registry_.release(nodes_[i].entry);
+  }
   nodes_.clear();
   free_.clear();
   head_ = kNil;
   tail_ = kNil;
-  by_id_.clear();
-  by_stream_seq_.clear();
+  size_ = 0;
+  member_.clear();
+  lru_slot_.clear();
   random_pool_.clear();
   random_pos_.clear();
   by_pattern_.clear();
@@ -167,52 +181,41 @@ void EventCache::clear() {
 
 std::vector<EventPtr> EventCache::snapshot_events() const {
   std::vector<EventPtr> out;
-  out.reserve(by_id_.size());
+  out.reserve(size_);
   for (std::uint32_t i = head_; i != kNil; i = nodes_[i].next) {
-    out.push_back(nodes_[i].event);
+    out.push_back(registry_.event(nodes_[i].entry));
   }
   return out;
 }
 
 bool EventCache::contains(const EventId& id) const {
-  return by_id_.contains(id);
+  return holds(registry_.find(id));
 }
 
-EventPtr EventCache::hit(std::uint32_t slot) {
-  ++stats_.hits;
-  if (policy_ == CachePolicy::Lru && slot != tail_) {
-    unlink(slot);  // refresh recency
-    link_back(slot);
+EventPtr EventCache::hit_or_miss(std::uint32_t entry) {
+  if (!holds(entry)) {
+    ++stats_.misses;
+    return nullptr;
   }
-  return nodes_[slot].event;
+  ++stats_.hits;
+  if (policy_ == CachePolicy::Lru) {
+    const std::uint32_t slot = *lru_slot_.find(entry);
+    if (slot != tail_) {
+      unlink(slot);  // refresh recency
+      link_back(slot);
+    }
+  }
+  return registry_.event(entry);
 }
 
 EventPtr EventCache::get(const EventId& id) {
   HotpathProfiler::MaybeScope scope(profiler_, HotPhase::CacheOp);
-  const std::uint32_t* slot = by_id_.find(id);
-  if (slot == nullptr) {
-    ++stats_.misses;
-    return nullptr;
-  }
-  return hit(*slot);
+  return hit_or_miss(registry_.find(id));
 }
 
 EventPtr EventCache::find(NodeId source, Pattern pattern, SeqNo seq) {
   HotpathProfiler::MaybeScope scope(profiler_, HotPhase::CacheOp);
-  if (!stream_seq_index_) {
-    // First reader: index what is cached now and keep the index from here.
-    stream_seq_index_ = true;
-    for (std::uint32_t i = head_; i != kNil; i = nodes_[i].next) {
-      index_stream_seqs(i);
-    }
-  }
-  const std::uint32_t* slot =
-      by_stream_seq_.find(LostEntryInfo{source, pattern, seq});
-  if (slot == nullptr) {
-    ++stats_.misses;
-    return nullptr;
-  }
-  return hit(*slot);
+  return hit_or_miss(registry_.find(source, pattern, seq));
 }
 
 std::vector<EventId> EventCache::ids_matching(Pattern pattern,
@@ -235,9 +238,9 @@ void EventCache::ids_matching_into(Pattern pattern, std::size_t max_entries,
       bucket->ids.begin() + static_cast<std::ptrdiff_t>(bucket->head);
   if (policy_ == CachePolicy::Fifo) {
     // FIFO invariant: every eviction removes the globally oldest event,
-    // whose ids sit at the fronts of its own pattern queues — the eager
-    // purge in unindex_patterns() strips them immediately, so the queues
-    // hold live ids only and no per-id liveness probe is needed. Copy the
+    // whose ids sit at the fronts of its own pattern queues —
+    // unindex_patterns() pops them immediately, so the queues hold live
+    // ids only and no per-id liveness probe is needed. Copy the
     // newest max_entries straight out (they are the ones receivers most
     // likely miss and the ones that survive longest in our own buffer).
     const std::size_t n = (max_entries != 0 && bucket->size() > max_entries)
@@ -250,14 +253,14 @@ void EventCache::ids_matching_into(Pattern pattern, std::size_t max_entries,
   // Lazy purge: evicted ids are dropped as they are encountered (LRU and
   // random eviction scatter stale ids through the queue).
   for (auto it = live_begin; it != bucket->ids.end(); ++it) {
-    if (by_id_.contains(*it)) out.push_back(*it);
+    if (contains(*it)) out.push_back(*it);
   }
   if (out.size() * 2 < bucket->size()) {
     // Compact when more than half the bucket is stale (LRU/random scatter).
     bucket->ids.assign(out.begin(), out.end());
     bucket->head = 0;
   } else {
-    while (!bucket->empty() && !by_id_.contains(bucket->front())) {
+    while (!bucket->empty() && !contains(bucket->front())) {
       bucket->pop_front();
     }
   }
@@ -279,8 +282,8 @@ std::size_t EventCache::pattern_index_entries() const {
 std::size_t EventCache::memory_bytes() const {
   std::size_t bytes = nodes_.capacity() * sizeof(Node);
   bytes += free_.capacity() * sizeof(std::uint32_t);
-  bytes += by_id_.memory_bytes();
-  bytes += by_stream_seq_.memory_bytes();
+  bytes += member_.capacity() * sizeof(std::uint64_t);
+  bytes += lru_slot_.memory_bytes();
   bytes += random_pool_.capacity() * sizeof(std::uint32_t);
   bytes += random_pos_.capacity() * sizeof(std::uint32_t);
   bytes += by_pattern_.memory_bytes();

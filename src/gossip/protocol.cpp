@@ -37,7 +37,8 @@ GossipProtocolBase::GossipProtocolBase(Dispatcher& dispatcher,
                                        GossipConfig config)
     : d_(dispatcher),
       cfg_(config),
-      cache_(config.buffer_size, config.cache_policy, dispatcher.rng().fork()),
+      cache_(config.buffer_size, config.cache_policy, dispatcher.rng().fork(),
+             dispatcher.runtime().event_registry()),
       msgs_(dispatcher.id(), config.gossip_message_bytes,
             &dispatcher.pool()),
       prof_(dispatcher.profiler()),

@@ -210,8 +210,9 @@ std::string cli_usage() {
       "                  (default 0 = every dispatcher publishes)\n"
       "  --sub-skew=S    power-law skew of per-node subscription counts\n"
       "                  (default 0 = exactly pi_max each)\n"
-      "  --bootstrap=M   flood (default): simulate subscription floods;\n"
-      "                  oracle: install converged routes directly (scale)\n"
+      "  --bootstrap=M   flood (default): simulate subscription floods\n"
+      "                  (tree overlays only); oracle: install converged\n"
+      "                  routes directly (required on cyclic overlays)\n"
       "  --oob-loss=E    out-of-band channel loss (default: epsilon)\n"
       "  --faults=PLAN   chaos plan, ';'-separated processes, e.g.\n"
       "                  'churn(period=1,down=0.3);burst(p=0.05,r=0.5)'\n"

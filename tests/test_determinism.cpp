@@ -149,6 +149,50 @@ TEST(Determinism, WireModeMatchesSeedReference) {
   }
 }
 
+// Seed guard for the cache policies only the cache-policy ablation runs.
+// At β=150 the buffers evict throughout quick()'s window, so LRU's recency
+// refresh and Random's victim draws decide what every digest finds.
+// Captured from the build whose caches each kept their own id and
+// (source, pattern, seq) tables, before one event registry per runtime
+// replaced them.
+TEST(Determinism, LruAndRandomCachePoliciesMatchSeedReference) {
+  struct Reference {
+    CachePolicy policy;
+    Algorithm algorithm;
+    std::uint64_t delivered_pairs, recovered_pairs, sim_events_executed,
+        gossip_sends, event_sends, events_served;
+    double delivery_rate;
+  };
+  const Reference refs[] = {
+      {CachePolicy::Lru, Algorithm::Push, 1359, 283, 19496, 2451, 3493, 838,
+       0x1.b86282ea9cd73p-1},
+      {CachePolicy::Lru, Algorithm::CombinedPull, 1315, 250, 16087, 611, 3514,
+       682, 0x1.aa2067b23a544p-1},
+      {CachePolicy::Random, Algorithm::Push, 1337, 261, 19432, 2447, 3493,
+       809, 0x1.b141754e6b95bp-1},
+      {CachePolicy::Random, Algorithm::CombinedPull, 1242, 199, 16586, 647,
+       3459, 437, 0x1.92788bfd68582p-1},
+  };
+  for (const Reference& ref : refs) {
+    ScenarioConfig cfg = quick(ref.algorithm, 404);
+    cfg.sizing_mode = SizingMode::Nominal;
+    cfg.gossip.buffer_size = 150;
+    cfg.gossip.cache_policy = ref.policy;
+    const ScenarioResult r = run_scenario(cfg);
+    SCOPED_TRACE(std::string(to_string(ref.policy)) + " " +
+                 to_string(ref.algorithm));
+    EXPECT_EQ(r.events_published, 2653u);
+    EXPECT_EQ(r.expected_pairs, 1580u);
+    EXPECT_EQ(r.delivered_pairs, ref.delivered_pairs);
+    EXPECT_EQ(r.recovered_pairs, ref.recovered_pairs);
+    EXPECT_EQ(r.sim_events_executed, ref.sim_events_executed);
+    EXPECT_EQ(r.traffic.gossip_sends(), ref.gossip_sends);
+    EXPECT_EQ(r.traffic.event_sends(), ref.event_sends);
+    EXPECT_EQ(r.gossip_totals.events_served, ref.events_served);
+    EXPECT_DOUBLE_EQ(r.delivery_rate, ref.delivery_rate);
+  }
+}
+
 // Seed guard on the set-up passes: mean_pairwise_distance is not part of
 // result_json, so the identity checks above never see it. Pinned to the
 // values of the one-BFS-per-source scan on the paper's tree and on a

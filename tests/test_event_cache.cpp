@@ -8,6 +8,10 @@
 #include <algorithm>
 #include <list>
 #include <map>
+#include <memory>
+#include <set>
+#include <string>
+#include <tuple>
 #include <utility>
 
 #include "gossip_harness.hpp"
@@ -22,7 +26,8 @@ EventPtr ev(std::uint32_t source, std::uint64_t seq,
 }
 
 TEST(EventCache, InsertAndGetById) {
-  EventCache cache(4, CachePolicy::Fifo, Rng{1});
+  EventRegistry registry;
+  EventCache cache(4, CachePolicy::Fifo, Rng{1}, registry);
   auto e = ev(0, 1, {{Pattern{1}, SeqNo{1}}});
   EXPECT_TRUE(cache.insert(e));
   EXPECT_FALSE(cache.insert(e));  // duplicate
@@ -34,14 +39,16 @@ TEST(EventCache, InsertAndGetById) {
 }
 
 TEST(EventCache, MissingLookupsCountMisses) {
-  EventCache cache(4, CachePolicy::Fifo, Rng{1});
+  EventRegistry registry;
+  EventCache cache(4, CachePolicy::Fifo, Rng{1}, registry);
   EXPECT_EQ(cache.get(EventId{NodeId{9}, 9}), nullptr);
   EXPECT_EQ(cache.find(NodeId{9}, Pattern{1}, SeqNo{1}), nullptr);
   EXPECT_EQ(cache.stats().misses, 2u);
 }
 
 TEST(EventCache, FindBySourcePatternSeq) {
-  EventCache cache(4, CachePolicy::Fifo, Rng{1});
+  EventRegistry registry;
+  EventCache cache(4, CachePolicy::Fifo, Rng{1}, registry);
   auto e = ev(3, 1, {{Pattern{5}, SeqNo{7}}, {Pattern{9}, SeqNo{2}}});
   cache.insert(e);
   EXPECT_EQ(cache.find(NodeId{3}, Pattern{5}, SeqNo{7}), e);
@@ -51,7 +58,8 @@ TEST(EventCache, FindBySourcePatternSeq) {
 }
 
 TEST(EventCache, FifoEvictsOldestFirst) {
-  EventCache cache(3, CachePolicy::Fifo, Rng{1});
+  EventRegistry registry;
+  EventCache cache(3, CachePolicy::Fifo, Rng{1}, registry);
   auto e1 = ev(0, 1, {{Pattern{1}, SeqNo{1}}});
   auto e2 = ev(0, 2, {{Pattern{1}, SeqNo{2}}});
   auto e3 = ev(0, 3, {{Pattern{1}, SeqNo{3}}});
@@ -70,7 +78,8 @@ TEST(EventCache, FifoEvictsOldestFirst) {
 }
 
 TEST(EventCache, LruKeepsRecentlyAccessed) {
-  EventCache cache(3, CachePolicy::Lru, Rng{1});
+  EventRegistry registry;
+  EventCache cache(3, CachePolicy::Lru, Rng{1}, registry);
   auto e1 = ev(0, 1, {{Pattern{1}, SeqNo{1}}});
   auto e2 = ev(0, 2, {{Pattern{1}, SeqNo{2}}});
   auto e3 = ev(0, 3, {{Pattern{1}, SeqNo{3}}});
@@ -85,7 +94,8 @@ TEST(EventCache, LruKeepsRecentlyAccessed) {
 }
 
 TEST(EventCache, RandomEvictionKeepsCapacityAndConsistency) {
-  EventCache cache(16, CachePolicy::Random, Rng{42});
+  EventRegistry registry;
+  EventCache cache(16, CachePolicy::Random, Rng{42}, registry);
   std::vector<EventPtr> events;
   for (std::uint64_t i = 0; i < 200; ++i) {
     auto e = ev(1, i, {{Pattern{static_cast<std::uint32_t>(i % 5)},
@@ -109,7 +119,8 @@ TEST(EventCache, RandomEvictionKeepsCapacityAndConsistency) {
 }
 
 TEST(EventCache, IdsMatchingFiltersByPattern) {
-  EventCache cache(10, CachePolicy::Fifo, Rng{1});
+  EventRegistry registry;
+  EventCache cache(10, CachePolicy::Fifo, Rng{1}, registry);
   cache.keep_pattern_index();
   auto e1 = ev(0, 1, {{Pattern{1}, SeqNo{1}}});
   auto e2 = ev(0, 2, {{Pattern{2}, SeqNo{1}}});
@@ -125,7 +136,8 @@ TEST(EventCache, IdsMatchingFiltersByPattern) {
 }
 
 TEST(EventCache, IdsMatchingDropsEvictedEntries) {
-  EventCache cache(2, CachePolicy::Fifo, Rng{1});
+  EventRegistry registry;
+  EventCache cache(2, CachePolicy::Fifo, Rng{1}, registry);
   cache.keep_pattern_index();
   auto e1 = ev(0, 1, {{Pattern{1}, SeqNo{1}}});
   auto e2 = ev(0, 2, {{Pattern{1}, SeqNo{2}}});
@@ -138,7 +150,8 @@ TEST(EventCache, IdsMatchingDropsEvictedEntries) {
 }
 
 TEST(EventCache, IdsMatchingHonoursCapKeepingNewest) {
-  EventCache cache(10, CachePolicy::Fifo, Rng{1});
+  EventRegistry registry;
+  EventCache cache(10, CachePolicy::Fifo, Rng{1}, registry);
   cache.keep_pattern_index();
   std::vector<EventPtr> events;
   for (std::uint64_t i = 0; i < 6; ++i) {
@@ -155,7 +168,8 @@ TEST(EventCache, IdsMatchingHonoursCapKeepingNewest) {
 class CachePolicySweep : public ::testing::TestWithParam<CachePolicy> {};
 
 TEST_P(CachePolicySweep, NeverExceedsCapacityAndStaysConsistent) {
-  EventCache cache(32, GetParam(), Rng{7});
+  EventRegistry registry;
+  EventCache cache(32, GetParam(), Rng{7}, registry);
   cache.keep_pattern_index();
   Rng rng(99);
   for (std::uint64_t i = 0; i < 1000; ++i) {
@@ -177,8 +191,10 @@ INSTANTIATE_TEST_SUITE_P(Policies, CachePolicySweep,
                                            CachePolicy::Random));
 
 TEST_P(CachePolicySweep, IdsMatchingIntoAgreesWithAllocatingVariant) {
-  EventCache a(16, GetParam(), Rng{5});
-  EventCache b(16, GetParam(), Rng{5});
+  // Twin caches on one registry: each event has two holders.
+  EventRegistry registry;
+  EventCache a(16, GetParam(), Rng{5}, registry);
+  EventCache b(16, GetParam(), Rng{5}, registry);
   a.keep_pattern_index();
   b.keep_pattern_index();
   Rng rng(123);
@@ -201,7 +217,8 @@ TEST_P(CachePolicySweep, IdsMatchingIntoAgreesWithAllocatingVariant) {
 TEST(EventCache, PatternIndexStaysTightUnderFifoChurn) {
   // The eager head purge keeps the per-pattern index at O(live entries)
   // under FIFO eviction: every victim's ids sit at its buckets' fronts.
-  EventCache cache(8, CachePolicy::Fifo, Rng{1});
+  EventRegistry registry;
+  EventCache cache(8, CachePolicy::Fifo, Rng{1}, registry);
   cache.keep_pattern_index();
   for (std::uint64_t i = 0; i < 1000; ++i) {
     cache.insert(ev(0, i,
@@ -215,7 +232,8 @@ TEST(EventCache, PatternIndexStaysTightUnderFifoChurn) {
 TEST(EventCache, FifoDigestNeedsNoLivenessFiltering) {
   // Interleave two patterns so evictions hit buckets the query never
   // touches; the FIFO digest must still be exactly the live ids.
-  EventCache cache(4, CachePolicy::Fifo, Rng{1});
+  EventRegistry registry;
+  EventCache cache(4, CachePolicy::Fifo, Rng{1}, registry);
   cache.keep_pattern_index();
   std::vector<EventPtr> events;
   for (std::uint64_t i = 0; i < 12; ++i) {
@@ -234,7 +252,8 @@ TEST(EventCache, FifoDigestNeedsNoLivenessFiltering) {
 TEST(EventCache, LruRefreshSurvivesLongChurn) {
   // Pin one event by touching it before every insert; the flat-slot LRU
   // list must keep it resident across many evictions.
-  EventCache cache(4, CachePolicy::Lru, Rng{1});
+  EventRegistry registry;
+  EventCache cache(4, CachePolicy::Lru, Rng{1}, registry);
   auto pinned = ev(9, 0, {{Pattern{1}, SeqNo{1}}});
   cache.insert(pinned);
   for (std::uint64_t i = 1; i <= 100; ++i) {
@@ -248,7 +267,8 @@ TEST(EventCache, LruRefreshSurvivesLongChurn) {
 TEST(EventCache, SlotRecyclingPreservesLookups) {
   // Heavy insert/evict churn recycles slots; spot-check both lookup paths
   // for the survivors after every batch.
-  EventCache cache(6, CachePolicy::Fifo, Rng{1});
+  EventRegistry registry;
+  EventCache cache(6, CachePolicy::Fifo, Rng{1}, registry);
   std::vector<EventPtr> events;
   for (std::uint64_t i = 0; i < 300; ++i) {
     auto e = ev(static_cast<std::uint32_t>(i % 2), i,
@@ -317,6 +337,18 @@ class NaiveCache {
                        [&](const Entry& en) { return en.event->id() == id; });
   }
   [[nodiscard]] std::size_t size() const { return order_.size(); }
+  /// The cached events in eviction order, as snapshot_events() lists them.
+  [[nodiscard]] std::vector<EventPtr> events() const {
+    std::vector<EventPtr> out;
+    for (const Entry& en : order_) out.push_back(en.event);
+    return out;
+  }
+  void clear() {
+    order_.clear();
+    pool_.clear();
+  }
+  [[nodiscard]] std::uint64_t hits() const { return hits_; }
+  [[nodiscard]] std::uint64_t misses() const { return misses_; }
 
  private:
   struct Entry {
@@ -329,7 +361,11 @@ class NaiveCache {
     });
   }
   EventPtr touch(std::list<Entry>::iterator it) {
-    if (it == order_.end()) return nullptr;
+    if (it == order_.end()) {
+      ++misses_;
+      return nullptr;
+    }
+    ++hits_;
     EventPtr e = it->event;
     if (policy_ == CachePolicy::Lru) order_.splice(order_.end(), order_, it);
     return e;
@@ -351,6 +387,8 @@ class NaiveCache {
   std::list<Entry> order_;
   std::vector<EventId> pool_;
   std::uint64_t next_stamp_ = 0;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
 };
 
 TEST_P(CachePolicySweep, LookupsAgreeWithNaiveModelAfterEvictions) {
@@ -364,7 +402,8 @@ TEST_P(CachePolicySweep, LookupsAgreeWithNaiveModelAfterEvictions) {
   constexpr std::uint32_t kSources = 5;
   constexpr std::uint32_t kPatterns = 7;
   constexpr int kFirstFindStep = 1000;
-  EventCache cache(kCapacity, GetParam(), Rng{31});
+  EventRegistry registry;
+  EventCache cache(kCapacity, GetParam(), Rng{31}, registry);
   cache.keep_pattern_index();
   NaiveCache model(kCapacity, GetParam(), Rng{31});
   std::uint64_t evictions_before_first_find = 0;
@@ -428,25 +467,256 @@ TEST_P(CachePolicySweep, LookupsAgreeWithNaiveModelAfterEvictions) {
   }
 }
 
+/// K caches on one registry under one policy, driven by random operations
+/// and checked after every step: each cache against its own naive model,
+/// and the registry against the union of the models.
+class SharedRegistry
+    : public ::testing::TestWithParam<std::tuple<int, CachePolicy>> {};
+
+TEST_P(SharedRegistry, CachesAndRegistryAgreeWithNaiveModels) {
+  const int k = std::get<0>(GetParam());
+  const CachePolicy policy = std::get<1>(GetParam());
+  constexpr std::size_t kCapacity = 12;
+  constexpr std::uint32_t kSources = 4;
+  constexpr std::uint32_t kPatterns = 6;
+  constexpr int kSteps = 2500;
+  constexpr int kFirstFindStep = 600;
+  EventRegistry registry;
+  std::vector<std::unique_ptr<EventCache>> caches(k);
+  std::vector<std::unique_ptr<NaiveCache>> models(k);
+  // Ids each cache has taken since it was built or cleared: under LRU and
+  // Random an evicted id may linger in the digest index, so an event goes
+  // into a cache at most once between clears, as the protocols use it.
+  std::vector<std::set<EventId>> taken(k);
+  std::uint64_t next_cache_seed = 100;
+  const auto build = [&](int c) {
+    const Rng rng{next_cache_seed++};
+    caches[c] = std::make_unique<EventCache>(kCapacity, policy, rng, registry);
+    caches[c]->keep_pattern_index();
+    models[c] = std::make_unique<NaiveCache>(kCapacity, policy, rng);
+    taken[c].clear();
+  };
+  for (int c = 0; c < k; ++c) build(c);
+
+  // The registry's stream index, modelled: once a cache has asked for it,
+  // a key names the newest registered event carrying it, until that event
+  // is unregistered. Sources here also reuse (pattern, seq) pairs under
+  // fresh ids, as a source restarted without its counters would, but only
+  // once the index exists, so its initial build sees no duplicates.
+  bool stream_index = false;
+  std::map<LostEntryInfo, EventId> owner;
+  std::map<EventId, int> holders;  // the union of the models, with counts
+  const auto sync_holders = [&] {
+    std::map<EventId, int> now;
+    for (const auto& m : models) {
+      for (const EventPtr& e : m->events()) ++now[e->id()];
+    }
+    if (stream_index) {
+      for (const auto& [id, n] : holders) {  // unregistered events
+        if (now.count(id) != 0) continue;
+        for (auto it = owner.begin(); it != owner.end();) {
+          it = it->second == id ? owner.erase(it) : std::next(it);
+        }
+      }
+    }
+    holders = std::move(now);
+  };
+  std::map<EventId, EventPtr> by_id;
+  const auto note_registered = [&](const EventPtr& e) {
+    if (!stream_index || holders.count(e->id()) != 0) return;
+    for (const PatternSeq& ps : e->patterns()) {
+      owner[LostEntryInfo{e->source(), ps.pattern, ps.seq}] = e->id();
+    }
+  };
+
+  Rng rng(77 + static_cast<std::uint64_t>(k));
+  std::vector<EventPtr> published;
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint64_t> next_seq;
+  std::vector<std::uint64_t> next_id(kSources, 0);
+  for (int step = 0; step < kSteps; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const auto c =
+        static_cast<int>(rng.next_below(static_cast<std::uint64_t>(k)));
+    EventCache& cache = *caches[c];
+    NaiveCache& model = *models[c];
+    const std::uint64_t op = rng.next_below(100);
+    if (op < 35 || published.empty()) {
+      // Insert: usually an event another cache may hold, else a fresh one.
+      EventPtr e;
+      if (!published.empty() && rng.next_below(3) != 0) {
+        e = published[published.size() - 1 -
+                      rng.next_below(std::min<std::size_t>(published.size(),
+                                                           40))];
+      } else {
+        const auto src = static_cast<std::uint32_t>(rng.next_below(kSources));
+        std::vector<PatternSeq> patterns;
+        const EventPtr* twin = nullptr;
+        if (stream_index && rng.next_below(4) == 0) {
+          // Reuse a recent event's (pattern, seq) pairs under a new id.
+          for (std::size_t back = 0; back < std::min<std::size_t>(
+                                              published.size(), 30);
+               ++back) {
+            const EventPtr& cand = published[published.size() - 1 - back];
+            if (cand->source() == NodeId{src}) {
+              twin = &cand;
+              break;
+            }
+          }
+        }
+        if (twin != nullptr) {
+          patterns = (*twin)->patterns();
+        } else {
+          const std::uint64_t count = 1 + rng.next_below(3);
+          for (std::uint64_t i = 0; i < count; ++i) {
+            const Pattern p{
+                static_cast<std::uint32_t>(rng.next_below(kPatterns))};
+            if (std::any_of(patterns.begin(), patterns.end(),
+                            [p](const PatternSeq& ps) {
+                              return ps.pattern == p;
+                            })) {
+              continue;
+            }
+            patterns.push_back({p, SeqNo{++next_seq[{src, p.value()}]}});
+          }
+          std::sort(patterns.begin(), patterns.end());
+        }
+        e = ev(src, next_id[src]++, std::move(patterns));
+        published.push_back(e);
+        by_id[e->id()] = e;
+      }
+      if (model.contains(e->id())) {
+        ASSERT_FALSE(cache.insert(e));
+      } else if (taken[c].insert(e->id()).second) {
+        note_registered(e);
+        ASSERT_TRUE(model.insert(e));
+        ASSERT_TRUE(cache.insert(e));
+      }
+    } else if (op < 55) {
+      const EventPtr& e = published[rng.next_below(published.size())];
+      if (step < kFirstFindStep || rng.next_below(2) == 0) {
+        ASSERT_EQ(cache.get(e->id()), model.get(e->id()));
+      } else {
+        ASSERT_EQ(cache.contains(e->id()), model.contains(e->id()));
+      }
+    } else if (op < 75) {
+      if (step < kFirstFindStep) continue;
+      if (!stream_index) {
+        stream_index = true;
+        for (const auto& [id, n] : holders) {
+          for (const PatternSeq& ps : by_id[id]->patterns()) {
+            owner[LostEntryInfo{id.source, ps.pattern, ps.seq}] = id;
+          }
+        }
+      }
+      const EventPtr& e = published[rng.next_below(published.size())];
+      const PatternSeq& ps =
+          e->patterns()[rng.next_below(e->patterns().size())];
+      const LostEntryInfo key{e->source(), ps.pattern, ps.seq};
+      const auto named = owner.find(key);
+      // A key naming no event, or one this cache lacks, is a miss; the
+      // model counts it through a lookup of an id no cache holds.
+      const EventPtr want = named != owner.end()
+                                ? model.get(named->second)
+                                : model.get(EventId{NodeId{999}, 0});
+      ASSERT_EQ(cache.find(key.source, key.pattern, key.seq), want);
+    } else if (op < 92) {
+      const Pattern p{static_cast<std::uint32_t>(rng.next_below(kPatterns))};
+      const std::size_t max = rng.next_below(4);
+      ASSERT_EQ(cache.ids_matching(p, max), model.ids_matching(p, max));
+    } else if (op < 96) {
+      cache.clear();
+      model.clear();
+      taken[c].clear();
+    } else {
+      // Destroy the cache and build a fresh one in its place.
+      caches[c].reset();
+      build(c);
+    }
+    sync_holders();
+
+    // Every cache against its model, membership of every event included.
+    for (int i = 0; i < k; ++i) {
+      for (const EventPtr& e : published) {
+        ASSERT_EQ(caches[i]->contains(e->id()), models[i]->contains(e->id()))
+            << "cache " << i;
+      }
+      ASSERT_EQ(caches[i]->size(), models[i]->size()) << "cache " << i;
+      ASSERT_EQ(caches[i]->snapshot_events(), models[i]->events())
+          << "cache " << i;
+      ASSERT_EQ(caches[i]->stats().hits, models[i]->hits()) << "cache " << i;
+      ASSERT_EQ(caches[i]->stats().misses, models[i]->misses())
+          << "cache " << i;
+    }
+    // The registry against the union: exactly the held events are live,
+    // each counting its holders.
+    ASSERT_EQ(registry.size(), holders.size());
+    for (const EventPtr& e : published) {
+      const std::uint32_t entry = registry.find(e->id());
+      const auto held = holders.find(e->id());
+      if (held == holders.end()) {
+        ASSERT_EQ(entry, EventRegistry::kNone);
+        continue;
+      }
+      ASSERT_NE(entry, EventRegistry::kNone);
+      ASSERT_EQ(registry.event(entry), e);
+      ASSERT_EQ(registry.holders(entry),
+                static_cast<std::uint32_t>(held->second));
+    }
+    if (stream_index) {
+      for (const EventPtr& e : published) {
+        for (const PatternSeq& ps : e->patterns()) {
+          const LostEntryInfo key{e->source(), ps.pattern, ps.seq};
+          const auto named = owner.find(key);
+          ASSERT_EQ(registry.find(key.source, key.pattern, key.seq),
+                    named != owner.end() ? registry.find(named->second)
+                                         : EventRegistry::kNone);
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(stream_index);
+  // Every cache cleared: the registry is empty.
+  for (int i = 0; i < k; ++i) caches[i]->clear();
+  EXPECT_EQ(registry.size(), 0u);
+  for (const EventPtr& e : published) {
+    ASSERT_EQ(registry.find(e->id()), EventRegistry::kNone);
+    for (const PatternSeq& ps : e->patterns()) {
+      ASSERT_EQ(registry.find(e->source(), ps.pattern, ps.seq),
+                EventRegistry::kNone);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CachesAndPolicies, SharedRegistry,
+    ::testing::Combine(::testing::Values(1, 3, 5),
+                       ::testing::Values(CachePolicy::Fifo, CachePolicy::Lru,
+                                         CachePolicy::Random)));
+
 TEST(EventCache, IndexesAreBuiltOnlyForTheirReader) {
-  EventCache cache(8, CachePolicy::Fifo, Rng{1});
+  EventRegistry registry;
+  EventCache cache(8, CachePolicy::Fifo, Rng{1}, registry);
   for (std::uint64_t i = 0; i < 20; ++i) {
     cache.insert(ev(0, i, {{Pattern{1}, SeqNo{i + 1}}}));
   }
-  const std::size_t id_index_only = cache.memory_bytes();
+  const std::size_t cache_bytes = cache.memory_bytes();
+  const std::size_t id_index_only = registry.memory_bytes();
   EXPECT_EQ(cache.pattern_index_entries(), 0u);
-  // The first find() indexes the cached events, evicted ones excluded.
+  // The first find() indexes the registered events, evicted ones excluded;
+  // the stream index lives in the registry, not in the cache.
   EXPECT_EQ(cache.find(NodeId{0}, Pattern{1}, SeqNo{20})->id(),
             (EventId{NodeId{0}, 19}));
   EXPECT_EQ(cache.find(NodeId{0}, Pattern{1}, SeqNo{12}), nullptr);
-  EXPECT_GT(cache.memory_bytes(), id_index_only);
+  EXPECT_GT(registry.memory_bytes(), id_index_only);
+  EXPECT_EQ(cache.memory_bytes(), cache_bytes);
   cache.insert(ev(0, 20, {{Pattern{1}, SeqNo{21}}}));
   EXPECT_EQ(cache.find(NodeId{0}, Pattern{1}, SeqNo{13}), nullptr);
   EXPECT_NE(cache.find(NodeId{0}, Pattern{1}, SeqNo{21}), nullptr);
 }
 
 TEST(EventCacheDeath, IdsMatchingNeedsTheOptIn) {
-  EventCache cache(4, CachePolicy::Fifo, Rng{1});
+  EventRegistry registry;
+  EventCache cache(4, CachePolicy::Fifo, Rng{1}, registry);
   cache.insert(ev(0, 0, {{Pattern{1}, SeqNo{1}}}));
   EXPECT_DEATH((void)cache.ids_matching(Pattern{1}, 0), "keep_pattern_index");
   EXPECT_DEATH(cache.keep_pattern_index(), "first insert");

@@ -16,7 +16,29 @@ TEST(Contracts, SchedulerRejectsPastAndNull) {
 }
 
 TEST(Contracts, CacheRejectsZeroCapacity) {
-  EXPECT_DEATH(EventCache(0, CachePolicy::Fifo, Rng{1}), "positive");
+  EventRegistry registry;
+  EXPECT_DEATH(EventCache(0, CachePolicy::Fifo, Rng{1}, registry), "positive");
+}
+
+TEST(Contracts, FloodBootstrapNeedsATreeOverlay) {
+  // On a cycle the subscription floods' outcome depends on arrival order,
+  // so a cyclic overlay under the default flood bootstrap is rejected
+  // before anything is simulated, naming the bootstrap that works there.
+  ScenarioConfig cfg = ScenarioConfig::paper_defaults(Algorithm::CombinedPull);
+  cfg.nodes = 60;
+  cfg.warmup = Duration::seconds(0.3);
+  cfg.measure = Duration::seconds(0.3);
+  cfg.recovery_horizon = Duration::seconds(0.3);
+  cfg.overlay = OverlayKind::BarabasiAlbert;
+  cfg.overlay_degree = 4;
+  EXPECT_DEATH((void)run_scenario(cfg), "--bootstrap=oracle");
+  // The check reads the built overlay, not its kind: Barabási–Albert at
+  // degree 3 attaches one link per node, which is a tree, and floods.
+  cfg.overlay_degree = 3;
+  EXPECT_GT(run_scenario(cfg).delivered_pairs, 0u);
+  cfg.overlay_degree = 4;
+  cfg.bootstrap = ScenarioConfig::SubscriptionBootstrap::Oracle;
+  EXPECT_GT(run_scenario(cfg).delivered_pairs, 0u);
 }
 
 TEST(Contracts, RngRejectsZeroBound) {
