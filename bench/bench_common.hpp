@@ -7,7 +7,8 @@
 // paper-vs-measured shape.
 //
 // Configuration is parsed exactly once into BenchEnv:
-//   EPICAST_BENCH_FAST=1   shrink measurement windows and sweeps
+//   EPICAST_BENCH_FAST=1   shrink measurement windows and sweeps (a switch,
+//                          spelled as env::read_switch reads it)
 //   EPICAST_JOBS=N         worker threads (also --jobs=N)
 //   EPICAST_BENCH_JSON=F   machine-readable output path (also --json=F)
 // The full (default) configuration is what EXPERIMENTS.md records.
@@ -40,11 +41,11 @@ struct BenchEnv {
  private:
   static BenchEnv from_environment() {
     BenchEnv e;
-    if (const char* v = std::getenv("EPICAST_BENCH_FAST")) {
-      e.fast = v[0] != '\0' && v[0] != '0';
+    e.fast = env::read_switch(env::process_env, "EPICAST_BENCH_FAST", false);
+    e.jobs = env::settings().jobs;
+    if (const char* v = env::process_env("EPICAST_BENCH_JSON")) {
+      e.json_path = v;
     }
-    e.jobs = SweepRunner::jobs_from_env(std::getenv("EPICAST_JOBS"));
-    if (const char* v = std::getenv("EPICAST_BENCH_JSON")) e.json_path = v;
     return e;
   }
 };

@@ -112,7 +112,7 @@ void write_json(const std::string& path, const std::vector<Run>& runs) {
                "  \"pool_mode\": \"%s\",\n"
                "  \"fast_mode\": %s\n"
                "}\n",
-               MessagePool::default_mode() == MessagePool::Mode::Pooling
+               env::settings().pool == MessagePool::Mode::Pooling
                    ? "pooling"
                    : "pass-through",
                fast_mode() ? "true" : "false");
@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
 
   print_header("hot-path profile", "per-phase time attribution + pool stats");
   std::printf("pool mode: %s (EPICAST_POOL overrides)\n",
-              MessagePool::default_mode() == MessagePool::Mode::Pooling
+              env::settings().pool == MessagePool::Mode::Pooling
                   ? "pooling"
                   : "pass-through");
 

@@ -144,7 +144,7 @@ void BM_EventCacheDigest(benchmark::State& state) {
   }
   std::uint32_t p = 0;
   for (auto _ : state) {
-    auto ids = cache.ids_matching(Pattern{p++ % 70}, 0);
+    auto ids = cache.ids_matching(Pattern{p++ % 70});
     benchmark::DoNotOptimize(ids);
   }
   state.SetItemsProcessed(state.iterations());

@@ -28,8 +28,8 @@ using namespace epicast;
 using namespace epicast::bench;
 
 bool xl_mode(int argc, char** argv) {
-  if (const char* v = std::getenv("EPICAST_BENCH_SCALE_XL")) {
-    if (v[0] != '\0' && v[0] != '0') return true;
+  if (env::read_switch(env::process_env, "EPICAST_BENCH_SCALE_XL", false)) {
+    return true;
   }
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--xl") == 0) return true;

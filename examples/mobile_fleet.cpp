@@ -33,7 +33,6 @@ Timeline run(Algorithm algorithm) {
   cfg.nodes = 60;
   cfg.link_error_rate = 0.0;                          // reliable links...
   cfg.reconfiguration_interval = Duration::millis(150);  // ...but churn
-  cfg.repair_time = Duration::millis(100);
   cfg.measure = Duration::seconds(4.0);
   cfg.bucket_width = Duration::millis(100);
   const ScenarioResult r = run_scenario(cfg);

@@ -22,7 +22,7 @@ int main() {
   base.seed = 42;
 
   std::cout << "epicast quickstart — " << base.nodes
-            << " dispatchers on a degree-" << base.max_degree
+            << " dispatchers on a degree-" << ScenarioConfig::kTreeMaxDegree
             << " tree, link error rate " << base.link_error_rate << "\n\n";
 
   // 1. Best-effort dispatching only: events lost on a hop are gone.

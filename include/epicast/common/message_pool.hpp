@@ -59,8 +59,10 @@ class MessagePool {
     }
   };
 
-  /// Default-constructs with default_mode() (ASan/EPICAST_POOL aware).
-  MessagePool() : MessagePool(default_mode()) {}
+  /// Constructs in the process-wide mode: env::settings().pool, which is
+  /// PassThrough under ASan or EPICAST_POOL=off and Pooling otherwise
+  /// (EPICAST_POOL=on overrides the ASan default).
+  MessagePool();
   explicit MessagePool(Mode mode);
 
   [[nodiscard]] Mode mode() const;
@@ -71,15 +73,6 @@ class MessagePool {
   /// type with alignment <= alignof(std::max_align_t).
   [[nodiscard]] void* allocate(std::size_t bytes);
   void deallocate(void* p, std::size_t bytes) noexcept;
-
-  /// The process-wide default: PassThrough under ASan or EPICAST_POOL=off,
-  /// Pooling otherwise (EPICAST_POOL=on overrides the ASan default).
-  [[nodiscard]] static Mode default_mode();
-
-  /// Interprets an EPICAST_POOL value: unset (null) or empty keeps the
-  /// build default, "on"/"1" select Pooling, "off"/"0" PassThrough, and any
-  /// other spelling aborts with a message naming the variable.
-  [[nodiscard]] static Mode mode_from_env(const char* value);
 
   static constexpr std::size_t kGranularity = 64;
   static constexpr std::size_t kClasses = 16;  ///< up to 1024-byte blocks

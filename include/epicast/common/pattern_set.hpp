@@ -5,9 +5,8 @@
 // the ascending-bit iteration order) is bit-identical to the fixed two-word
 // bitset it replaced, which is what keeps the seed-guarded figure scenarios
 // stable. Larger universes (Zipf-skewed 1k–10k patterns from CLI-configured
-// scenarios) widen the word array on demand — from an Arena when the set
-// was constructed with one (per-scenario node state), else from the heap —
-// instead of falling back to sorted side maps.
+// scenarios) widen the word array on demand from the heap instead of
+// falling back to sorted side maps.
 //
 // Invariants:
 //   * width only grows, and only via set() / set_all() / reserve() / |= —
@@ -25,7 +24,6 @@
 #include <cstdint>
 #include <span>
 
-#include "epicast/common/arena.hpp"
 #include "epicast/common/assert.hpp"
 #include "epicast/common/ids.hpp"
 
@@ -38,13 +36,9 @@ class PatternSet {
 
   constexpr PatternSet() = default;
 
-  /// Pre-sized for patterns in [0, universe). Widths beyond the inline
-  /// words come from `arena` when given (per-scenario state), else the
-  /// heap. The set auto-grows past `universe` if asked to.
-  explicit PatternSet(std::uint32_t universe, Arena* arena = nullptr)
-      : arena_(arena) {
-    reserve(universe);
-  }
+  /// Pre-sized for patterns in [0, universe). The set auto-grows past
+  /// `universe` if asked to.
+  explicit PatternSet(std::uint32_t universe) { reserve(universe); }
 
   PatternSet(const PatternSet& o) { assign(o); }
   PatternSet& operator=(const PatternSet& o) {
@@ -242,9 +236,7 @@ class PatternSet {
 
   void grow(std::uint32_t new_words) {
     EPICAST_ASSERT(new_words > nwords_);
-    auto* w = arena_ != nullptr
-                  ? arena_->allocate_array<std::uint64_t>(new_words)
-                  : new std::uint64_t[new_words]{};
+    auto* w = new std::uint64_t[new_words]{};
     for (std::uint32_t i = 0; i < nwords_; ++i) w[i] = words_[i];
     release();
     words_ = w;
@@ -252,8 +244,6 @@ class PatternSet {
   }
 
   void assign(const PatternSet& o) {
-    // Copies keep the destination's own arena policy — a default-constructed
-    // destination grows via the heap even when the source is arena-backed.
     if (o.nwords_ > nwords_) grow(o.nwords_);
     for (std::uint32_t i = 0; i < o.nwords_; ++i) words_[i] = o.words_[i];
     for (std::uint32_t i = o.nwords_; i < nwords_; ++i) words_[i] = 0;
@@ -269,7 +259,6 @@ class PatternSet {
       words_ = o.words_;
       nwords_ = o.nwords_;
     }
-    arena_ = o.arena_;
     o.words_ = o.inline_;
     o.nwords_ = kInlineWords;
     o.inline_[0] = 0;
@@ -277,14 +266,12 @@ class PatternSet {
   }
 
   void release() {
-    // Arena blocks are abandoned (reclaimed at scenario teardown).
-    if (words_ != inline_ && arena_ == nullptr) delete[] words_;
+    if (words_ != inline_) delete[] words_;
   }
 
   std::uint64_t inline_[kInlineWords] = {0, 0};
   std::uint64_t* words_ = inline_;
   std::uint32_t nwords_ = kInlineWords;
-  Arena* arena_ = nullptr;
 };
 
 }  // namespace epicast

@@ -7,12 +7,12 @@
 // any received frame from a peer as proof of life. Silence accumulates in
 // missed-interval strikes:
 //
-//     suspect_after_missed  → suspected:  the recovery protocol's
-//                             peer-health table is primed so gossip-round
-//                             target selection steers around the peer;
-//     dead_after_missed     → confirmed dead: the daemon's route-repair
-//                             callback runs (link break + deterministic
-//                             detour links via the Reconfigurator path).
+//     kSuspectAfterMissed  → suspected:  the recovery protocol's
+//                            peer-health table is primed so gossip-round
+//                            target selection steers around the peer;
+//     kDeadAfterMissed     → confirmed dead: the daemon's route-repair
+//                            callback runs (link break + deterministic
+//                            detour links via the Reconfigurator path).
 //
 // Heartbeats carry the sender's incarnation (journal boot count). An
 // incarnation jump is a restart observation: the peer died and came back —
@@ -32,19 +32,21 @@ namespace epicast::daemon {
 
 struct FailureDetectorConfig {
   Duration interval = Duration::millis(250);
-  std::uint32_t suspect_after_missed = 3;
-  std::uint32_t dead_after_missed = 8;
   /// This node's boot count, carried in every heartbeat.
   std::uint64_t incarnation = 1;
-  /// Stream watermarks piggybacked per heartbeat (anti-entropy): each beat
-  /// carries the next `marks_per_beat` entries of the recovery protocol's
-  /// witnessed-watermark table, rotating through it. 0 disables the
-  /// piggyback (pure liveness beacons).
-  std::size_t marks_per_beat = 64;
 };
 
 class FailureDetector {
  public:
+  /// Missed heartbeat intervals before a neighbour is suspected, and
+  /// before it is confirmed dead.
+  static constexpr std::uint64_t kSuspectAfterMissed = 3;
+  static constexpr std::uint64_t kDeadAfterMissed = 8;
+  /// Stream watermarks piggybacked per heartbeat (anti-entropy): each beat
+  /// carries the next this many entries of the recovery protocol's
+  /// witnessed-watermark table, rotating through it.
+  static constexpr std::size_t kMarksPerBeat = 64;
+
   using PeerCallback = std::function<void(NodeId)>;
 
   FailureDetector(Dispatcher& dispatcher, runtime::AsyncRuntime& rt,

@@ -14,6 +14,7 @@
 #pragma once
 
 #include "epicast/common/assert.hpp"
+#include "epicast/common/env.hpp"
 #include "epicast/common/ids.hpp"
 #include "epicast/common/logging.hpp"
 #include "epicast/common/rng.hpp"

@@ -91,11 +91,6 @@ struct FaultPlan {
 [[nodiscard]] std::optional<FaultPlan> parse_plan(const std::string& spec,
                                                   std::string* error = nullptr);
 
-/// The plan EPICAST_FAULTS specifies, read once per process; the empty plan
-/// when unset. Malformed specs abort — a silently ignored fault plan would
-/// invalidate whatever experiment asked for it.
-[[nodiscard]] const FaultPlan& default_fault_plan();
-
 /// Execution counters, filled by FaultController.
 struct FaultStats {
   std::uint64_t crashes = 0;

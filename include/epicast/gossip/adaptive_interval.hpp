@@ -5,7 +5,7 @@
 // the current state of the system", citing PlanetP [14]. This controller
 // implements that suggestion with a standard AIMD-flavoured rule:
 //   * a round that observed recovery activity snaps T back to min_interval;
-//   * an idle round multiplies T by backoff_factor, up to max_interval.
+//   * an idle round multiplies T by kBackoffFactor, up to max_interval.
 // Disabled (the paper's fixed-T behaviour) by default.
 #pragma once
 
@@ -16,6 +16,9 @@ namespace epicast {
 
 class AdaptiveIntervalController {
  public:
+  /// Multiplicative back-off applied while the protocol sees no loss.
+  static constexpr double kBackoffFactor = 1.5;
+
   AdaptiveIntervalController(const AdaptiveIntervalConfig& config,
                              Duration base_interval);
 

@@ -37,8 +37,6 @@ struct AdaptiveIntervalConfig {
   bool enabled = false;
   Duration min_interval = Duration::millis(10);
   Duration max_interval = Duration::millis(200);
-  /// Multiplicative back-off applied while the protocol sees no loss.
-  double backoff_factor = 1.5;
 };
 
 struct GossipConfig {
@@ -60,36 +58,11 @@ struct GossipConfig {
   /// assume gossip and event messages have equal size (§IV-E).
   std::size_t gossip_message_bytes = 200;
 
-  /// Cap on digest entries (0 = unlimited, the paper's implicit choice).
-  std::size_t max_digest_entries = 0;
-
-  /// Publisher-based rounds send one digest per source (as in the paper);
-  /// this many distinct sources, oldest pending loss first, are served per
-  /// round. With one source per round a dispatcher cannot cycle through all
-  /// N publishers within the loss TTL under the paper's high-load scenario;
-  /// 3 restores the capacity balance (see DESIGN.md).
-  std::size_t publisher_sources_per_round = 2;
-
-  /// Publisher-bound digests traverse at most this many hops of the stored
-  /// route (harvesting short-circuit hits near the gossiper), then jump
-  /// out-of-band directly to the publisher. Reflects the paper's own
-  /// observation that a stale route is likely to share "at least the first
-  /// portion or, in the worst case, the publisher" (§III-B).
-  std::size_t publisher_route_hops = 2;
-
   /// Safety TTL for digest propagation along the tree.
   std::uint32_t max_hops = 32;
 
   /// Loss-buffer entries older than this are abandoned.
   Duration lost_entry_ttl = Duration::seconds(5.0);
-
-  /// Capacity of the Lost buffer.
-  std::size_t lost_capacity = 8192;
-
-  /// Largest sequence gap reported as individual losses by one observation;
-  /// larger gaps (e.g. after a long partition) are clamped to the most
-  /// recent entries.
-  std::uint64_t max_gap_report = 256;
 
   /// Cache eviction policy (paper: FIFO).
   CachePolicy cache_policy = CachePolicy::Fifo;
@@ -103,20 +76,16 @@ struct GossipConfig {
   /// requires). 1.0 reproduces the paper's behaviour exactly.
   double cache_admission_probability = 1.0;
 
-  /// Desynchronizes the first round across dispatchers (uniform in [0, T)).
-  bool start_jitter = true;
-
   /// Pull-side fault hardening (zero = off, the paper's behaviour — and
   /// the determinism seed guards pin that default). When positive, every
   /// out-of-band retransmission request is tracked: ids still unseen after
-  /// this timeout count a timeout, are re-requested with exponential
-  /// backoff (request_backoff, at most request_max_retries times), then
+  /// this timeout count a timeout, are re-requested with the timeout
+  /// doubling on each attempt (at most request_max_retries times), then
   /// abandoned. Digest exchanges that produce nothing within the timeout
   /// mark their targets as silent; rounds then steer around peers with two
   /// consecutive timeouts (crash-aware re-selection).
   Duration request_timeout = Duration::zero();
   std::uint32_t request_max_retries = 3;
-  double request_backoff = 2.0;
 
   AdaptiveIntervalConfig adaptive;
 };

@@ -68,15 +68,13 @@ class EventCache {
   /// called before the first insert: the index records insertion order.
   void keep_pattern_index();
 
-  /// Ids of cached events matching `pattern`, oldest first; at most
-  /// `max_entries` (0 = all). Requires keep_pattern_index().
-  [[nodiscard]] std::vector<EventId> ids_matching(Pattern pattern,
-                                                  std::size_t max_entries);
+  /// Ids of cached events matching `pattern`, each once, in the order of
+  /// their current insertion, oldest first. Requires keep_pattern_index().
+  [[nodiscard]] std::vector<EventId> ids_matching(Pattern pattern);
 
   /// As above into a caller-owned scratch buffer (cleared first) — the push
   /// round builds one digest per round per node.
-  void ids_matching_into(Pattern pattern, std::size_t max_entries,
-                         std::vector<EventId>& out);
+  void ids_matching_into(Pattern pattern, std::vector<EventId>& out);
 
   /// Total entries across the per-pattern id index, live + stale; 0 when
   /// the index is not kept (introspection: tests pin the eager-purge bound

@@ -5,9 +5,8 @@
 // paper's accounting assigns (GossipConfig::gossip_message_bytes), and —
 // because every product is a codec-encodable Message — the byte-accurate
 // frame size SizingMode::Wire charges via Message::wire_size_bytes().
-// When constructed with a MessagePool (the scenario path hands it the
-// Simulator's), every product is pool-allocated via make_pooled; without
-// one it falls back to std::make_shared (standalone/test construction).
+// Every product is allocated from the runtime's MessagePool via
+// make_pooled.
 // Future wire features (MTU fragmentation, digest batching) hook in here
 // without touching the protocol logic.
 #pragma once
@@ -27,10 +26,10 @@ namespace epicast {
 class GossipMessageFactory {
  public:
   /// `self` is the owning dispatcher — the gossiper of every message that
-  /// originates locally (requests, replies, round-0 digests). `pool`, when
-  /// given, must outlive the factory (the Simulator's pool does).
+  /// originates locally (requests, replies, round-0 digests). `pool` must
+  /// outlive the factory (the runtime's pool does).
   GossipMessageFactory(NodeId self, std::size_t nominal_bytes,
-                       const MessagePool* pool = nullptr)
+                       const MessagePool& pool)
       : self_(self), nominal_bytes_(nominal_bytes), pool_(pool) {}
 
   [[nodiscard]] NodeId self() const { return self_; }
@@ -81,15 +80,12 @@ class GossipMessageFactory {
  private:
   template <typename T, typename... Args>
   [[nodiscard]] MessagePtr build(Args&&... args) const {
-    if (pool_ != nullptr) {
-      return make_pooled<T>(*pool_, std::forward<Args>(args)...);
-    }
-    return std::make_shared<T>(std::forward<Args>(args)...);
+    return make_pooled<T>(pool_, std::forward<Args>(args)...);
   }
 
   NodeId self_;
   std::size_t nominal_bytes_;
-  const MessagePool* pool_;
+  const MessagePool& pool_;
 };
 
 }  // namespace epicast

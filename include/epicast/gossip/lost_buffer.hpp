@@ -45,23 +45,21 @@ class LostBuffer {
   [[nodiscard]] std::size_t size() const { return by_key_.size(); }
   [[nodiscard]] bool empty() const { return by_key_.empty(); }
 
-  /// Entries whose pattern is `p` (subscriber-based digests), oldest first,
-  /// at most `max_entries` (0 = all).
+  /// Entries whose pattern is `p` (subscriber-based digests), oldest
+  /// first.
   [[nodiscard]] std::vector<LostEntryInfo> entries_for_pattern(
-      Pattern p, std::size_t max_entries) const;
+      Pattern p) const;
 
   /// As above into a caller-owned scratch buffer (cleared first) — pull
   /// rounds build one digest per round per node.
-  void entries_for_pattern_into(Pattern p, std::size_t max_entries,
+  void entries_for_pattern_into(Pattern p,
                                 std::vector<LostEntryInfo>& out) const;
 
   /// Entries whose source is `s` (publisher-based digests), oldest first.
-  [[nodiscard]] std::vector<LostEntryInfo> entries_for_source(
-      NodeId s, std::size_t max_entries) const;
+  [[nodiscard]] std::vector<LostEntryInfo> entries_for_source(NodeId s) const;
 
-  /// All entries, oldest first (random pull digests).
-  [[nodiscard]] std::vector<LostEntryInfo> all_entries(
-      std::size_t max_entries) const;
+  /// All entries, oldest first.
+  [[nodiscard]] std::vector<LostEntryInfo> all_entries() const;
 
   /// Distinct patterns with at least one entry, sorted.
   [[nodiscard]] std::vector<Pattern> patterns_with_losses() const;
@@ -107,8 +105,7 @@ class LostBuffer {
   template <typename Fn>
   void scan(Fn&& fn) const;
   template <typename Pred>
-  [[nodiscard]] std::vector<LostEntryInfo> collect(
-      Pred&& pred, std::size_t max_entries) const;
+  [[nodiscard]] std::vector<LostEntryInfo> collect(Pred&& pred) const;
 
   /// Tombstones the entry at `pos` and drops it from the index and the
   /// pattern summary.

@@ -116,16 +116,12 @@ class GossipProtocolBase : public RecoveryProtocol {
   std::vector<LostEntryInfo> serve_from_cache(
       NodeId gossiper, const std::vector<LostEntryInfo>& wanted);
 
-  /// Keeps each candidate independently with probability P_forward.
+  /// Keeps each candidate independently with probability P_forward, into a
+  /// caller-owned buffer (cleared first; must not alias `candidates`).
   /// With `ensure_progress` (used when a digest is "propagated along the
   /// dispatching tree as if it were a normal event message", §III-B), a
   /// non-empty candidate set never yields an empty subset: P_forward thins
   /// the fan-out at branches but cannot stall the digest on a chain.
-  [[nodiscard]] std::vector<NodeId> fanout(std::vector<NodeId> candidates,
-                                           bool ensure_progress);
-
-  /// As fanout() into a caller-owned buffer (cleared first; must not alias
-  /// `candidates`). Identical RNG draw sequence.
   void fanout_into(std::span<const NodeId> candidates, bool ensure_progress,
                    std::vector<NodeId>& out);
 
@@ -198,6 +194,9 @@ class GossipProtocolBase : public RecoveryProtocol {
                      std::uint32_t attempt);
 
   static constexpr std::uint32_t kSuspectAfterTimeouts = 2;
+  /// Each retry of a tracked request waits this factor longer than the
+  /// previous attempt.
+  static constexpr double kRequestBackoff = 2.0;
 
   HotpathProfiler& prof_;
 

@@ -22,6 +22,25 @@ namespace epicast {
 
 class PullProtocolBase : public GossipProtocolBase {
  public:
+  /// Largest sequence gap one observation reports as individual losses;
+  /// larger gaps (e.g. after a long partition) are clamped to the most
+  /// recent entries.
+  static constexpr std::uint64_t kMaxGapReport = 256;
+  /// Capacity of the Lost buffer.
+  static constexpr std::size_t kLostCapacity = 8192;
+  /// Publisher-based rounds send one digest per source (as in the paper);
+  /// this many distinct sources, oldest pending loss first, are served per
+  /// round. With one source per round a dispatcher cannot cycle through all
+  /// N publishers within the loss TTL under the paper's high-load scenario;
+  /// 2 restores the capacity balance (see DESIGN.md).
+  static constexpr std::size_t kPublisherSourcesPerRound = 2;
+  /// Publisher-bound digests traverse at most this many hops of the stored
+  /// route (harvesting short-circuit hits near the gossiper), then jump
+  /// out-of-band directly to the publisher. Reflects the paper's own
+  /// observation that a stale route is likely to share "at least the first
+  /// portion or, in the worst case, the publisher" (§III-B).
+  static constexpr std::size_t kPublisherRouteHops = 2;
+
   PullProtocolBase(Dispatcher& dispatcher, GossipConfig config);
 
   /// Extends caching with loss detection (locally subscribed patterns
@@ -46,7 +65,7 @@ class PullProtocolBase : public GossipProtocolBase {
   /// current watermark, or from sequence number 1 for a stream never heard
   /// from — unlike the paper's abstract setting, history is knowable here)
   /// goes into the Lost buffer for ordinary pull recovery, clamped by
-  /// max_gap_report.
+  /// kMaxGapReport.
   void on_stream_marks(const std::vector<StreamMark>& marks) override;
 
   [[nodiscard]] const LostBuffer& lost() const { return lost_; }

@@ -27,7 +27,7 @@ class MessageStats final : public TransportObserver {
   /// `sizing` selects the per-message byte figure the byte counters use;
   /// message counts are mode-independent.
   explicit MessageStats(std::uint32_t node_count,
-                        SizingMode sizing = default_sizing_mode());
+                        SizingMode sizing = env::settings().sizing);
 
   void on_send(NodeId from, NodeId to, const Message& msg,
                bool overlay) override;

@@ -29,10 +29,9 @@ struct ReconfigConfig {
   Duration interval = Duration::millis(200);
   /// How long the network stays split before the replacement link appears.
   Duration repair_time = Duration::millis(100);
-  /// First breakage happens at start_at (then every `interval`).
+  /// First breakage happens at start_at (then every `interval`, until
+  /// Reconfigurator::stop()).
   SimTime start_at = SimTime::zero();
-  /// Optional end of the churn period.
-  std::optional<SimTime> stop_at;
 };
 
 class Reconfigurator {

@@ -13,8 +13,8 @@
 //    requests and replies. It is independent of the overlay topology and
 //    has its own latency band and loss rate.
 //
-// Control traffic (subscriptions) defaults to lossless, modelling the
-// TCP-backed control connections real dispatching networks use.
+// Control traffic (subscriptions) is lossless, modelling the TCP-backed
+// control connections real dispatching networks use.
 //
 // The class implements runtime::Transport and binds itself to the
 // Simulator it is built on, so protocol code running on that Simulator (as
@@ -25,6 +25,7 @@
 #include <functional>
 #include <vector>
 
+#include "epicast/common/env.hpp"
 #include "epicast/common/ids.hpp"
 #include "epicast/net/link_model.hpp"
 #include "epicast/net/message.hpp"
@@ -36,14 +37,13 @@ namespace epicast {
 
 struct TransportConfig {
   LinkParams link;                    ///< overlay link behaviour
-  bool control_lossless = true;       ///< subscriptions ride a reliable channel
   Duration direct_latency_min = Duration::micros(500);
   Duration direct_latency_max = Duration::millis(2);
   double direct_loss_rate = 0.0;      ///< out-of-band loss
   /// Which message size the link model charges: the configured nominal
   /// constants (paper §IV-E accounting, the default) or the codec-computed
   /// wire frame size. Follows EPICAST_SIZING unless overridden.
-  SizingMode sizing = default_sizing_mode();
+  SizingMode sizing = env::settings().sizing;
 };
 
 class Transport final : public runtime::Transport {

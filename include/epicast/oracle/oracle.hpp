@@ -18,8 +18,8 @@
 // (FailMode::Record, what the oracle self-tests use to prove each oracle
 // fires on bad input).
 //
-// Building with -DEPICAST_ORACLES=OFF (or running with EPICAST_ORACLES=0)
-// removes the wiring from run_scenario entirely, for overhead-sensitive
+// Running with EPICAST_ORACLES=0 (or ScenarioConfig::oracles = false)
+// leaves the wiring out of run_scenario, for overhead-sensitive
 // benchmarking; see docs/EXTENDING.md for how to register a new oracle.
 #pragma once
 
@@ -151,17 +151,5 @@ class OracleSuite final : public TransportObserver {
 
 /// Installs the six built-in oracles (oracle/checks.hpp) into `suite`.
 void add_default_oracles(OracleSuite& suite);
-
-/// Parses an EPICAST_ORACLES value: unset, empty, "1", "on", "ON" or
-/// "true" mean on; "0", "off", "OFF" or "false" mean off. Any other
-/// spelling aborts with a message naming the variable, so a typo cannot
-/// silently leave the oracles in the other state.
-[[nodiscard]] bool oracles_from_env(const char* value);
-
-/// Whether run_scenario wires an OracleSuite by default: false when the
-/// library was built with EPICAST_ORACLES=OFF, otherwise
-/// oracles_from_env() of the EPICAST_ORACLES environment variable (read
-/// once, first call — same pattern as default_sizing_mode()).
-[[nodiscard]] bool oracles_enabled_by_default();
 
 }  // namespace epicast::oracle

@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "epicast/common/arena.hpp"
 #include "epicast/common/ids.hpp"
 #include "epicast/common/pattern_set.hpp"
 #include "epicast/pubsub/event.hpp"
@@ -33,12 +32,6 @@ namespace epicast {
 class SubscriptionTable {
  public:
   SubscriptionTable() = default;
-
-  /// Pre-sizes the summary masks for patterns in [0, universe), drawing
-  /// multi-word storage from `arena` (per-scenario node state). Optional:
-  /// the masks auto-grow without it; this avoids the growth copies and
-  /// keeps large-universe state arena-resident.
-  void reserve_universe(std::uint32_t universe, Arena* arena);
 
   /// Marks this dispatcher as a subscriber for `p`.
   /// Returns false if it already was.
@@ -141,8 +134,6 @@ class SubscriptionTable {
   std::vector<NeighborRoutes> routes_;
   PatternSet known_mask_;
   PatternSet local_mask_;
-  Arena* arena_ = nullptr;
-  std::uint32_t universe_hint_ = 0;
 };
 
 }  // namespace epicast

@@ -10,8 +10,8 @@
 //
 // Messages cross the wire as epicast::wire codec frames behind a small
 // datagram header (magic, channel, sender id). Because real bytes are on
-// real links, the runtime refuses to run in SizingMode::Nominal: construct
-// it with SizingMode::Wire or get a std::invalid_argument.
+// real links, the runtime charges every message its codec frame size
+// (SizingMode::Wire); ClusterConfig::validate() rejects a nominal cluster.
 //
 // Several local nodes may attach to one AsyncRuntime (in-process cluster
 // tests); epicastd attaches exactly one. Peers living in other processes
@@ -48,22 +48,18 @@ struct AsyncRuntimeConfig {
   /// kernel schedules datagrams — but seeding keeps the *draw sequences*
   /// reproducible for debugging.
   std::uint64_t seed = 1;
-  /// Must be SizingMode::Wire; anything else is a hard config error.
-  SizingMode sizing = SizingMode::Wire;
   /// Bounded inbound frame queue shared by all local sockets; when full,
   /// newly drained datagrams are dropped and counted.
   std::size_t inbound_queue_capacity = 4096;
   /// Synthetic receive-side Bernoulli drop rate emulating the paper's link
   /// error rate ε on an otherwise-reliable localhost (control frames are
-  /// exempt, mirroring TransportConfig::control_lossless).
+  /// exempt, as they are lossless in the simulated transport).
   double inbound_drop_rate = 0.0;
-  /// SO_RCVBUF requested for every node socket.
-  int socket_rcvbuf_bytes = 1 << 20;
   /// Wire-level fault injection, the live analog of the simulator's
   /// FaultController: `burst` runs a Gilbert–Elliott chain per directed
-  /// link (non-control frames only, mirroring control_lossless), `slow`
-  /// delays inbound non-control dispatch by frame_bytes / (bandwidth ×
-  /// factor), and `partition` blackholes k scheduled links entirely —
+  /// link (non-control frames only, as control traffic is lossless),
+  /// `slow` delays inbound non-control dispatch by frame_bytes / (10 Mbit/s
+  /// × factor), and `partition` blackholes k scheduled links entirely —
   /// control included, as a removed link carries nothing. `churn` specs
   /// are rejected: process death is real in daemon mode (the cluster
   /// harness --chaos schedule SIGKILLs daemons instead).
@@ -75,8 +71,6 @@ struct AsyncRuntimeConfig {
   /// cluster (blackhole link choice) — the cluster-wide seed, not the
   /// per-node one.
   std::uint64_t fault_seed = 1;
-  /// Synthetic link bandwidth backing `slow` windows.
-  double slow_bandwidth_bytes_per_s = 1.25e6;
   /// Maps SimTime::zero() to this absolute CLOCK_MONOTONIC instant instead
   /// of the construction instant, so every process on one host shares one
   /// timeline — cross-process publish→deliver latency becomes measurable

@@ -29,7 +29,7 @@
 //   drain <float>                 # seconds of recovery tail after publishing
 //   drop-rate <float>             # synthetic receive-side ε
 //   seed <int>                    # RNG seed base (node id is added)
-//   sizing wire|nominal           # must be wire for real sockets
+//   sizing wire|nominal           # must be wire: validate() rejects nominal
 //   queue-capacity <int>          # bounded inbound frame queue
 //   oracles on|off                # runtime conformance oracles
 //   heartbeat-interval-ms <float> # failure-detector beacons (0 = off)

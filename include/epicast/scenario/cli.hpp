@@ -24,8 +24,8 @@ struct CliParse {
 };
 
 /// Parses `args` (argv[1..]) onto paper defaults. Recognized flags:
-///   --algorithm=<no-recovery|push|subscriber-pull|publisher-pull|
-///                combined-pull|random-pull>
+///   --algorithm=<no-recovery|none|push|subscriber-pull|publisher-pull|
+///                combined-pull|random-pull> (runtime::parse_algorithm_name)
 ///   --nodes=N --epsilon=E --rate=R --seed=S
 ///   --beta=B --interval=T --pforward=P --psource=P
 ///   --pi-max=K --patterns-per-event=K --universe=K

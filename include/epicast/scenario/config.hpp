@@ -9,6 +9,7 @@
 #include <optional>
 #include <string>
 
+#include "epicast/common/env.hpp"
 #include "epicast/fault/plan.hpp"
 #include "epicast/gossip/config.hpp"
 #include "epicast/net/message.hpp"
@@ -18,12 +19,17 @@
 namespace epicast {
 
 struct ScenarioConfig {
+  /// Degree cap of the paper's random tree (§IV-A).
+  static constexpr std::uint32_t kTreeMaxDegree = 4;
+  /// Subscription-forwarding floods run and settle before publishing
+  /// starts, for this long.
+  static constexpr Duration kSubscriptionPhase = Duration::millis(500);
+
   // -- identity --------------------------------------------------------------
   std::uint64_t seed = 1;
 
   // -- dispatching network (Fig. 2) -------------------------------------------
   std::uint32_t nodes = 100;                ///< N
-  std::uint32_t max_degree = 4;             ///< tree degree cap (§IV-A)
   std::uint32_t pattern_universe = 70;      ///< Π
   std::uint32_t patterns_per_subscriber = 2;///< πmax (each node subscribes to
                                             ///< exactly this many patterns)
@@ -37,7 +43,7 @@ struct ScenarioConfig {
 
   // -- scale overlays and skewed workloads (beyond Fig. 2) ---------------------
   /// Overlay family. `Tree` is the paper's random tree (built with
-  /// `max_degree`, bit-identical to the seed runs); the other families are
+  /// kTreeMaxDegree, bit-identical to the seed runs); the other families are
   /// the scale-study overlays of net/overlays.hpp, parameterized by
   /// `overlay_degree` (BA attachment count is overlay_degree/2, so the mean
   /// degree lands near the tree's cap).
@@ -79,8 +85,8 @@ struct ScenarioConfig {
   /// ("not necessarily reliable, e.g. UDP-based", §III-B).
   std::optional<double> oob_loss_rate;
   /// ρ: interval between reconfigurations; nullopt = ∞ (no churn, Fig. 2).
+  /// Each broken link is repaired after ReconfigConfig's default 0.1 s.
   std::optional<Duration> reconfiguration_interval;
-  Duration repair_time = Duration::millis(100);
 
   /// How subscription routes are restored after a topology change:
   /// `Oracle` installs the converged outcome of ref [7]'s protocol
@@ -99,35 +105,26 @@ struct ScenarioConfig {
   /// partitions); times are relative to publish_start(). The default comes
   /// from EPICAST_FAULTS; an empty plan constructs no controller at all and
   /// the run is bit-identical to a fault-free build.
-  fault::FaultPlan faults = fault::default_fault_plan();
+  fault::FaultPlan faults = env::settings().faults;
 
   /// How message sizes are charged to links and byte counters: `Nominal`
   /// uses the configured constants (the paper's equal-size assumption —
   /// keeps published figures bit-identical), `Wire` uses the codec-computed
   /// frame size of each message. Defaults from EPICAST_SIZING.
-  SizingMode sizing_mode = default_sizing_mode();
+  SizingMode sizing_mode = env::settings().sizing;
 
   /// Wire the runtime conformance oracles (epicast/oracle) into the run:
   /// pure observers checking delivery/buffer/digest/wire safety properties
   /// live, aborting on the first violation. Defaults on; EPICAST_ORACLES=0
-  /// (or a library built with -DEPICAST_ORACLES=OFF) turns them off for
-  /// overhead-sensitive benchmarking.
-  bool oracles = oracle_default_enabled();
-
-  /// oracle::oracles_enabled_by_default(), re-declared here so this header
-  /// stays independent of the oracle module.
-  [[nodiscard]] static bool oracle_default_enabled();
+  /// turns them off for overhead-sensitive benchmarking.
+  bool oracles = env::settings().oracles;
 
   /// Nanosecond timing for the hot-path phase profiler. Op counts are always
   /// collected (ScenarioResult::hotpath); enabling this adds two clock reads
   /// per phase entry, so it is off by default. Defaults from
-  /// EPICAST_PROFILE (see profile_from_env). Timing changes no RNG draw and
-  /// no simulated time: results stay bit-identical either way.
-  bool profile_hotpath = profile_default_enabled();
-
-  /// profile_from_env() of the EPICAST_PROFILE environment variable (read
-  /// once, first call).
-  [[nodiscard]] static bool profile_default_enabled();
+  /// EPICAST_PROFILE. Timing changes no RNG draw and no simulated time:
+  /// results stay bit-identical either way.
+  bool profile_hotpath = env::settings().profile;
 
   /// Leftovers of the removed sharded engine: the only accepted value is 1,
   /// and validate() aborts on any other. They remain only because
@@ -136,15 +133,7 @@ struct ScenarioConfig {
   std::uint32_t shards = 1;
   std::uint32_t threads = 1;
 
-  // -- link details -------------------------------------------------------------
-  double link_bandwidth_bps = 10e6;         ///< 10 Mbit/s Ethernet (§IV-A)
-  Duration link_propagation = Duration::micros(50);
-  Duration direct_latency_min = Duration::micros(500);
-  Duration direct_latency_max = Duration::millis(2);
-
   // -- timeline ----------------------------------------------------------------
-  /// Subscription-forwarding floods run and settle during this phase.
-  Duration subscription_phase = Duration::seconds(0.5);
   /// Publishing (and losses, and gossip) before measurement starts.
   Duration warmup = Duration::seconds(1.5);
   /// Length of the measurement window.
@@ -160,7 +149,7 @@ struct ScenarioConfig {
 
   // -- derived -----------------------------------------------------------------
   [[nodiscard]] SimTime publish_start() const {
-    return SimTime::zero() + subscription_phase;
+    return SimTime::zero() + kSubscriptionPhase;
   }
   [[nodiscard]] SimTime window_start() const {
     return publish_start() + warmup;
@@ -182,10 +171,5 @@ struct ScenarioConfig {
   /// Human-readable one-per-line dump (bench_fig2_params).
   [[nodiscard]] std::string describe() const;
 };
-
-/// Parses an EPICAST_PROFILE value: unset, empty, "0", "off", "OFF" or
-/// "false" mean off; "1", "on", "ON" or "true" mean on. Any other spelling
-/// aborts with a message naming the variable.
-[[nodiscard]] bool profile_from_env(const char* value);
 
 }  // namespace epicast

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "epicast/common/env.hpp"
 #include "epicast/scenario/config.hpp"
 #include "epicast/scenario/runner.hpp"
 
@@ -75,16 +76,12 @@ class SweepRunner {
   /// Timings of the most recent run().
   [[nodiscard]] const SweepStats& last_stats() const { return stats_; }
 
-  /// 0 → jobs_from_env() of the EPICAST_JOBS environment variable, if
-  /// that is auto → available_parallelism(), never less than 1. An explicit
-  /// request (arg or env) is honored verbatim; only the auto-detected
-  /// default is clamped to the CPUs this process may actually run on.
-  [[nodiscard]] static unsigned resolve_jobs(unsigned requested);
-
-  /// Parses an EPICAST_JOBS value: unset or empty means auto (returns 0);
-  /// 1–4095 is a worker count. Any other spelling aborts with a message
-  /// naming the variable, so a typo cannot silently fall back to auto.
-  [[nodiscard]] static unsigned jobs_from_env(const char* value);
+  /// `requested`, else `from_env` (EPICAST_JOBS; 0 = auto), else
+  /// available_parallelism(), never less than 1. An explicit request (arg
+  /// or env) is honored verbatim; only the auto-detected default is clamped
+  /// to the CPUs this process may actually run on.
+  [[nodiscard]] static unsigned resolve_jobs(
+      unsigned requested, unsigned from_env = env::settings().jobs);
 
   /// CPUs available to this process: hardware_concurrency clamped to the
   /// scheduling affinity mask (a container limited to 1 CPU reports 1 here

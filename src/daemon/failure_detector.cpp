@@ -32,9 +32,9 @@ void FailureDetector::tick() {
   // The anti-entropy slice is the same for every neighbour this beat: one
   // rotating window over the recovery protocol's witnessed watermarks.
   marks_scratch_.clear();
-  if (cfg_.marks_per_beat > 0 && d_.recovery() != nullptr) {
+  if (d_.recovery() != nullptr) {
     mark_cursor_ = d_.recovery()->stream_marks_into(
-        mark_cursor_, cfg_.marks_per_beat, marks_scratch_);
+        mark_cursor_, kMarksPerBeat, marks_scratch_);
   }
   for (NodeId n : d_.neighbors()) {
     MessagePtr hb = make_pooled<HeartbeatMessage>(d_.pool(), cfg_.incarnation,
@@ -58,13 +58,13 @@ void FailureDetector::tick() {
     const auto missed = static_cast<std::uint64_t>(
         silence.count_nanos() / std::max<std::int64_t>(
                                     1, cfg_.interval.count_nanos()));
-    if (!st.suspected && missed >= cfg_.suspect_after_missed) {
+    if (!st.suspected && missed >= kSuspectAfterMissed) {
       st.suspected = true;
       rt_.note_peer_suspected();
       if (d_.recovery() != nullptr) d_.recovery()->on_peer_suspected(peer);
       if (on_suspected_) on_suspected_(peer);
     }
-    if (st.suspected && missed >= cfg_.dead_after_missed) {
+    if (st.suspected && missed >= kDeadAfterMissed) {
       st.dead = true;
       rt_.note_peer_confirmed_dead();
       if (on_dead_) on_dead_(peer);

@@ -43,7 +43,6 @@ NodeDaemon::NodeDaemon(runtime::ClusterConfig cluster, NodeId self,
 
   runtime::AsyncRuntimeConfig rc;
   rc.seed = cluster_.seed + self_.value();
-  rc.sizing = cluster_.sizing;  // != Wire throws std::invalid_argument here
   rc.inbound_queue_capacity = cluster_.queue_capacity;
   rc.inbound_drop_rate = cluster_.drop_rate;
   rc.faults = cluster_.faults;

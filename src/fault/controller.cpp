@@ -66,8 +66,7 @@ bool FaultController::allow(NodeId from, NodeId to, const Message& msg,
     // property of the link, not of who happens to be charged for a drop.
     if (it->second.transmit_lost()) lost = true;
   }
-  if (lost && !(transport_.config().control_lossless &&
-                msg.message_class() == MessageClass::Control)) {
+  if (lost && msg.message_class() != MessageClass::Control) {
     ++stats_.burst_drops;
     return false;
   }

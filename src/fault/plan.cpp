@@ -337,20 +337,4 @@ std::optional<FaultPlan> parse_plan(const std::string& spec,
   return plan;
 }
 
-const FaultPlan& default_fault_plan() {
-  static const FaultPlan plan = []() {
-    const char* env = std::getenv("EPICAST_FAULTS");
-    if (env == nullptr || *env == '\0') return FaultPlan{};
-    std::string error;
-    std::optional<FaultPlan> parsed = parse_plan(env, &error);
-    if (!parsed.has_value()) {
-      std::fprintf(stderr, "EPICAST_FAULTS: %s\n", error.c_str());
-      std::abort();
-    }
-    parsed->validate();
-    return *parsed;
-  }();
-  return plan;
-}
-
 }  // namespace epicast::fault

@@ -12,7 +12,6 @@ AdaptiveIntervalController::AdaptiveIntervalController(
   if (config_.enabled) {
     EPICAST_ASSERT(config_.min_interval > Duration::zero());
     EPICAST_ASSERT(config_.min_interval <= config_.max_interval);
-    EPICAST_ASSERT(config_.backoff_factor > 1.0);
     current_ = config_.min_interval;
   }
 }
@@ -22,7 +21,7 @@ Duration AdaptiveIntervalController::next(bool had_activity) {
   if (had_activity) {
     current_ = config_.min_interval;
   } else {
-    current_ = std::min(config_.max_interval, current_ * config_.backoff_factor);
+    current_ = std::min(config_.max_interval, current_ * kBackoffFactor);
   }
   return current_;
 }

@@ -218,15 +218,13 @@ EventPtr EventCache::find(NodeId source, Pattern pattern, SeqNo seq) {
   return hit_or_miss(registry_.find(source, pattern, seq));
 }
 
-std::vector<EventId> EventCache::ids_matching(Pattern pattern,
-                                              std::size_t max_entries) {
+std::vector<EventId> EventCache::ids_matching(Pattern pattern) {
   std::vector<EventId> out;
-  ids_matching_into(pattern, max_entries, out);
+  ids_matching_into(pattern, out);
   return out;
 }
 
-void EventCache::ids_matching_into(Pattern pattern, std::size_t max_entries,
-                                   std::vector<EventId>& out) {
+void EventCache::ids_matching_into(Pattern pattern, std::vector<EventId>& out) {
   EPICAST_ASSERT_MSG(pattern_index_,
                      "ids_matching() needs keep_pattern_index()");
   out.clear();
@@ -240,21 +238,30 @@ void EventCache::ids_matching_into(Pattern pattern, std::size_t max_entries,
     // FIFO invariant: every eviction removes the globally oldest event,
     // whose ids sit at the fronts of its own pattern queues —
     // unindex_patterns() pops them immediately, so the queues hold live
-    // ids only and no per-id liveness probe is needed. Copy the
-    // newest max_entries straight out (they are the ones receivers most
-    // likely miss and the ones that survive longest in our own buffer).
-    const std::size_t n = (max_entries != 0 && bucket->size() > max_entries)
-                              ? max_entries
-                              : bucket->size();
-    out.insert(out.end(), bucket->ids.end() - static_cast<std::ptrdiff_t>(n),
-               bucket->ids.end());
+    // ids only and no per-id liveness probe is needed. Copy them straight
+    // out.
+    out.insert(out.end(), live_begin, bucket->ids.end());
     return;
   }
   // Lazy purge: evicted ids are dropped as they are encountered (LRU and
-  // random eviction scatter stale ids through the queue).
-  for (auto it = live_begin; it != bucket->ids.end(); ++it) {
-    if (contains(*it)) out.push_back(*it);
+  // random eviction scatter stale ids through the queue). An event evicted
+  // from the middle of the queue and inserted again also left its old id
+  // behind, which looks as live as the new one. Walk newest first and list
+  // each held entry once, at its newest position (its current insertion):
+  // its membership bit is cleared while the walk runs, so an older copy
+  // reads as stale, and set again afterwards.
+  for (auto it = bucket->ids.end(); it != live_begin;) {
+    --it;
+    const std::uint32_t entry = registry_.find(*it);
+    if (!holds(entry)) continue;
+    out.push_back(*it);
+    member_[entry >> 6] &= ~(std::uint64_t{1} << (entry & 63));
   }
+  for (const EventId& id : out) {
+    const std::uint32_t entry = registry_.find(id);
+    member_[entry >> 6] |= std::uint64_t{1} << (entry & 63);
+  }
+  std::reverse(out.begin(), out.end());
   if (out.size() * 2 < bucket->size()) {
     // Compact when more than half the bucket is stale (LRU/random scatter).
     bucket->ids.assign(out.begin(), out.end());
@@ -263,12 +270,6 @@ void EventCache::ids_matching_into(Pattern pattern, std::size_t max_entries,
     while (!bucket->empty() && !contains(bucket->front())) {
       bucket->pop_front();
     }
-  }
-  if (max_entries != 0 && out.size() > max_entries) {
-    // Keep the newest entries: they are the ones receivers most likely miss
-    // and the ones that will survive longest in our own buffer.
-    out.erase(out.begin(),
-              out.end() - static_cast<std::ptrdiff_t>(max_entries));
   }
 }
 

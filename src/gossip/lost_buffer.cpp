@@ -110,45 +110,37 @@ void LostBuffer::scan(Fn&& fn) const {
 }
 
 template <typename Pred>
-std::vector<LostEntryInfo> LostBuffer::collect(Pred&& pred,
-                                               std::size_t max_entries) const {
+std::vector<LostEntryInfo> LostBuffer::collect(Pred&& pred) const {
   std::vector<LostEntryInfo> out;
   scan([&](const LostEntryInfo& info) {
-    if (!pred(info)) return true;
-    out.push_back(info);
-    return max_entries == 0 || out.size() < max_entries;
+    if (pred(info)) out.push_back(info);
+    return true;
   });
   return out;
 }
 
-std::vector<LostEntryInfo> LostBuffer::entries_for_pattern(
-    Pattern p, std::size_t max_entries) const {
+std::vector<LostEntryInfo> LostBuffer::entries_for_pattern(Pattern p) const {
   std::vector<LostEntryInfo> out;
-  entries_for_pattern_into(p, max_entries, out);
+  entries_for_pattern_into(p, out);
   return out;
 }
 
 void LostBuffer::entries_for_pattern_into(
-    Pattern p, std::size_t max_entries,
-    std::vector<LostEntryInfo>& out) const {
+    Pattern p, std::vector<LostEntryInfo>& out) const {
   out.clear();
   if (surely_absent(p)) return;
   scan([&](const LostEntryInfo& info) {
-    if (info.pattern != p) return true;
-    out.push_back(info);
-    return max_entries == 0 || out.size() < max_entries;
+    if (info.pattern == p) out.push_back(info);
+    return true;
   });
 }
 
-std::vector<LostEntryInfo> LostBuffer::entries_for_source(
-    NodeId s, std::size_t max_entries) const {
-  return collect([s](const LostEntryInfo& e) { return e.source == s; },
-                 max_entries);
+std::vector<LostEntryInfo> LostBuffer::entries_for_source(NodeId s) const {
+  return collect([s](const LostEntryInfo& e) { return e.source == s; });
 }
 
-std::vector<LostEntryInfo> LostBuffer::all_entries(
-    std::size_t max_entries) const {
-  return collect([](const LostEntryInfo&) { return true; }, max_entries);
+std::vector<LostEntryInfo> LostBuffer::all_entries() const {
+  return collect([](const LostEntryInfo&) { return true; });
 }
 
 std::vector<Pattern> LostBuffer::patterns_with_losses() const {

@@ -39,8 +39,7 @@ GossipProtocolBase::GossipProtocolBase(Dispatcher& dispatcher,
       cfg_(config),
       cache_(config.buffer_size, config.cache_policy, dispatcher.rng().fork(),
              dispatcher.runtime().event_registry()),
-      msgs_(dispatcher.id(), config.gossip_message_bytes,
-            &dispatcher.pool()),
+      msgs_(dispatcher.id(), config.gossip_message_bytes, dispatcher.pool()),
       prof_(dispatcher.profiler()),
       adaptive_(config.adaptive, config.interval) {
   cache_.set_profiler(&prof_);
@@ -53,10 +52,9 @@ GossipProtocolBase::GossipProtocolBase(Dispatcher& dispatcher,
 
 void GossipProtocolBase::start() {
   EPICAST_ASSERT_MSG(!timer_.running(), "protocol already started");
+  // A uniform first round in [0, T) desynchronizes the dispatchers.
   const Duration first =
-      cfg_.start_jitter
-          ? Duration::seconds(d_.rng().uniform(0.0, cfg_.interval.to_seconds()))
-          : cfg_.interval;
+      Duration::seconds(d_.rng().uniform(0.0, cfg_.interval.to_seconds()));
   timer_ = d_.runtime().every(first, current_interval(),
                               [this]() { run_round(); });
 }
@@ -253,13 +251,6 @@ void GossipProtocolBase::handle_reply(const RecoveryReplyMessage& msg) {
   }
 }
 
-std::vector<NodeId> GossipProtocolBase::fanout(std::vector<NodeId> candidates,
-                                               bool ensure_progress) {
-  std::vector<NodeId> out;
-  fanout_into(candidates, ensure_progress, out);
-  return out;
-}
-
 void GossipProtocolBase::fanout_into(std::span<const NodeId> candidates,
                                      bool ensure_progress,
                                      std::vector<NodeId>& out) {
@@ -293,7 +284,7 @@ void GossipProtocolBase::send_request(NodeId to, std::vector<EventId> ids) {
 void GossipProtocolBase::track_request(NodeId to, std::vector<EventId> ids,
                                        std::uint32_t attempt) {
   double scale = 1.0;
-  for (std::uint32_t i = 0; i < attempt; ++i) scale *= cfg_.request_backoff;
+  for (std::uint32_t i = 0; i < attempt; ++i) scale *= kRequestBackoff;
   const Duration wait =
       Duration::seconds(cfg_.request_timeout.to_seconds() * scale);
   const std::uint64_t epoch = restart_epoch_;

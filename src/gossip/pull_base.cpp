@@ -1,6 +1,5 @@
 #include "epicast/gossip/pull_base.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "epicast/common/assert.hpp"
@@ -9,8 +8,8 @@ namespace epicast {
 
 PullProtocolBase::PullProtocolBase(Dispatcher& dispatcher, GossipConfig config)
     : GossipProtocolBase(dispatcher, config),
-      detector_(config.max_gap_report),
-      lost_(config.lost_capacity, config.lost_entry_ttl) {}
+      detector_(kMaxGapReport),
+      lost_(kLostCapacity, config.lost_entry_ttl) {}
 
 void PullProtocolBase::on_event(const EventPtr& event,
                                 const EventContext& ctx) {
@@ -61,7 +60,7 @@ void PullProtocolBase::on_stream_marks(const std::vector<StreamMark>& marks) {
     // flood the Lost buffer.
     std::uint64_t from = high + 1;
     const std::uint64_t to = m.seq.value();  // inclusive
-    if (to - high > cfg_.max_gap_report) from = to - cfg_.max_gap_report + 1;
+    if (to - high > kMaxGapReport) from = to - kMaxGapReport + 1;
     for (std::uint64_t s = from; s <= to; ++s) {
       lost_.add(LostEntryInfo{m.source, m.pattern, SeqNo{s}}, d_.now());
     }
@@ -105,7 +104,7 @@ bool PullProtocolBase::round_subscriber() {
   const Pattern p =
       lost_.pattern_with_losses_at(d_.rng().next_below(n_patterns));
 
-  lost_.entries_for_pattern_into(p, cfg_.max_digest_entries, wanted_scratch_);
+  lost_.entries_for_pattern_into(p, wanted_scratch_);
   EPICAST_ASSERT(!wanted_scratch_.empty());
 
   d_.table().route_targets_into(p, NodeId::invalid(), targets_scratch_);
@@ -127,26 +126,23 @@ bool PullProtocolBase::round_publisher() {
   lost_.expire(d_.now());
   // Candidate sources: losses we can actually steer towards — a route back
   // to the publisher must be known. Oldest pending loss first, so no source
-  // starves while the buffer churns (cf. GossipConfig's
-  // publisher_sources_per_round rationale).
+  // starves while the buffer churns (cf. kPublisherSourcesPerRound).
   const std::vector<NodeId> sources = lost_.oldest_sources(
-      std::max<std::size_t>(1, cfg_.publisher_sources_per_round),
+      kPublisherSourcesPerRound,
       [this](NodeId s) { return routes_.knows(s); });
   if (sources.empty()) return false;
 
   for (NodeId source : sources) {
-    std::vector<LostEntryInfo> wanted =
-        lost_.entries_for_source(source, cfg_.max_digest_entries);
+    std::vector<LostEntryInfo> wanted = lost_.entries_for_source(source);
     EPICAST_ASSERT(!wanted.empty());
 
-    // Visit only the first publisher_route_hops of the stored route (the
+    // Visit only the first kPublisherRouteHops of the stored route (the
     // part most likely still valid and most likely to short-circuit), then
     // go straight for the publisher.
     std::vector<NodeId> route = routes_.route_to(source);
-    if (cfg_.publisher_route_hops > 0 &&
-        route.size() > cfg_.publisher_route_hops + 1) {
+    if (route.size() > kPublisherRouteHops + 1) {
       route.erase(route.begin() +
-                      static_cast<std::ptrdiff_t>(cfg_.publisher_route_hops),
+                      static_cast<std::ptrdiff_t>(kPublisherRouteHops),
                   route.end() - 1);
     }
     forward_towards_publisher(d_.id(), source, std::move(wanted),

@@ -18,7 +18,7 @@ bool PushProtocol::on_round() {
   const Pattern p =
       d_.table().known_pattern_at(d_.rng().next_below(n_patterns));
 
-  cache_.ids_matching_into(p, cfg_.max_digest_entries, ids_scratch_);
+  cache_.ids_matching_into(p, ids_scratch_);
   if (ids_scratch_.empty()) return activity;  // nothing worth advertising
 
   d_.table().route_targets_into(p, NodeId::invalid(), targets_scratch_);

@@ -12,7 +12,7 @@ bool RandomPullProtocol::on_round() {
   // chosen pattern — so the only difference under test is the routing.
   const Pattern p = lost_.pattern_with_losses_at(
       d_.rng().next_below(lost_.patterns_with_losses_count()));
-  lost_.entries_for_pattern_into(p, cfg_.max_digest_entries, wanted_scratch_);
+  lost_.entries_for_pattern_into(p, wanted_scratch_);
   fanout_into(d_.neighbors(), false, fanout_scratch_);
   if (!fanout_scratch_.empty()) {
     const MessagePtr digest =

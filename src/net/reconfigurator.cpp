@@ -18,13 +18,7 @@ void Reconfigurator::start() {
   EPICAST_ASSERT_MSG(!timer_.running(), "reconfigurator already started");
   Duration first = config_.start_at - rt_.now();
   if (first.is_negative()) first = Duration::zero();
-  timer_ = rt_.every(first, config_.interval, [this]() {
-    if (config_.stop_at && rt_.now() > *config_.stop_at) {
-      timer_.stop();
-      return;
-    }
-    break_one();
-  });
+  timer_ = rt_.every(first, config_.interval, [this]() { break_one(); });
 }
 
 void Reconfigurator::stop() { timer_.stop(); }

@@ -87,8 +87,7 @@ void Transport::send_overlay(NodeId from, NodeId to, MessagePtr msg) {
     return;
   }
 
-  const bool lossless =
-      config_.control_lossless && msg->message_class() == MessageClass::Control;
+  const bool lossless = msg->message_class() == MessageClass::Control;
   // Serialization delay is charged from the selected sizing mode: nominal
   // constants reproduce the paper bit-identically, wire mode occupies the
   // link for exactly the frame the codec would put on it.

@@ -6,19 +6,6 @@
 
 namespace epicast {
 
-void SubscriptionTable::reserve_universe(std::uint32_t universe,
-                                         Arena* arena) {
-  arena_ = arena;
-  universe_hint_ = universe;
-  if (arena != nullptr) {
-    known_mask_ = PatternSet(universe, arena);
-    local_mask_ = PatternSet(universe, arena);
-  } else {
-    known_mask_.reserve(universe);
-    local_mask_.reserve(universe);
-  }
-}
-
 SubscriptionTable::NeighborRoutes* SubscriptionTable::find_routes(
     NodeId neighbor) {
   auto it = std::lower_bound(routes_.begin(), routes_.end(), neighbor,
@@ -62,11 +49,7 @@ SubscriptionTable::NeighborRoutes& SubscriptionTable::routes_to(
                                return r.neighbor < n;
                              });
   if (it == routes_.end() || it->neighbor != next_hop) {
-    NeighborRoutes fresh{next_hop,
-                         universe_hint_ != 0
-                             ? PatternSet(universe_hint_, arena_)
-                             : PatternSet{}};
-    it = routes_.insert(it, std::move(fresh));
+    it = routes_.insert(it, NeighborRoutes{next_hop, PatternSet{}});
   }
   return *it;
 }

@@ -35,6 +35,11 @@ constexpr std::uint8_t kChannelDirect = 1;
 constexpr std::uint32_t kTimerTag = 0xffffffffu;
 
 constexpr std::size_t kMaxDatagram = 65536;
+/// SO_RCVBUF requested for every node socket.
+constexpr int kSocketRcvbufBytes = 1 << 20;
+/// Synthetic link bandwidth backing `slow` fault windows (10 Mbit/s, the
+/// simulated links' rate).
+constexpr double kSlowBandwidthBytesPerS = 1.25e6;
 
 [[noreturn]] void throw_errno(const std::string& what) {
   throw std::runtime_error(what + ": " + std::strerror(errno));
@@ -56,18 +61,6 @@ AsyncRuntime::AsyncRuntime(AsyncRuntimeConfig config)
     : config_(config),
       root_rng_(config.seed),
       drop_rng_(root_rng_.fork()) {
-  if (config_.sizing != SizingMode::Wire) {
-    // Satellite guarantee: real sockets carry real codec frames, so the only
-    // honest accounting is the frame's byte count. Nominal sizing would
-    // silently misreport link occupancy and overhead figures.
-    throw std::invalid_argument(
-        "AsyncRuntime requires SizingMode::Wire: real UDP transport carries "
-        "codec frames whose on-the-wire size is the frame size; nominal "
-        "sizing (requested: " +
-        std::string(to_string(config_.sizing)) +
-        ") would misaccount link occupancy. Set sizing=wire in the cluster "
-        "config or EPICAST_SIZING=wire.");
-  }
   if (config_.inbound_queue_capacity == 0) {
     throw std::invalid_argument("inbound_queue_capacity must be > 0");
   }
@@ -81,9 +74,6 @@ AsyncRuntime::AsyncRuntime(AsyncRuntimeConfig config)
         "(SIGKILL + relaunch) instead of a synthetic churn process");
   }
   config_.faults.validate();
-  if (!(config_.slow_bandwidth_bytes_per_s > 0.0)) {
-    throw std::invalid_argument("slow_bandwidth_bytes_per_s must be > 0");
-  }
   {
     // One fork per fault process, in plan order, off the *cluster-wide*
     // seed: every daemon derives the same blackhole victim stream, while
@@ -234,10 +224,8 @@ void AsyncRuntime::attach(NodeId node, TransportReceiver& receiver) {
 
   const int one = 1;
   ::setsockopt(ln->fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (config_.socket_rcvbuf_bytes > 0) {
-    ::setsockopt(ln->fd, SOL_SOCKET, SO_RCVBUF, &config_.socket_rcvbuf_bytes,
-                 sizeof(config_.socket_rcvbuf_bytes));
-  }
+  ::setsockopt(ln->fd, SOL_SOCKET, SO_RCVBUF, &kSocketRcvbufBytes,
+               sizeof(kSocketRcvbufBytes));
 
   sockaddr_in sa{};
   sa.sin_family = AF_INET;
@@ -455,8 +443,8 @@ bool AsyncRuntime::fault_drops_frame(const InboundFrame& f,
 
   // Gilbert–Elliott windows: the chain advances for every frame on the
   // directed link (the burst weather doesn't care what's in the packets)
-  // but only non-control frames are actually lost, mirroring
-  // control_lossless in the simulated transport.
+  // but only non-control frames are actually lost, as control traffic is
+  // lossless in the simulated transport.
   for (WireBurst& wb : wire_bursts_) {
     if (!window_active(wb.spec.start, wb.spec.stop)) continue;
     const std::uint64_t key =
@@ -481,7 +469,7 @@ bool AsyncRuntime::fault_drops_frame(const InboundFrame& f,
       drop_rng_.chance(config_.inbound_drop_rate)) {
     // Synthetic ε: localhost UDP is effectively lossless, so the paper's
     // link error rate is re-introduced receive-side. Control traffic is
-    // exempt, mirroring TransportConfig::control_lossless.
+    // exempt, as in the simulated transport.
     ++stats_.drops_injected;
     for (TransportObserver* o : observers_) {
       o->on_loss(f.from, f.to, msg, f.overlay);
@@ -499,8 +487,7 @@ Duration AsyncRuntime::slow_delay(std::size_t frame_bytes) const {
   if (factor >= 1.0) return Duration::zero();
   // Inside a slow window the frame takes bytes/(bandwidth·factor) instead
   // of effectively zero on loopback; charge the whole serialization time.
-  const double bw =
-      config_.slow_bandwidth_bytes_per_s * std::max(factor, 1e-6);
+  const double bw = kSlowBandwidthBytesPerS * std::max(factor, 1e-6);
   return Duration::seconds(static_cast<double>(frame_bytes) / bw);
 }
 

@@ -99,6 +99,18 @@ void ClusterConfig::validate() const {
     throw std::invalid_argument(
         "settle/run/drain must be non-negative (run > 0)");
   }
+  if (sizing != SizingMode::Wire) {
+    // Real sockets carry real codec frames, so the only honest accounting
+    // is the frame's byte count. Nominal sizing would silently misreport
+    // link occupancy and overhead figures.
+    throw std::invalid_argument(
+        "AsyncRuntime requires SizingMode::Wire: real UDP transport carries "
+        "codec frames whose on-the-wire size is the frame size; nominal "
+        "sizing (requested: " +
+        std::string(to_string(sizing)) +
+        ") would misaccount link occupancy. Set sizing=wire in the cluster "
+        "config.");
+  }
   if (queue_capacity == 0) {
     throw std::invalid_argument("queue-capacity must be > 0");
   }

@@ -1,27 +1,13 @@
 #include "epicast/scenario/cli.hpp"
 
 #include <cstdlib>
-#include <functional>
-#include <map>
+#include <stdexcept>
 
 #include "epicast/fault/plan.hpp"
+#include "epicast/runtime/cluster.hpp"
 
 namespace epicast {
 namespace {
-
-std::optional<Algorithm> parse_algorithm(const std::string& name) {
-  static const std::map<std::string, Algorithm> kNames = {
-      {"no-recovery", Algorithm::NoRecovery},
-      {"push", Algorithm::Push},
-      {"subscriber-pull", Algorithm::SubscriberPull},
-      {"publisher-pull", Algorithm::PublisherPull},
-      {"combined-pull", Algorithm::CombinedPull},
-      {"random-pull", Algorithm::RandomPull},
-  };
-  auto it = kNames.find(name);
-  if (it == kNames.end()) return std::nullopt;
-  return it->second;
-}
 
 bool parse_double(const std::string& value, double& out) {
   char* end = nullptr;
@@ -68,12 +54,12 @@ CliParse parse_cli(const std::vector<std::string>& args) {
     std::uint64_t u = 0;
     ScenarioConfig& cfg = out.config;
     if (key == "algorithm") {
-      const auto algo = parse_algorithm(value);
-      if (!algo) {
+      try {
+        cfg.algorithm = runtime::parse_algorithm_name(value);
+      } catch (const std::invalid_argument&) {
         out.error = "unknown algorithm: " + value;
         return out;
       }
-      cfg.algorithm = *algo;
     } else if (key == "nodes" && parse_u64(value, u) && u >= 2) {
       cfg.nodes = static_cast<std::uint32_t>(u);
     } else if (key == "epsilon" && parse_double(value, d) && d >= 0 &&
@@ -179,7 +165,7 @@ std::string cli_usage() {
       "\n"
       "usage: epicast_sim [--flag=value ...]\n"
       "\n"
-      "  --algorithm=A   no-recovery | push | subscriber-pull |\n"
+      "  --algorithm=A   no-recovery (or none) | push | subscriber-pull |\n"
       "                  publisher-pull | combined-pull (default) |\n"
       "                  random-pull\n"
       "  --nodes=N       dispatchers (default 100)\n"

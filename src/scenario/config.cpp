@@ -1,18 +1,15 @@
 #include "epicast/scenario/config.hpp"
 
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
-#include <string_view>
 
 #include "epicast/common/assert.hpp"
-#include "epicast/oracle/oracle.hpp"
+#include "epicast/net/link_model.hpp"
+#include "epicast/net/reconfigurator.hpp"
 
 namespace epicast {
 
 void ScenarioConfig::validate() const {
   EPICAST_ASSERT(nodes >= 2);
-  EPICAST_ASSERT(max_degree >= 2);
   EPICAST_ASSERT(pattern_universe >= 1);
   EPICAST_ASSERT_MSG(patterns_per_subscriber >= 1 &&
                          patterns_per_subscriber <= pattern_universe,
@@ -29,11 +26,9 @@ void ScenarioConfig::validate() const {
                      "publisher_count must not exceed the node count");
   EPICAST_ASSERT(link_error_rate >= 0.0 && link_error_rate <= 1.0);
   EPICAST_ASSERT(effective_oob_loss() >= 0.0 && effective_oob_loss() <= 1.0);
-  EPICAST_ASSERT(link_bandwidth_bps > 0.0);
   if (reconfiguration_interval) {
     EPICAST_ASSERT(*reconfiguration_interval > Duration::zero());
   }
-  EPICAST_ASSERT(subscription_phase > Duration::zero());
   EPICAST_ASSERT(warmup >= Duration::zero());
   EPICAST_ASSERT(measure > Duration::zero());
   EPICAST_ASSERT(recovery_horizon > Duration::zero());
@@ -41,7 +36,6 @@ void ScenarioConfig::validate() const {
   EPICAST_ASSERT(gossip.interval > Duration::zero());
   EPICAST_ASSERT(gossip.buffer_size > 0);
   EPICAST_ASSERT(gossip.request_timeout >= Duration::zero());
-  EPICAST_ASSERT(gossip.request_backoff >= 1.0);
   EPICAST_ASSERT_MSG(shards == 1,
                      "ScenarioConfig::shards must be 1 (the sharded engine "
                      "was removed)");
@@ -60,7 +54,7 @@ ScenarioConfig ScenarioConfig::paper_defaults(Algorithm algorithm) {
 std::string ScenarioConfig::describe() const {
   std::ostringstream os;
   os << "N (dispatchers)                  " << nodes << '\n'
-     << "max degree                       " << max_degree << '\n'
+     << "max degree                       " << kTreeMaxDegree << '\n'
      << "overlay                          " << to_string(overlay) << '\n'
      << "Pi (pattern universe)            " << pattern_universe << '\n'
      << "pi_max (patterns/subscriber)     " << patterns_per_subscriber << '\n'
@@ -76,8 +70,8 @@ std::string ScenarioConfig::describe() const {
   if (reconfiguration_interval) {
     os << "rho (reconfig interval)          "
        << to_string(*reconfiguration_interval) << '\n'
-       << "repair time                      " << to_string(repair_time)
-       << '\n';
+       << "repair time                      "
+       << to_string(ReconfigConfig{}.repair_time) << '\n';
   } else {
     os << "rho (reconfig interval)          inf (no churn)\n";
   }
@@ -94,34 +88,13 @@ std::string ScenarioConfig::describe() const {
      << "fault plan                       "
      << (faults.empty() ? std::string("none") : faults.describe()) << '\n'
      << "sizing mode                      " << to_string(sizing_mode) << '\n'
-     << "link bandwidth [bit/s]           " << link_bandwidth_bps << '\n'
+     << "link bandwidth [bit/s]           " << LinkParams{}.bandwidth_bps
+     << '\n'
      << "measurement window [s]           " << measure.to_seconds() << '\n'
      << "recovery horizon [s]             " << recovery_horizon.to_seconds()
      << '\n'
      << "seed                             " << seed << '\n';
   return os.str();
-}
-
-bool ScenarioConfig::oracle_default_enabled() {
-  return oracle::oracles_enabled_by_default();
-}
-
-bool profile_from_env(const char* value) {
-  const std::string_view v = value != nullptr ? value : "";
-  if (v.empty() || v == "0" || v == "off" || v == "OFF" || v == "false") {
-    return false;
-  }
-  if (v == "1" || v == "on" || v == "ON" || v == "true") return true;
-  std::fprintf(stderr,
-               "EPICAST_PROFILE: unknown value '%s' (expected 1, on, ON, "
-               "true, 0, off, OFF or false)\n",
-               value);
-  std::abort();
-}
-
-bool ScenarioConfig::profile_default_enabled() {
-  static const bool enabled = profile_from_env(std::getenv("EPICAST_PROFILE"));
-  return enabled;
 }
 
 }  // namespace epicast

@@ -69,7 +69,8 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
   // figures stay bit-identical.
   Topology topology = make_overlay(
       cfg.overlay, cfg.nodes,
-      cfg.overlay == OverlayKind::Tree ? cfg.max_degree : cfg.overlay_degree,
+      cfg.overlay == OverlayKind::Tree ? ScenarioConfig::kTreeMaxDegree
+                                       : cfg.overlay_degree,
       cfg.ws_rewire, topo_rng);
   // The §II floods converge only on a tree: on a cycle a subscription
   // reaches a node along several paths, and which copy arrives first
@@ -83,13 +84,10 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
       "flood subscription bootstrap needs a tree overlay; use "
       "--bootstrap=oracle (SubscriptionBootstrap::Oracle) on a cyclic one");
 
+  // Bandwidth, propagation and the direct channel's latency band keep the
+  // LinkParams/TransportConfig defaults: the paper's 10 Mbit/s setup.
   TransportConfig tc;
-  tc.link.bandwidth_bps = cfg.link_bandwidth_bps;
-  tc.link.propagation = cfg.link_propagation;
   tc.link.loss_rate = cfg.link_error_rate;
-  tc.control_lossless = true;
-  tc.direct_latency_min = cfg.direct_latency_min;
-  tc.direct_latency_max = cfg.direct_latency_max;
   tc.direct_loss_rate = cfg.effective_oob_loss();
   tc.sizing = cfg.sizing_mode;
   Transport transport(sim, topology, tc);
@@ -103,10 +101,8 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
   PubSubNetwork network(transport, dc);
 
   // Conformance oracles: pure observers (no sim events, no RNG draws), so
-  // enabling them leaves the run bit-identical. EPICAST_ORACLES=OFF builds
-  // compile the wiring out entirely for overhead-sensitive benchmarks.
+  // enabling them leaves the run bit-identical.
   std::unique_ptr<oracle::OracleSuite> oracles;
-#ifndef EPICAST_NO_ORACLES
   if (cfg.oracles) {
     oracles = std::make_unique<oracle::OracleSuite>(
         oracle::OracleContext{&sim, &network, cfg.sizing_mode},
@@ -114,7 +110,6 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
     oracle::add_default_oracles(*oracles);
     transport.add_observer(*oracles);
   }
-#endif
 
   Workload workload(sim, network, cfg);
 
@@ -170,7 +165,6 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
   if (cfg.reconfiguration_interval) {
     ReconfigConfig rc;
     rc.interval = *cfg.reconfiguration_interval;
-    rc.repair_time = cfg.repair_time;
     rc.start_at = cfg.publish_start() + rc.interval;
     churn_owner = std::make_unique<Reconfigurator>(sim, topology, rc);
     if (cfg.route_repair == ScenarioConfig::RouteRepair::Oracle) {

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <thread>
 
@@ -26,26 +25,9 @@ double seconds_since(Clock::time_point start) {
 SweepRunner::SweepRunner(SweepOptions options)
     : options_(options), jobs_(resolve_jobs(options.jobs)) {}
 
-unsigned SweepRunner::resolve_jobs(unsigned requested) {
+unsigned SweepRunner::resolve_jobs(unsigned requested, unsigned from_env) {
   if (requested > 0) return requested;
-  const unsigned from_env = jobs_from_env(std::getenv("EPICAST_JOBS"));
   return from_env > 0 ? from_env : available_parallelism();
-}
-
-unsigned SweepRunner::jobs_from_env(const char* value) {
-  if (value == nullptr || *value == '\0') return 0;
-  // Digits only: strtoul alone would accept a sign or leading blanks.
-  unsigned long n = 0;
-  const char* p = value;
-  for (; *p >= '0' && *p <= '9' && n < 4096; ++p) n = n * 10 + (*p - '0');
-  if (*p != '\0' || n < 1 || n > 4095) {
-    std::fprintf(stderr,
-                 "EPICAST_JOBS: unknown value '%s' (expected a worker count "
-                 "from 1 to 4095, or unset for auto)\n",
-                 value);
-    std::abort();
-  }
-  return static_cast<unsigned>(n);
 }
 
 unsigned SweepRunner::available_parallelism() {

@@ -106,11 +106,5 @@ TEST(FaultPlan, MalformedSpecsAreRejectedWithAMessage) {
   }
 }
 
-TEST(FaultPlan, DefaultPlanIsEmptyWithoutEnv) {
-  // The test environment must not set EPICAST_FAULTS; the cached default
-  // is then the empty plan, which is what keeps ScenarioConfig inert.
-  EXPECT_TRUE(default_fault_plan().empty());
-}
-
 }  // namespace
 }  // namespace epicast::fault

@@ -344,23 +344,6 @@ TEST(OracleSuiteWiring, DisabledScenarioIsBitIdentical) {
   EXPECT_EQ(with.delivery_rate, without.delivery_rate);
 }
 
-TEST(OracleSuiteWiring, EnvSwitchAcceptsExactlyTheDocumentedSpellings) {
-  EXPECT_TRUE(oracle::oracles_from_env(nullptr));
-  for (const char* on : {"", "1", "on", "ON", "true"}) {
-    EXPECT_TRUE(oracle::oracles_from_env(on)) << on;
-  }
-  for (const char* off : {"0", "off", "OFF", "false"}) {
-    EXPECT_FALSE(oracle::oracles_from_env(off)) << off;
-  }
-}
-
-TEST(OracleSuiteWiringDeathTest, EnvSwitchRejectsUnknownSpellings) {
-  for (const char* bad : {"no", "yes", "Off", "TRUE", "2", " on"}) {
-    EXPECT_DEATH((void)oracle::oracles_from_env(bad), "EPICAST_ORACLES")
-        << bad;
-  }
-}
-
 TEST(OracleSuiteWiring, DefaultSuiteHasSixOracles) {
   OracleSuite suite({}, FailMode::Record);
   oracle::add_default_oracles(suite);

@@ -24,12 +24,6 @@
 namespace epicast {
 namespace {
 
-runtime::AsyncRuntimeConfig wire_config() {
-  runtime::AsyncRuntimeConfig c;
-  c.sizing = SizingMode::Wire;
-  return c;
-}
-
 EventPtr make_event(std::uint32_t source, std::uint64_t seq) {
   return std::make_shared<EventData>(
       EventId{NodeId{source}, seq},
@@ -39,12 +33,20 @@ EventPtr make_event(std::uint32_t source, std::uint64_t seq) {
 
 // -- satellite: nominal sizing is a hard configuration error ------------------
 
+runtime::ClusterConfig two_node_cluster() {
+  runtime::ClusterConfig cfg;
+  cfg.endpoints = {{"127.0.0.1", 0}, {"127.0.0.1", 0}};
+  cfg.links = {{NodeId{0}, NodeId{1}}};
+  cfg.subscriptions = {{NodeId{1}, Pattern{0}}};
+  return cfg;
+}
+
 TEST(AsyncRuntimeSizing, NominalSizingIsAHardError) {
-  runtime::AsyncRuntimeConfig c;
-  c.sizing = SizingMode::Nominal;
+  runtime::ClusterConfig cfg = two_node_cluster();
+  cfg.sizing = SizingMode::Nominal;
   try {
-    runtime::AsyncRuntime rt(c);
-    FAIL() << "AsyncRuntime accepted SizingMode::Nominal";
+    cfg.validate();
+    FAIL() << "ClusterConfig accepted SizingMode::Nominal";
   } catch (const std::invalid_argument& e) {
     // The message must tell the operator what to change, not just reject.
     const std::string what = e.what();
@@ -54,15 +56,12 @@ TEST(AsyncRuntimeSizing, NominalSizingIsAHardError) {
 }
 
 TEST(AsyncRuntimeSizing, NodeDaemonRejectsNominalClusterConfig) {
-  runtime::ClusterConfig cfg;
-  cfg.endpoints = {{"127.0.0.1", 0}, {"127.0.0.1", 0}};
-  cfg.links = {{NodeId{0}, NodeId{1}}};
-  cfg.subscriptions = {{NodeId{1}, Pattern{0}}};
+  runtime::ClusterConfig cfg = two_node_cluster();
   cfg.sizing = SizingMode::Nominal;
   EXPECT_THROW(daemon::NodeDaemon(cfg, NodeId{0}), std::invalid_argument);
 }
 
-TEST(AsyncRuntimeSizing, ClusterParserUnderstandsBothSizings) {
+TEST(AsyncRuntimeSizing, ClusterParserReadsWireAndRejectsNominal) {
   const std::string base =
       "node 0 127.0.0.1 0\n"
       "node 1 127.0.0.1 0\n"
@@ -70,12 +69,12 @@ TEST(AsyncRuntimeSizing, ClusterParserUnderstandsBothSizings) {
       "sub 1 0\n";
   EXPECT_EQ(runtime::parse_cluster_config(base + "sizing wire\n").sizing,
             SizingMode::Wire);
-  EXPECT_EQ(runtime::parse_cluster_config(base + "sizing nominal\n").sizing,
-            SizingMode::Nominal);
+  EXPECT_THROW((void)runtime::parse_cluster_config(base + "sizing nominal\n"),
+               std::invalid_argument);
 }
 
 TEST(AsyncRuntime, ZeroQueueCapacityRejected) {
-  runtime::AsyncRuntimeConfig c = wire_config();
+  runtime::AsyncRuntimeConfig c;
   c.inbound_queue_capacity = 0;
   EXPECT_THROW(runtime::AsyncRuntime rt(c), std::invalid_argument);
 }
@@ -88,7 +87,7 @@ TEST(AsyncRuntimeTimers, FireInDeadlineOrderWhileClockIsNegative) {
   // queue must not care: deadline order, FIFO ties, nothing early.
   timespec ts{};
   ::clock_gettime(CLOCK_MONOTONIC, &ts);
-  runtime::AsyncRuntimeConfig c = wire_config();
+  runtime::AsyncRuntimeConfig c;
   c.clock_epoch_ns = static_cast<std::int64_t>(ts.tv_sec) * 1'000'000'000 +
                      ts.tv_nsec + Duration::seconds(10.0).count_nanos();
   runtime::AsyncRuntime rt(c);
@@ -120,7 +119,7 @@ TEST(AsyncRuntimeTimers, FireInDeadlineOrderWhileClockIsNegative) {
 // -- endpoint management ------------------------------------------------------
 
 TEST(AsyncRuntime, EphemeralPortResolvesOnAttach) {
-  runtime::AsyncRuntime rt(wire_config());
+  runtime::AsyncRuntime rt;
   rt.set_peer(NodeId{0}, runtime::PeerEndpoint{"127.0.0.1", 0});
   EXPECT_EQ(rt.peer(NodeId{0}).port, 0);
 
@@ -137,7 +136,7 @@ TEST(AsyncRuntime, EphemeralPortResolvesOnAttach) {
 // -- synthetic inbound loss ---------------------------------------------------
 
 TEST(AsyncRuntime, InboundDropRateLosesEventsButNeverControl) {
-  runtime::AsyncRuntimeConfig c = wire_config();
+  runtime::AsyncRuntimeConfig c;
   c.inbound_drop_rate = 1.0;  // every droppable frame is dropped
   runtime::AsyncRuntime rt(c);
   rt.set_peer(NodeId{0}, runtime::PeerEndpoint{"127.0.0.1", 0});
@@ -166,8 +165,7 @@ TEST(AsyncRuntime, InboundDropRateLosesEventsButNeverControl) {
   for (int i = 0; i < 20; ++i) rt.poll(Duration::millis(5));
 
   // Control frames model the lossless (TCP-backed) control channel and are
-  // exempt from the synthetic drop, exactly like control_lossless in the
-  // simulated transport.
+  // exempt from the synthetic drop, exactly as in the simulated transport.
   EXPECT_EQ(sinks[1].events, 0);
   EXPECT_EQ(sinks[1].control, 5);
   EXPECT_EQ(rt.stats().drops_injected, 5u);
@@ -176,7 +174,7 @@ TEST(AsyncRuntime, InboundDropRateLosesEventsButNeverControl) {
 // -- satellite: oracles over real traffic -------------------------------------
 
 TEST(AsyncRuntimeOracles, WireRoundTripOracleVerifiesCapturedFrames) {
-  runtime::AsyncRuntime rt(wire_config());
+  runtime::AsyncRuntime rt;
   rt.set_peer(NodeId{0}, runtime::PeerEndpoint{"127.0.0.1", 0});
   rt.set_peer(NodeId{1}, runtime::PeerEndpoint{"127.0.0.1", 0});
   rt.add_link(NodeId{0}, NodeId{1});
@@ -239,7 +237,7 @@ struct CountSink final : TransportReceiver {
 };
 
 runtime::AsyncRuntimeConfig faulty_config(const std::string& plan) {
-  runtime::AsyncRuntimeConfig c = wire_config();
+  runtime::AsyncRuntimeConfig c;
   std::string error;
   const auto parsed = fault::parse_plan(plan, &error);
   EXPECT_TRUE(parsed) << error;
@@ -316,7 +314,6 @@ TEST(AsyncRuntimeFaults, BlackholeSilencesTheLinkIncludingControl) {
 
 TEST(AsyncRuntimeFaults, SlowdownDelaysButStillDelivers) {
   runtime::AsyncRuntimeConfig c = faulty_config("slow(factor=0.01)");
-  c.slow_bandwidth_bytes_per_s = 1.25e6;
   runtime::AsyncRuntime rt(c);
   CountSink sinks[2];
   two_node_pair(rt, sinks);
@@ -350,7 +347,7 @@ TEST(AsyncRuntimeFaults, ChurnSpecsAreRejected) {
 }
 
 TEST(AsyncRuntimeFaults, LivenessHooksFeedTheStats) {
-  runtime::AsyncRuntime rt(wire_config());
+  runtime::AsyncRuntime rt;
   rt.note_heartbeat_sent();
   rt.note_heartbeat_sent();
   rt.note_heartbeat_received();
@@ -368,7 +365,7 @@ TEST(AsyncRuntimeFaults, LivenessHooksFeedTheStats) {
 // -- transport stats ----------------------------------------------------------
 
 TEST(AsyncRuntime, StatsCountBytesAndDatagrams) {
-  runtime::AsyncRuntime rt(wire_config());
+  runtime::AsyncRuntime rt;
   rt.set_peer(NodeId{0}, runtime::PeerEndpoint{"127.0.0.1", 0});
   rt.set_peer(NodeId{1}, runtime::PeerEndpoint{"127.0.0.1", 0});
   rt.add_link(NodeId{0}, NodeId{1});

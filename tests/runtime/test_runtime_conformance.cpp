@@ -57,7 +57,6 @@ class AsyncBackend final : public Backend {
   static runtime::AsyncRuntimeConfig config() {
     runtime::AsyncRuntimeConfig c;
     c.seed = 1;
-    c.sizing = SizingMode::Wire;
     return c;
   }
   runtime::AsyncRuntime rt_;
@@ -368,9 +367,7 @@ TEST(TransportConformance, SimBackendHonoursContract) {
 }
 
 TEST(TransportConformance, AsyncBackendHonoursContract) {
-  runtime::AsyncRuntimeConfig rc;
-  rc.sizing = SizingMode::Wire;
-  runtime::AsyncRuntime rt(rc);
+  runtime::AsyncRuntime rt;
   for (std::uint32_t i = 0; i < 3; ++i) {
     rt.set_peer(NodeId{i}, runtime::PeerEndpoint{"127.0.0.1", 0});
   }
@@ -390,7 +387,6 @@ TEST(TransportConformance, AsyncBackendHonoursContract) {
 
 TEST(TransportConformance, AsyncBoundedQueueDropsNewestOnOverflow) {
   runtime::AsyncRuntimeConfig rc;
-  rc.sizing = SizingMode::Wire;
   rc.inbound_queue_capacity = 2;
   runtime::AsyncRuntime rt(rc);
   rt.set_peer(NodeId{0}, runtime::PeerEndpoint{"127.0.0.1", 0});

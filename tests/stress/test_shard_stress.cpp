@@ -12,10 +12,10 @@
 // ctest entry.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "epicast/common/env.hpp"
 #include "epicast/common/rng.hpp"
 #include "epicast/metrics/result_json.hpp"
 #include "epicast/scenario/runner.hpp"
@@ -26,12 +26,9 @@ namespace {
 using metrics::result_json;
 
 int stress_iterations() {
-  const char* env = std::getenv("EPICAST_STRESS_ITERS");
-  if (env != nullptr && *env != '\0') {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<int>(v);
-  }
-  return 40;
+  return static_cast<int>(env::read_count(env::process_env,
+                                          "EPICAST_STRESS_ITERS", 1, 100000,
+                                          40));
 }
 
 /// Every iteration's draws, in iteration order from one Rng, so a chunk

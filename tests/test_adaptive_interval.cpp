@@ -19,12 +19,14 @@ TEST(AdaptiveInterval, BacksOffWhileIdle) {
   cfg.enabled = true;
   cfg.min_interval = Duration::millis(10);
   cfg.max_interval = Duration::millis(100);
-  cfg.backoff_factor = 2.0;
   AdaptiveIntervalController c(cfg, Duration::millis(30));
   EXPECT_EQ(c.current(), Duration::millis(10));
-  EXPECT_EQ(c.next(false), Duration::millis(20));
-  EXPECT_EQ(c.next(false), Duration::millis(40));
-  EXPECT_EQ(c.next(false), Duration::millis(80));
+  // ×1.5 per idle round.
+  EXPECT_EQ(c.next(false), Duration::micros(15000));
+  EXPECT_EQ(c.next(false), Duration::micros(22500));
+  EXPECT_EQ(c.next(false), Duration::micros(33750));
+  EXPECT_EQ(c.next(false), Duration::nanos(50625000));
+  EXPECT_EQ(c.next(false), Duration::nanos(75937500));
   EXPECT_EQ(c.next(false), Duration::millis(100));  // capped
   EXPECT_EQ(c.next(false), Duration::millis(100));
 }
@@ -34,7 +36,6 @@ TEST(AdaptiveInterval, ActivitySnapsBackToMin) {
   cfg.enabled = true;
   cfg.min_interval = Duration::millis(10);
   cfg.max_interval = Duration::millis(100);
-  cfg.backoff_factor = 3.0;
   AdaptiveIntervalController c(cfg, Duration::millis(30));
   (void)c.next(false);
   (void)c.next(false);

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
+#include "epicast/runtime/cluster.hpp"
+
 namespace epicast {
 namespace {
 
@@ -86,6 +91,28 @@ TEST(Cli, RejectsUnknownFlagsAndBadValues) {
   EXPECT_TRUE(parse({"--algorithm=magic"}).error.has_value());
   EXPECT_TRUE(parse({"stray"}).error.has_value());
   EXPECT_TRUE(parse({"--interval=-0.1"}).error.has_value());
+}
+
+TEST(Cli, AlgorithmFlagAcceptsTheClusterDirectiveNames) {
+  const std::string cluster =
+      "node 0 127.0.0.1 0\n"
+      "node 1 127.0.0.1 0\n"
+      "link 0 1\n"
+      "sub 1 0\n";
+  for (const char* name :
+       {"no-recovery", "none", "push", "subscriber-pull", "publisher-pull",
+        "combined-pull", "random-pull", "lazy-pull", "Push", "combined"}) {
+    const CliParse p = parse_cli({std::string("--algorithm=") + name});
+    try {
+      const Algorithm a =
+          runtime::parse_cluster_config(cluster + "algorithm " + name + "\n")
+              .algorithm;
+      ASSERT_FALSE(p.error.has_value()) << name << ": " << *p.error;
+      EXPECT_EQ(p.config.algorithm, a) << name;
+    } catch (const std::invalid_argument&) {
+      EXPECT_TRUE(p.error.has_value()) << name;
+    }
+  }
 }
 
 TEST(Cli, ParsedConfigValidates) {

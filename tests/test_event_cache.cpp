@@ -9,7 +9,6 @@
 #include <list>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -128,11 +127,11 @@ TEST(EventCache, IdsMatchingFiltersByPattern) {
   cache.insert(e1);
   cache.insert(e2);
   cache.insert(e3);
-  const auto ids1 = cache.ids_matching(Pattern{1}, 0);
+  const auto ids1 = cache.ids_matching(Pattern{1});
   EXPECT_EQ(ids1, (std::vector<EventId>{e1->id(), e3->id()}));
-  const auto ids2 = cache.ids_matching(Pattern{2}, 0);
+  const auto ids2 = cache.ids_matching(Pattern{2});
   EXPECT_EQ(ids2, (std::vector<EventId>{e2->id(), e3->id()}));
-  EXPECT_TRUE(cache.ids_matching(Pattern{3}, 0).empty());
+  EXPECT_TRUE(cache.ids_matching(Pattern{3}).empty());
 }
 
 TEST(EventCache, IdsMatchingDropsEvictedEntries) {
@@ -145,24 +144,56 @@ TEST(EventCache, IdsMatchingDropsEvictedEntries) {
   cache.insert(e1);
   cache.insert(e2);
   cache.insert(e3);  // evicts e1
-  const auto ids = cache.ids_matching(Pattern{1}, 0);
+  const auto ids = cache.ids_matching(Pattern{1});
   EXPECT_EQ(ids, (std::vector<EventId>{e2->id(), e3->id()}));
 }
 
-TEST(EventCache, IdsMatchingHonoursCapKeepingNewest) {
+TEST(EventCache, LruDigestListsAReinsertedEventOnce) {
+  // An event evicted from the middle of a pattern queue and inserted again
+  // leaves its old id behind; the digest lists it once, at its newest
+  // insertion.
   EventRegistry registry;
-  EventCache cache(10, CachePolicy::Fifo, Rng{1}, registry);
+  EventCache cache(3, CachePolicy::Lru, Rng{1}, registry);
   cache.keep_pattern_index();
-  std::vector<EventPtr> events;
-  for (std::uint64_t i = 0; i < 6; ++i) {
-    auto e = ev(0, i, {{Pattern{1}, SeqNo{i + 1}}});
-    events.push_back(e);
-    cache.insert(e);
+  std::vector<EventPtr> e;  // a, b, c, d
+  for (std::uint64_t i = 1; i <= 4; ++i) {
+    e.push_back(ev(0, i, {{Pattern{1}, SeqNo{i}}}));
   }
-  const auto ids = cache.ids_matching(Pattern{1}, 2);
-  ASSERT_EQ(ids.size(), 2u);
-  EXPECT_EQ(ids[0], events[4]->id());
-  EXPECT_EQ(ids[1], events[5]->id());
+  cache.insert(e[0]);
+  cache.insert(e[1]);
+  cache.insert(e[2]);
+  ASSERT_EQ(cache.get(e[0]->id()), e[0]);  // a becomes the most recent
+  cache.insert(e[3]);                      // d evicts b
+  cache.insert(e[1]);                      // b again, evicting c
+  EXPECT_EQ(cache.ids_matching(Pattern{1}),
+            (std::vector<EventId>{e[0]->id(), e[3]->id(), e[1]->id()}));
+}
+
+TEST(EventCache, RandomDigestListsEachCachedEventOnce) {
+  // Random eviction scatters victims through the queue; re-inserting them
+  // must list each cached id once, in the order of its current insertion.
+  EventRegistry registry;
+  EventCache cache(4, CachePolicy::Random, Rng{3}, registry);
+  cache.keep_pattern_index();
+  std::vector<EventPtr> pool;
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    pool.push_back(ev(0, i, {{Pattern{1}, SeqNo{i + 1}}}));
+  }
+  std::vector<EventId> inserted;  // each id once, at its latest insertion
+  Rng rng(5);
+  for (int step = 0; step < 200; ++step) {
+    const EventPtr& e = pool[rng.next_below(pool.size())];
+    if (cache.insert(e)) {
+      inserted.erase(std::remove(inserted.begin(), inserted.end(), e->id()),
+                     inserted.end());
+      inserted.push_back(e->id());
+    }
+    std::vector<EventId> want;
+    for (const EventId& id : inserted) {
+      if (cache.contains(id)) want.push_back(id);
+    }
+    ASSERT_EQ(cache.ids_matching(Pattern{1}), want) << "step " << step;
+  }
 }
 
 class CachePolicySweep : public ::testing::TestWithParam<CachePolicy> {};
@@ -180,7 +211,7 @@ TEST_P(CachePolicySweep, NeverExceedsCapacityAndStaysConsistent) {
     ASSERT_LE(cache.size(), 32u);
     // Index and store agree on a random probe.
     const auto probe = cache.ids_matching(
-        Pattern{static_cast<std::uint32_t>(rng.next_below(8))}, 0);
+        Pattern{static_cast<std::uint32_t>(rng.next_below(8))});
     for (const EventId& id : probe) ASSERT_TRUE(cache.contains(id));
   }
   EXPECT_EQ(cache.stats().evictions, cache.stats().insertions - 32);
@@ -206,11 +237,10 @@ TEST_P(CachePolicySweep, IdsMatchingIntoAgreesWithAllocatingVariant) {
     a.insert(e);
     b.insert(e);
     const Pattern probe{static_cast<std::uint32_t>(rng.next_below(6))};
-    const std::size_t cap = rng.next_below(4);  // include cap=0 (= all)
     // ids_matching() may compact the bucket, so query twin caches with
     // identical history rather than the same cache twice.
-    b.ids_matching_into(probe, cap, scratch);
-    ASSERT_EQ(scratch, a.ids_matching(probe, cap));
+    b.ids_matching_into(probe, scratch);
+    ASSERT_EQ(scratch, a.ids_matching(probe));
   }
 }
 
@@ -243,9 +273,9 @@ TEST(EventCache, FifoDigestNeedsNoLivenessFiltering) {
     cache.insert(e);
   }
   // Live ids are the newest 4 insertions: seqs 8..11 → patterns 2,0,1,2.
-  EXPECT_EQ(cache.ids_matching(Pattern{0}, 0),
+  EXPECT_EQ(cache.ids_matching(Pattern{0}),
             (std::vector<EventId>{events[9]->id()}));
-  EXPECT_EQ(cache.ids_matching(Pattern{2}, 0),
+  EXPECT_EQ(cache.ids_matching(Pattern{2}),
             (std::vector<EventId>{events[8]->id(), events[11]->id()}));
 }
 
@@ -317,8 +347,8 @@ class NaiveCache {
                                 return false;
                               }));
   }
-  /// Cached ids matching `pattern` in insertion order, newest `max` kept.
-  std::vector<EventId> ids_matching(Pattern pattern, std::size_t max) const {
+  /// Cached ids matching `pattern` in insertion order.
+  std::vector<EventId> ids_matching(Pattern pattern) const {
     std::map<std::uint64_t, EventId> by_stamp;
     for (const Entry& en : order_) {
       for (const PatternSeq& ps : en.event->patterns()) {
@@ -327,9 +357,6 @@ class NaiveCache {
     }
     std::vector<EventId> out;
     for (const auto& [stamp, id] : by_stamp) out.push_back(id);
-    if (max != 0 && out.size() > max) {
-      out.erase(out.begin(), out.end() - static_cast<std::ptrdiff_t>(max));
-    }
     return out;
   }
   [[nodiscard]] bool contains(const EventId& id) const {
@@ -432,11 +459,9 @@ TEST_P(CachePolicySweep, LookupsAgreeWithNaiveModelAfterEvictions) {
     } else {
       const EventPtr& e = published[rng.next_below(published.size())];
       if (op == 4) {
-        // Re-insert: a no-op while cached. Evicted events stay out, since
-        // a digest index may still hold their stale ids.
-        if (model.contains(e->id())) {
-          ASSERT_FALSE(cache.insert(e));
-        }
+        // Re-insert: a no-op while cached; an evicted event comes back as
+        // the newest insertion.
+        ASSERT_EQ(cache.insert(e), model.insert(e));
       } else if (op < 7 || (op < 9 && step < kFirstFindStep)) {
         ASSERT_EQ(cache.get(e->id()), model.get(e->id()));
       } else if (op < 9) {
@@ -449,8 +474,7 @@ TEST_P(CachePolicySweep, LookupsAgreeWithNaiveModelAfterEvictions) {
                   model.find(e->source(), ps.pattern, ps.seq));
       } else {
         const Pattern p{static_cast<std::uint32_t>(rng.next_below(kPatterns))};
-        const std::size_t max = rng.next_below(4);
-        ASSERT_EQ(cache.ids_matching(p, max), model.ids_matching(p, max))
+        ASSERT_EQ(cache.ids_matching(p), model.ids_matching(p))
             << "step " << step;
       }
     }
@@ -462,8 +486,7 @@ TEST_P(CachePolicySweep, LookupsAgreeWithNaiveModelAfterEvictions) {
     ASSERT_EQ(cache.contains(e->id()), model.contains(e->id()));
   }
   for (std::uint32_t p = 0; p < kPatterns; ++p) {
-    ASSERT_EQ(cache.ids_matching(Pattern{p}, 0),
-              model.ids_matching(Pattern{p}, 0));
+    ASSERT_EQ(cache.ids_matching(Pattern{p}), model.ids_matching(Pattern{p}));
   }
 }
 
@@ -484,17 +507,12 @@ TEST_P(SharedRegistry, CachesAndRegistryAgreeWithNaiveModels) {
   EventRegistry registry;
   std::vector<std::unique_ptr<EventCache>> caches(k);
   std::vector<std::unique_ptr<NaiveCache>> models(k);
-  // Ids each cache has taken since it was built or cleared: under LRU and
-  // Random an evicted id may linger in the digest index, so an event goes
-  // into a cache at most once between clears, as the protocols use it.
-  std::vector<std::set<EventId>> taken(k);
   std::uint64_t next_cache_seed = 100;
   const auto build = [&](int c) {
     const Rng rng{next_cache_seed++};
     caches[c] = std::make_unique<EventCache>(kCapacity, policy, rng, registry);
     caches[c]->keep_pattern_index();
     models[c] = std::make_unique<NaiveCache>(kCapacity, policy, rng);
-    taken[c].clear();
   };
   for (int c = 0; c < k; ++c) build(c);
 
@@ -584,9 +602,10 @@ TEST_P(SharedRegistry, CachesAndRegistryAgreeWithNaiveModels) {
         published.push_back(e);
         by_id[e->id()] = e;
       }
+      // Evicted events come back too, as the newest insertion.
       if (model.contains(e->id())) {
         ASSERT_FALSE(cache.insert(e));
-      } else if (taken[c].insert(e->id()).second) {
+      } else {
         note_registered(e);
         ASSERT_TRUE(model.insert(e));
         ASSERT_TRUE(cache.insert(e));
@@ -621,12 +640,10 @@ TEST_P(SharedRegistry, CachesAndRegistryAgreeWithNaiveModels) {
       ASSERT_EQ(cache.find(key.source, key.pattern, key.seq), want);
     } else if (op < 92) {
       const Pattern p{static_cast<std::uint32_t>(rng.next_below(kPatterns))};
-      const std::size_t max = rng.next_below(4);
-      ASSERT_EQ(cache.ids_matching(p, max), model.ids_matching(p, max));
+      ASSERT_EQ(cache.ids_matching(p), model.ids_matching(p));
     } else if (op < 96) {
       cache.clear();
       model.clear();
-      taken[c].clear();
     } else {
       // Destroy the cache and build a fresh one in its place.
       caches[c].reset();
@@ -718,7 +735,7 @@ TEST(EventCacheDeath, IdsMatchingNeedsTheOptIn) {
   EventRegistry registry;
   EventCache cache(4, CachePolicy::Fifo, Rng{1}, registry);
   cache.insert(ev(0, 0, {{Pattern{1}, SeqNo{1}}}));
-  EXPECT_DEATH((void)cache.ids_matching(Pattern{1}, 0), "keep_pattern_index");
+  EXPECT_DEATH((void)cache.ids_matching(Pattern{1}), "keep_pattern_index");
   EXPECT_DEATH(cache.keep_pattern_index(), "first insert");
 }
 

@@ -113,7 +113,7 @@ TEST(PullDetection, StreamMarksBackfillUnknownStreamsFromOne) {
 TEST(PullDetection, StreamMarkBackfillIsClampedLikeTheGapDetector) {
   GossipHarness h(3, Algorithm::SubscriberPull);
   h.subscribe_and_settle({{0, 1}, {2, 1}});
-  const std::uint64_t clamp = pull(h, 2)->config().max_gap_report;
+  const std::uint64_t clamp = PullProtocolBase::kMaxGapReport;
   pull(h, 2)->on_stream_marks(
       {{NodeId{1}, Pattern{1}, SeqNo{clamp + 100}}});
   EXPECT_EQ(pull(h, 2)->lost().size(), clamp);
@@ -355,12 +355,11 @@ TEST(RandomPull, EventuallyRecoversOnSmallNetwork) {
 
 TEST(PublisherPull, RouteTruncationJumpsOutOfBand) {
   // 6-node line, subscriber only at the far end: the stored route back to
-  // the publisher is 5 hops, but publisher_route_hops=2 means the digest
+  // the publisher is 5 hops, but kPublisherRouteHops = 2 means the digest
   // visits two neighbours and then jumps straight to the publisher over
   // the out-of-band channel — observable as a direct-channel digest send.
-  GossipConfig g = GossipHarness::default_gossip();
-  g.publisher_route_hops = 2;
-  GossipHarness h(6, Algorithm::PublisherPull, g);
+  ASSERT_EQ(PullProtocolBase::kPublisherRouteHops, 2u);
+  GossipHarness h(6, Algorithm::PublisherPull);
   h.subscribe_and_settle({{5, 1}});
   h.start_recovery();
   const EventId lost_id = publish_with_gap(h, 0, 1, NodeId{4}, NodeId{5});
@@ -375,13 +374,11 @@ TEST(PublisherPull, RouteTruncationJumpsOutOfBand) {
   EXPECT_GT(direct_digests, 0u);
 }
 
-TEST(PublisherPull, FullRouteTraversalWhenTruncationDisabled) {
-  // publisher_route_hops = 0 disables the truncation: every hop of the
-  // stored route is visited over the overlay; the only direct traffic is
-  // the reply.
-  GossipConfig g = GossipHarness::default_gossip();
-  g.publisher_route_hops = 0;
-  GossipHarness h(4, Algorithm::PublisherPull, g);
+TEST(PublisherPull, ShortRouteIsTraversedInFull) {
+  // 4-node line: the stored route back to the publisher is 3 hops, within
+  // kPublisherRouteHops + 1, so no hop is skipped: every hop of the route
+  // is visited over the overlay; the only direct traffic is the reply.
+  GossipHarness h(4, Algorithm::PublisherPull);
   h.subscribe_and_settle({{3, 1}});
   h.start_recovery();
   const EventId lost_id = publish_with_gap(h, 0, 1, NodeId{2}, NodeId{3});

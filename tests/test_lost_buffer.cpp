@@ -57,13 +57,11 @@ TEST(LostBuffer, QueriesFilterAndPreserveAge) {
   buf.add(entry(0, 2, 5), SimTime::zero());
   buf.add(entry(1, 1, 9), SimTime::zero());
 
-  EXPECT_EQ(buf.entries_for_pattern(Pattern{1}, 0),
+  EXPECT_EQ(buf.entries_for_pattern(Pattern{1}),
             (std::vector<LostEntryInfo>{entry(0, 1, 1), entry(1, 1, 9)}));
-  EXPECT_EQ(buf.entries_for_source(NodeId{1}, 0),
+  EXPECT_EQ(buf.entries_for_source(NodeId{1}),
             (std::vector<LostEntryInfo>{entry(1, 2, 1), entry(1, 1, 9)}));
-  EXPECT_EQ(buf.entries_for_pattern(Pattern{1}, 1),
-            (std::vector<LostEntryInfo>{entry(0, 1, 1)}));  // capped
-  EXPECT_EQ(buf.all_entries(0).size(), 4u);
+  EXPECT_EQ(buf.all_entries().size(), 4u);
   EXPECT_EQ(buf.patterns_with_losses(),
             (std::vector<Pattern>{Pattern{1}, Pattern{2}}));
   EXPECT_EQ(buf.sources_with_losses(),
@@ -136,13 +134,10 @@ class ListModel {
                        [&](const Item& i) { return i.info == e; });
   }
   template <typename Pred>
-  [[nodiscard]] std::vector<LostEntryInfo> collect(Pred pred,
-                                                   std::size_t max) const {
+  [[nodiscard]] std::vector<LostEntryInfo> collect(Pred pred) const {
     std::vector<LostEntryInfo> out;
     for (const Item& i : order_) {
-      if (!pred(i.info)) continue;
-      out.push_back(i.info);
-      if (max != 0 && out.size() >= max) break;
+      if (pred(i.info)) out.push_back(i.info);
     }
     return out;
   }
@@ -248,24 +243,22 @@ TEST(LostBufferModel, EveryQueryMatchesAListReferenceUnderChurn) {
     ASSERT_EQ(got.recovered, want.recovered);
     ASSERT_EQ(got.expired, want.expired);
     ASSERT_EQ(got.overflowed, want.overflowed);
-    const std::size_t max = rng.next_below(4);  // 0 = all
-    ASSERT_EQ(buf.all_entries(max),
-              model.collect([](const LostEntryInfo&) { return true; }, max))
+    ASSERT_EQ(buf.all_entries(),
+              model.collect([](const LostEntryInfo&) { return true; }))
         << "step " << step;
     for (std::uint32_t p = 0; p < kPatterns; ++p) {
       const auto want_p = model.collect(
-          [p](const LostEntryInfo& e) { return e.pattern == Pattern{p}; },
-          max);
-      ASSERT_EQ(buf.entries_for_pattern(Pattern{p}, max), want_p)
+          [p](const LostEntryInfo& e) { return e.pattern == Pattern{p}; });
+      ASSERT_EQ(buf.entries_for_pattern(Pattern{p}), want_p)
           << "step " << step << " pattern " << p;
-      buf.entries_for_pattern_into(Pattern{p}, max, scratch);
+      buf.entries_for_pattern_into(Pattern{p}, scratch);
       ASSERT_EQ(scratch, want_p);
     }
     for (std::uint32_t s = 0; s < kSources; ++s) {
-      ASSERT_EQ(buf.entries_for_source(NodeId{s}, max),
-                model.collect(
-                    [s](const LostEntryInfo& e) { return e.source == NodeId{s}; },
-                    max))
+      ASSERT_EQ(buf.entries_for_source(NodeId{s}),
+                model.collect([s](const LostEntryInfo& e) {
+                  return e.source == NodeId{s};
+                }))
           << "step " << step << " source " << s;
     }
     const std::vector<Pattern> patterns = model.patterns();

@@ -9,6 +9,8 @@
 #include <memory>
 #include <vector>
 
+#include "epicast/common/env.hpp"
+
 namespace epicast {
 namespace {
 
@@ -132,42 +134,10 @@ TEST(MessagePool, ManyLiveObjectsStayIntact) {
   EXPECT_EQ(pool.stats().live(), 0u);
 }
 
-TEST(MessagePool, DefaultModeIsEnvAndSanitizerAware) {
-#if defined(EPICAST_ASAN)
-  const MessagePool::Mode expected_plain = MessagePool::Mode::PassThrough;
-#else
-  const MessagePool::Mode expected_plain = MessagePool::Mode::Pooling;
-#endif
-  const char* v = std::getenv("EPICAST_POOL");
-  MessagePool::Mode expected = expected_plain;
-  if (v && (std::strcmp(v, "off") == 0 || std::strcmp(v, "0") == 0))
-    expected = MessagePool::Mode::PassThrough;
-  if (v && (std::strcmp(v, "on") == 0 || std::strcmp(v, "1") == 0))
-    expected = MessagePool::Mode::Pooling;
-  EXPECT_EQ(MessagePool::default_mode(), expected);
-  EXPECT_EQ(MessagePool().mode(), MessagePool::default_mode());
-}
-
-TEST(MessagePool, EnvModeAcceptsExactlyTheDocumentedSpellings) {
-  const MessagePool::Mode build_default = MessagePool::mode_from_env(nullptr);
-#if defined(EPICAST_ASAN)
-  EXPECT_EQ(build_default, MessagePool::Mode::PassThrough);
-#else
-  EXPECT_EQ(build_default, MessagePool::Mode::Pooling);
-#endif
-  EXPECT_EQ(MessagePool::mode_from_env(""), build_default);
-  EXPECT_EQ(MessagePool::mode_from_env("on"), MessagePool::Mode::Pooling);
-  EXPECT_EQ(MessagePool::mode_from_env("1"), MessagePool::Mode::Pooling);
-  EXPECT_EQ(MessagePool::mode_from_env("off"),
-            MessagePool::Mode::PassThrough);
-  EXPECT_EQ(MessagePool::mode_from_env("0"), MessagePool::Mode::PassThrough);
-}
-
-TEST(MessagePoolDeathTest, EnvModeRejectsUnknownSpellingsNamingTheVariable) {
-  for (const char* bad : {"ON", "Off", "yes", "2", " on"}) {
-    EXPECT_DEATH((void)MessagePool::mode_from_env(bad), "EPICAST_POOL")
-        << bad;
-  }
+TEST(MessagePool, DefaultModeFollowsTheEnvironmentReader) {
+  // env::settings().pool is PassThrough under ASan unless EPICAST_POOL
+  // overrides it (tests/test_env.cpp checks the spellings).
+  EXPECT_EQ(MessagePool().mode(), env::settings().pool);
 }
 
 }  // namespace

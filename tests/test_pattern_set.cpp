@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "epicast/common/arena.hpp"
 #include "epicast/common/rng.hpp"
 
 namespace epicast {
@@ -86,7 +85,7 @@ TEST(PatternSet, GrowsBeyondInlineOnSet) {
 
 TEST(PatternSet, SetAllMatchesPerMemberSetWidthIncluded) {
   // Bulk installs must leave the footprint per-pattern set() calls leave:
-  // same members, same width, from inline, heap and arena starting points.
+  // same members, same width, from inline and heap starting points.
   Rng rng(17);
   for (int trial = 0; trial < 200; ++trial) {
     PatternSet src;
@@ -94,14 +93,9 @@ TEST(PatternSet, SetAllMatchesPerMemberSetWidthIncluded) {
     for (std::uint64_t i = 0; i < k; ++i) {
       src.set(Pattern{static_cast<std::uint32_t>(rng.next_below(2000))});
     }
-    Arena arena_a, arena_b;
-    const std::uint32_t start = static_cast<std::uint32_t>(rng.next_below(3));
-    PatternSet bulk = start == 0   ? PatternSet{}
-                      : start == 1 ? PatternSet(300)
-                                   : PatternSet(300, &arena_a);
-    PatternSet each = start == 0   ? PatternSet{}
-                      : start == 1 ? PatternSet(300)
-                                   : PatternSet(300, &arena_b);
+    const bool presized = rng.next_below(2) == 1;
+    PatternSet bulk = presized ? PatternSet(300) : PatternSet{};
+    PatternSet each = presized ? PatternSet(300) : PatternSet{};
     bulk.set(Pattern{7});
     each.set(Pattern{7});
     bulk.set_all(src);
@@ -109,8 +103,13 @@ TEST(PatternSet, SetAllMatchesPerMemberSetWidthIncluded) {
     EXPECT_TRUE(bulk == each);
     EXPECT_EQ(bulk.capacity(), each.capacity()) << "trial " << trial;
     EXPECT_EQ(bulk.memory_bytes(), each.memory_bytes());
-    EXPECT_EQ(arena_a.bytes_allocated(), arena_b.bytes_allocated());
   }
+}
+
+TEST(PatternSet, IsFourWords) {
+  // Two inline words, the word pointer and the width: routing tables keep
+  // one set per neighbour, so each word here counts at 10⁴ nodes.
+  EXPECT_EQ(sizeof(PatternSet), 4 * sizeof(std::uint64_t));
 }
 
 TEST(PatternSet, ReservePresizesWithoutMembers) {
@@ -121,16 +120,13 @@ TEST(PatternSet, ReservePresizesWithoutMembers) {
   EXPECT_EQ(s.count(), 1u);
 }
 
-TEST(PatternSet, ArenaBackedGrowth) {
-  Arena arena;
-  PatternSet s(5000, &arena);
+TEST(PatternSet, GrowthPastTheReservationKeepsMembers) {
+  PatternSet s(5000);
   EXPECT_GE(s.capacity(), 5000u);
-  EXPECT_GT(arena.bytes_allocated(), 0u);
   s.set(Pattern{4999});
-  // Growth past the reservation also draws from the arena.
-  const std::size_t before = arena.bytes_allocated();
+  const std::size_t before = s.memory_bytes();
   s.set(Pattern{20000});
-  EXPECT_GT(arena.bytes_allocated(), before);
+  EXPECT_GT(s.memory_bytes(), before);
   EXPECT_TRUE(s.test(Pattern{4999}));
   EXPECT_TRUE(s.test(Pattern{20000}));
 }

@@ -184,10 +184,12 @@ TEST_P(ProtocolChurnProperty, SurvivesOverlappingChurnBursts) {
   ReconfigConfig rc;
   rc.interval = Duration::millis(40);  // overlapping with 100 ms repair
   rc.repair_time = Duration::millis(100);
-  rc.stop_at = rig.sim.now() + Duration::seconds(1.5);
   Reconfigurator rec(rig.sim, rig.topo, rc);
   rec.start();
-  rig.sim.run_until(rig.sim.now() + Duration::seconds(4.0));
+  const SimTime start = rig.sim.now();
+  rig.sim.run_until(start + Duration::seconds(1.5));
+  rec.stop();
+  rig.sim.run_until(start + Duration::seconds(4.0));
 
   ASSERT_TRUE(rig.topo.is_tree());
   EXPECT_TRUE(rig.net.routes_consistent()) << "seed " << (GetParam() ^ 0xfeed);

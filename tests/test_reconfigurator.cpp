@@ -71,10 +71,11 @@ TEST_P(ChurnSweep, PeriodicChurnPreservesTreeAtQuietPoints) {
     ReconfigConfig cfg;
     cfg.interval = rho;
     cfg.repair_time = Duration::millis(100);
-    cfg.stop_at = SimTime::seconds(3.0);
     Reconfigurator rec(sim, topo, cfg);
     rec.start();
 
+    sim.run_until(SimTime::seconds(3.0));
+    rec.stop();
     sim.run_until(SimTime::seconds(5.0));
     EXPECT_EQ(rec.pending_repairs(), 0u);
     EXPECT_TRUE(topo.is_tree());
@@ -97,9 +98,10 @@ TEST(Reconfigurator, OverlappingRepairsMaySkip) {
   ReconfigConfig cfg;
   cfg.interval = Duration::millis(10);
   cfg.repair_time = Duration::millis(100);
-  cfg.stop_at = SimTime::seconds(2.0);
   Reconfigurator rec(sim, topo, cfg);
   rec.start();
+  sim.run_until(SimTime::seconds(2.0));
+  rec.stop();
   sim.run_until(SimTime::seconds(3.0));
   EXPECT_TRUE(topo.is_tree());
   EXPECT_EQ(topo.link_count(), 29u);
@@ -216,7 +218,6 @@ TEST(Reconfigurator, NodeFilterPassingEveryoneChangesNothing) {
     ReconfigConfig cfg;
     cfg.interval = Duration::millis(40);
     cfg.repair_time = Duration::millis(60);
-    cfg.stop_at = SimTime::seconds(1.0);
     Reconfigurator rec(sim, topo, cfg);
     if (with_filter) rec.set_node_filter([](NodeId) { return true; });
     std::vector<std::pair<std::uint32_t, std::uint32_t>> added;
@@ -224,6 +225,8 @@ TEST(Reconfigurator, NodeFilterPassingEveryoneChangesNothing) {
       if (r.added) added.emplace_back(r.added->a.value(), r.added->b.value());
     });
     rec.start();
+    sim.run_until(SimTime::seconds(1.0));
+    rec.stop();
     sim.run_until(SimTime::seconds(2.0));
     return added;
   };

@@ -226,7 +226,6 @@ TEST(ScenarioConfig, DescribeMentionsKeyParameters) {
 
 TEST(ScenarioConfig, TimelineAccessors) {
   ScenarioConfig cfg;
-  cfg.subscription_phase = Duration::seconds(0.5);
   cfg.warmup = Duration::seconds(1.5);
   cfg.measure = Duration::seconds(10.0);
   EXPECT_EQ(cfg.publish_start(), SimTime::seconds(0.5));
@@ -247,23 +246,6 @@ TEST(ScenarioConfigDeath, ValidateCatchesNonsense) {
   ScenarioConfig cfg;
   cfg.patterns_per_subscriber = 200;  // exceeds the universe
   EXPECT_DEATH(cfg.validate(), "within the pattern universe");
-}
-
-TEST(ProfileEnv, AcceptsExactlyTheDocumentedSpellings) {
-  for (const char* off : {"", "0", "off", "OFF", "false"}) {
-    EXPECT_FALSE(profile_from_env(off)) << off;
-  }
-  EXPECT_FALSE(profile_from_env(nullptr));
-  for (const char* on : {"1", "on", "ON", "true"}) {
-    EXPECT_TRUE(profile_from_env(on)) << on;
-  }
-}
-
-TEST(ProfileEnvDeathTest, RejectsUnknownSpellingsNamingTheVariable) {
-  // These used to mean "off" without a word.
-  for (const char* bad : {"yes", "On", "TRUE", "2", " 1", "1 ", "enabled"}) {
-    EXPECT_DEATH((void)profile_from_env(bad), "EPICAST_PROFILE") << bad;
-  }
 }
 
 }  // namespace

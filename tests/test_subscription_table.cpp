@@ -234,11 +234,8 @@ TEST(SubscriptionTable, AddRoutesMatchesPerPatternAddRoute) {
   EXPECT_FALSE(bulk.has_route(Pattern{3}, NodeId{9}));
 }
 
-TEST(SubscriptionTable, ReserveUniversePresizesMasksFromArena) {
-  Arena arena;
+TEST(SubscriptionTable, MasksGrowForLargeUniverses) {
   SubscriptionTable t;
-  t.reserve_universe(2000, &arena);
-  EXPECT_GT(arena.bytes_allocated(), 0u);
   t.add_local(Pattern{1999});
   t.add_route(Pattern{1500}, NodeId{3});
   EXPECT_TRUE(t.local_mask().test(Pattern{1999}));

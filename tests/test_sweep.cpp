@@ -122,33 +122,12 @@ TEST(SweepRunner, EmptySweepIsANoop) {
 }
 
 TEST(SweepRunner, ResolveJobsPrefersExplicitThenEnvThenHardware) {
-  ASSERT_EQ(setenv("EPICAST_JOBS", "3", 1), 0);
-  EXPECT_EQ(SweepRunner::resolve_jobs(5), 5u);
-  EXPECT_EQ(SweepRunner::resolve_jobs(0), 3u);
-  ASSERT_EQ(setenv("EPICAST_JOBS", "", 1), 0);
-  EXPECT_EQ(SweepRunner::resolve_jobs(0),
+  // The second argument is EPICAST_JOBS as the environment reader parsed
+  // it; 0 means auto.
+  EXPECT_EQ(SweepRunner::resolve_jobs(5, 3), 5u);
+  EXPECT_EQ(SweepRunner::resolve_jobs(0, 3), 3u);
+  EXPECT_EQ(SweepRunner::resolve_jobs(0, 0),
             SweepRunner::available_parallelism());
-  ASSERT_EQ(unsetenv("EPICAST_JOBS"), 0);
-  EXPECT_EQ(SweepRunner::resolve_jobs(0),
-            SweepRunner::available_parallelism());
-}
-
-TEST(SweepRunner, JobsFromEnvAcceptsAutoAndCounts) {
-  EXPECT_EQ(SweepRunner::jobs_from_env(nullptr), 0u);  // auto
-  EXPECT_EQ(SweepRunner::jobs_from_env(""), 0u);       // auto
-  EXPECT_EQ(SweepRunner::jobs_from_env("1"), 1u);
-  EXPECT_EQ(SweepRunner::jobs_from_env("16"), 16u);
-  EXPECT_EQ(SweepRunner::jobs_from_env("4095"), 4095u);
-}
-
-TEST(SweepRunnerDeathTest, JobsFromEnvRejectsUnknownSpellingsNamingTheVariable) {
-  // These used to fall back to auto without a word.
-  for (const char* bad :
-       {"0", "4096", "99999999999", "-1", "+2", " 2", "2 ", "1.5", "two",
-        "not-a-number"}) {
-    EXPECT_DEATH((void)SweepRunner::jobs_from_env(bad), "EPICAST_JOBS")
-        << bad;
-  }
 }
 
 TEST(SweepRunner, AvailableParallelismIsClampedToAffinity) {
@@ -162,10 +141,9 @@ TEST(SweepRunner, AvailableParallelismIsClampedToAffinity) {
   // Auto-detection (no explicit request, no env) must resolve to exactly
   // the clamped value — oversubscribing a restricted affinity mask is the
   // regression this pins.
-  ASSERT_EQ(unsetenv("EPICAST_JOBS"), 0);
-  EXPECT_EQ(SweepRunner::resolve_jobs(0), avail);
+  EXPECT_EQ(SweepRunner::resolve_jobs(0, 0), avail);
   // Explicit requests are honoured verbatim, even beyond the clamp.
-  EXPECT_EQ(SweepRunner::resolve_jobs(avail + 7), avail + 7);
+  EXPECT_EQ(SweepRunner::resolve_jobs(avail + 7, 0), avail + 7);
 }
 
 }  // namespace

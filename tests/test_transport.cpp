@@ -180,12 +180,11 @@ TEST(TransportLoss, LossyOverlayDropsStatistically) {
   EXPECT_NEAR(static_cast<double>(b.received.size()) / kSends, 0.8, 0.02);
 }
 
-TEST(TransportLoss, ControlIsLosslessByDefault) {
+TEST(TransportLoss, ControlIsLossless) {
   Simulator sim(3);
   Topology topo = Topology::line(2);
   TransportConfig cfg;
   cfg.link.loss_rate = 0.5;
-  cfg.control_lossless = true;
   Transport transport(sim, topo, cfg);
   Sink a, b;
   transport.attach(NodeId{0}, a);
