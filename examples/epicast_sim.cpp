@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "epicast/epicast.hpp"
+#include "epicast/metrics/result_json.hpp"
 #include "epicast/scenario/cli.hpp"
 
 int main(int argc, char** argv) {
@@ -28,7 +29,7 @@ int main(int argc, char** argv) {
     // Machine-readable mode: the JSON object is the whole output (CI's
     // determinism smoke diffs two of these byte-for-byte).
     const ScenarioResult result = run_scenario(cli.config);
-    std::cout << result_json(result);
+    std::cout << metrics::result_json(result);
     return 0;
   }
 

@@ -55,7 +55,6 @@ class FailureDetector {
   /// Fired once per peer on suspicion onset / death confirmation / return
   /// (first liveness signal after suspicion or death, or an incarnation
   /// jump). All run inside the event loop.
-  void set_on_peer_suspected(PeerCallback cb) { on_suspected_ = std::move(cb); }
   void set_on_peer_dead(PeerCallback cb) { on_dead_ = std::move(cb); }
   void set_on_peer_returned(PeerCallback cb) { on_returned_ = std::move(cb); }
 
@@ -90,7 +89,6 @@ class FailureDetector {
   Dispatcher& d_;
   runtime::AsyncRuntime& rt_;
   FailureDetectorConfig cfg_;
-  PeerCallback on_suspected_;
   PeerCallback on_dead_;
   PeerCallback on_returned_;
   std::unordered_map<std::uint32_t, PeerState> peers_;

@@ -23,17 +23,15 @@
 #include "epicast/fault/gilbert_elliott.hpp"
 #include "epicast/fault/plan.hpp"
 #include "epicast/fault/restart_policy.hpp"
-#include "epicast/gossip/combined_pull.hpp"
 #include "epicast/gossip/config.hpp"
 #include "epicast/gossip/event_cache.hpp"
 #include "epicast/gossip/messages.hpp"
 #include "epicast/gossip/protocol.hpp"
-#include "epicast/gossip/publisher_pull.hpp"
+#include "epicast/gossip/pull.hpp"
 #include "epicast/gossip/push.hpp"
-#include "epicast/gossip/random_pull.hpp"
-#include "epicast/gossip/subscriber_pull.hpp"
 #include "epicast/metrics/delivery_tracker.hpp"
 #include "epicast/metrics/message_stats.hpp"
+#include "epicast/metrics/result_json.hpp"
 #include "epicast/metrics/time_series.hpp"
 #include "epicast/net/link_model.hpp"
 #include "epicast/oracle/checks.hpp"

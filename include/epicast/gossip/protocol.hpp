@@ -23,10 +23,10 @@
 #include <vector>
 
 #include "epicast/common/flat_hash_map.hpp"
+#include "epicast/common/message_pool.hpp"
 #include "epicast/gossip/adaptive_interval.hpp"
 #include "epicast/gossip/config.hpp"
 #include "epicast/gossip/event_cache.hpp"
-#include "epicast/gossip/factory.hpp"
 #include "epicast/gossip/messages.hpp"
 #include "epicast/gossip/stats.hpp"
 #include "epicast/metrics/hotpath_profiler.hpp"
@@ -84,10 +84,7 @@ class GossipProtocolBase : public RecoveryProtocol {
     return adaptive_.enabled() ? adaptive_.current() : cfg_.interval;
   }
 
-  /// Counters live in gossip/stats.hpp (GossipStats) so they can be summed
-  /// across dispatchers; the alias keeps existing call sites compiling.
-  using Stats = GossipStats;
-  [[nodiscard]] const Stats& stats() const { return stats_; }
+  [[nodiscard]] const GossipStats& stats() const { return stats_; }
   [[nodiscard]] const GossipStats* gossip_stats() const override {
     return &stats_;
   }
@@ -125,6 +122,17 @@ class GossipProtocolBase : public RecoveryProtocol {
   void fanout_into(std::span<const NodeId> candidates, bool ensure_progress,
                    std::vector<NodeId>& out);
 
+  /// Builds a gossip message of type T from the dispatcher's pool, at the
+  /// nominal size the paper's accounting gives every gossip message
+  /// (GossipConfig::gossip_message_bytes); SizingMode::Wire charges its
+  /// codec frame size instead. Digests name their originator as
+  /// `gossiper`, so a forwarded digest keeps it.
+  template <typename T, typename... Args>
+  [[nodiscard]] MessagePtr make_message(NodeId gossiper, Args&&... args) {
+    return make_pooled<T>(d_.pool(), gossiper, cfg_.gossip_message_bytes,
+                          std::forward<Args>(args)...);
+  }
+
   void send_digest(NodeId to, MessagePtr msg, bool originated);
   void send_request(NodeId to, std::vector<EventId> ids);
   void send_reply(NodeId to, std::vector<EventPtr> events);
@@ -153,15 +161,15 @@ class GossipProtocolBase : public RecoveryProtocol {
   /// at most once per round; on the scale overlays the per-pattern route
   /// graph has cycles, so the same digest arrives along several paths and
   /// every copy would be re-forwarded — an exponential flood the hop TTL
-  /// alone cannot tame. Returns true (caller drops the copy) iff `key` was
-  /// recorded within the last half gossip interval. Origination is
-  /// per-round (≥ one interval apart), so tree runs never trip this and
-  /// the paper figures stay bit-identical. Keys are content hashes; a
-  /// collision merely suppresses one forward.
-  [[nodiscard]] bool digest_duplicate(std::uint64_t key);
-  /// splitmix64-style mixer for digest keys.
-  [[nodiscard]] static std::uint64_t mix_digest_key(std::uint64_t a,
-                                                    std::uint64_t b);
+  /// alone cannot tame. Returns true (caller drops the copy) iff a digest
+  /// with the same key — a hash of its kind, gossiper, pattern, entry count
+  /// and first entry — was recorded within half the smallest spacing a
+  /// round timer can have: AdaptiveIntervalConfig::min_interval when the
+  /// adaptive interval is on, T otherwise. One gossiper originates at most
+  /// one digest per round, so tree runs never trip this and the paper
+  /// figures stay bit-identical. A key collision merely suppresses one
+  /// forward. Push, subscriber-pull and random-pull digests only.
+  [[nodiscard]] bool digest_duplicate(const GossipMessage& digest);
 
   /// Guards deadline callbacks across restarts: a callback scheduled before
   /// a cold restart must not act on the reborn node's state.
@@ -172,10 +180,7 @@ class GossipProtocolBase : public RecoveryProtocol {
   Dispatcher& d_;
   GossipConfig cfg_;
   EventCache cache_;
-  /// Builds every outgoing gossip message (digests, requests, replies) —
-  /// pool-allocated from the owning Simulator's MessagePool.
-  GossipMessageFactory msgs_;
-  Stats stats_;
+  GossipStats stats_;
 
   /// Per-round / per-handler scratch buffers. Safe to reuse: sends are
   /// asynchronous (the transport schedules delivery), so no callee

@@ -63,7 +63,6 @@ class HotpathProfiler {
 
   /// Turns nanosecond timing on/off; op counting is unconditional.
   void enable_timing(bool on) { timed_ = on; }
-  [[nodiscard]] bool timing_enabled() const { return timed_; }
 
   /// Counts one entry of `p` without timing (for leaf ops where even a
   /// branch on timed_ is unwanted).

@@ -50,7 +50,6 @@ class LinkModel {
   /// configured rate (FaultController's timed degradation windows).
   /// Must be in (0, 1]; 1.0 restores nominal behaviour.
   void set_bandwidth_scale(double scale);
-  [[nodiscard]] double bandwidth_scale() const { return bandwidth_scale_; }
 
   /// Forgets per-link queue state (e.g., between scenario phases).
   void reset();

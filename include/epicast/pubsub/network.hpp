@@ -71,15 +71,6 @@ class PubSubNetwork {
   /// True if every table matches the oracle computed from global knowledge.
   [[nodiscard]] bool routes_consistent() const;
 
-  /// The dispatchers (with a local subscription) that an event with the
-  /// given content would reach on a fully reliable network — the
-  /// denominator of the paper's delivery rate.
-  [[nodiscard]] std::vector<NodeId> expected_receivers(
-      const std::vector<Pattern>& content) const;
-
-  /// Number of distinct local subscribers of pattern `p`.
-  [[nodiscard]] std::size_t subscriber_count(Pattern p) const;
-
  private:
   /// The routing oracle over the current topology and local masks.
   [[nodiscard]] RoutingOracle compute_oracle() const;

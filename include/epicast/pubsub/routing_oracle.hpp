@@ -10,10 +10,11 @@
 // discover v becomes v's next hop for the subscriber's whole local pattern
 // mask.
 //
-// This is the only implementation of that rule. The simulator installs it
-// through PubSubNetwork (Oracle bootstrap, route repairs, fault heals and
-// the routes_consistent() check); every NodeDaemon computes it from the
-// shared cluster config and installs its own rows.
+// This is the only implementation of that rule, and install_oracle_routes()
+// the only one of turning its rows into dispatcher state. The simulator
+// installs it through PubSubNetwork (Oracle bootstrap, route repairs, fault
+// heals and the routes_consistent() check); every NodeDaemon computes it
+// from the shared cluster config and installs its own node's share.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +26,8 @@
 #include "epicast/net/topology.hpp"
 
 namespace epicast {
+
+class Dispatcher;
 
 /// One routing-table row: the patterns a node routes towards `next_hop`.
 struct RouteRow {
@@ -51,5 +54,15 @@ struct RoutingOracle {
 /// as the row of the discovered node towards its discoverer.
 [[nodiscard]] RoutingOracle compute_routing_oracle(
     CsrAdjacency adjacency, std::span<const PatternSet> local);
+
+/// Installs `oracle` into the dispatchers that live in this process, in one
+/// pass over its rows: `here[v]` is node v's dispatcher, or nullptr when v
+/// runs elsewhere. Node v's rows become its routes; a row of v towards
+/// next hop u also means u's flood of sub(p) crossed the link towards v,
+/// which u notes as duplicate-suppression state (Dispatcher::note_sub_sent)
+/// so later dynamic (un)subscriptions keep working. Adds to whatever the
+/// tables hold, so callers start from cleared ones.
+void install_oracle_routes(const RoutingOracle& oracle,
+                           std::span<Dispatcher* const> here);
 
 }  // namespace epicast

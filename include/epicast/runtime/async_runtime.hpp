@@ -149,16 +149,13 @@ class AsyncRuntime final : public Runtime,
   /// frames, fire timers that came due meanwhile.
   void poll(Duration max_wait);
 
-  /// Polls until `deadline` (on this runtime's clock) or request_stop().
+  /// Polls until `deadline` (on this runtime's clock) or until the stop
+  /// flag (set_stop_flag) is set.
   void run_until(SimTime deadline);
   void run_for(Duration d) { run_until(now() + d); }
 
-  /// Makes run_until return at the next loop turn. Safe to call from a
-  /// signal handler via a watched flag — see set_stop_flag().
-  void request_stop() { stop_ = true; }
-  [[nodiscard]] bool stop_requested() const { return stop_; }
   /// An external flag (e.g. a sig_atomic_t set by a SIGTERM handler) the
-  /// loop checks every turn.
+  /// loop checks every turn; once non-zero, run_until returns.
   void set_stop_flag(const volatile std::sig_atomic_t* flag) {
     stop_flag_ = flag;
   }
@@ -273,7 +270,6 @@ class AsyncRuntime final : public Runtime,
   wire::WireBuffer encode_buf_;
   std::vector<std::uint8_t> recv_buf_;
 
-  bool stop_ = false;
   const volatile std::sig_atomic_t* stop_flag_ = nullptr;
   Stats stats_;
 

@@ -29,11 +29,6 @@ namespace epicast {
 void print_summary(std::ostream& os, const std::string& label,
                    const ScenarioResult& result);
 
-/// Machine-readable result as one JSON object. Deliberately excludes
-/// wall-clock and profiler-timing fields so the same (config, seed) run
-/// serializes byte-identically — CI's determinism smoke diffs two of these.
-[[nodiscard]] std::string result_json(const ScenarioResult& result);
-
 /// Replicated execution over consecutive seeds — the paper's §IV-A
 /// methodology check ("results of 10 simulations ran with different random
 /// seeds showed that variations are limited, around 1%-2%").

@@ -17,7 +17,7 @@
 
 #include "epicast/common/message_pool.hpp"
 #include "epicast/fault/plan.hpp"
-#include "epicast/gossip/protocol.hpp"
+#include "epicast/gossip/stats.hpp"
 #include "epicast/metrics/hotpath_profiler.hpp"
 #include "epicast/metrics/message_stats.hpp"
 #include "epicast/metrics/time_series.hpp"
@@ -51,7 +51,7 @@ struct ScenarioResult {
   MessageStats::Snapshot traffic;
 
   // -- recovery-protocol internals, whole run, summed over dispatchers ---------
-  GossipProtocolBase::Stats gossip_totals;
+  GossipStats gossip_totals;
 
   // -- environment --------------------------------------------------------------
   double mean_pairwise_distance = 0.0;  ///< of the initial tree

@@ -78,8 +78,9 @@ class Codec {
   /// batching frames into one buffer concatenate naturally).
   static void encode(const Message& msg, WireBuffer& out);
 
-  /// Exact frame size encode() would produce, computed without serializing
-  /// — this is Message::wire_size_bytes()'s backend and the hot path of
+  /// Exact frame size encode() would produce, computed by running the same
+  /// payload encoder against a byte counter instead of a buffer — this is
+  /// Message::wire_size_bytes()'s backend and the hot path of
   /// SizingMode::Wire. A round-trip test pins it to encode(). Messages the
   /// codec has no frame for (foreign subclasses, e.g. the pure-gossip
   /// comparator's) fall back to their nominal size_bytes(), so

@@ -62,7 +62,6 @@ void FailureDetector::tick() {
       st.suspected = true;
       rt_.note_peer_suspected();
       if (d_.recovery() != nullptr) d_.recovery()->on_peer_suspected(peer);
-      if (on_suspected_) on_suspected_(peer);
     }
     if (st.suspected && missed >= kDeadAfterMissed) {
       st.dead = true;

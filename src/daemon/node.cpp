@@ -6,8 +6,9 @@
 
 #include "epicast/common/assert.hpp"
 #include "epicast/gossip/protocol.hpp"
-#include "epicast/gossip/pull_base.hpp"
+#include "epicast/gossip/pull.hpp"
 #include "epicast/metrics/result_json.hpp"
+#include "epicast/net/topology.hpp"
 #include "epicast/pubsub/routing_oracle.hpp"
 
 namespace epicast::daemon {
@@ -219,44 +220,23 @@ void NodeDaemon::write_snapshot() {
 }
 
 void NodeDaemon::install_routes() {
-  // The cluster-wide routing oracle over the shared config — the same
-  // function PubSubNetwork::rebuild_routes() installs in simulation. Only
-  // self's rows are installed here, plus the duplicate-suppression marks
-  // for neighbours that route *through* self. The CSR keeps each node's
-  // neighbours in config link order: that order is the oracle's tie-break.
+  // The cluster-wide routing oracle over the shared config, computed and
+  // installed as PubSubNetwork::rebuild_routes() does in simulation, with
+  // self the one dispatcher in this process. The topology keeps each
+  // node's neighbours in config link order: that order is the oracle's
+  // tie-break. A link listed twice adds nothing to it.
   const std::uint32_t n = cluster_.node_count();
-  std::vector<std::uint32_t> offsets(n + 1, 0);
+  Topology topology(n, n);
   for (const auto& [a, b] : cluster_.links) {
-    ++offsets[a.value() + 1];
-    ++offsets[b.value() + 1];
-  }
-  for (std::uint32_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
-  std::vector<NodeId> neighbors(offsets[n]);
-  std::vector<std::uint32_t> fill(offsets.begin(), offsets.end() - 1);
-  for (const auto& [a, b] : cluster_.links) {
-    neighbors[fill[a.value()]++] = b;
-    neighbors[fill[b.value()]++] = a;
+    if (!topology.has_link(a, b)) topology.add_link(a, b);
   }
   std::vector<PatternSet> local(n);
   for (const auto& [node, p] : cluster_.subscriptions) {
     local[node.value()].set(p);
   }
-
-  const RoutingOracle oracle =
-      compute_routing_oracle(CsrAdjacency{offsets, neighbors}, local);
-  for (const RouteRow& row : oracle.rows_of(self_)) {
-    dispatcher_->table().add_routes(row.next_hop, row.patterns);
-  }
-  for (std::uint32_t v = 0; v < n; ++v) {
-    for (const RouteRow& row : oracle.rows_of(NodeId{v})) {
-      // v routes towards self for these patterns, i.e. self's flood of
-      // sub(p) crossed the self—v link — record that fact so route
-      // maintenance stays consistent with the flooded-bootstrap state.
-      if (row.next_hop == self_) {
-        dispatcher_->note_sub_sent(row.patterns, NodeId{v});
-      }
-    }
-  }
+  std::vector<Dispatcher*> here(n, nullptr);
+  here[self_.value()] = dispatcher_.get();
+  install_oracle_routes(compute_routing_oracle(topology.csr(), local), here);
 }
 
 bool NodeDaemon::is_publisher() const {
@@ -389,7 +369,7 @@ std::string NodeDaemon::stats_json() const {
   }
   os << (delivered_.empty() ? "],\n" : "\n  ],\n");
   if (const auto* pull =
-          dynamic_cast<const PullProtocolBase*>(dispatcher_->recovery())) {
+          dynamic_cast<const PullProtocol*>(dispatcher_->recovery())) {
     const GossipStats& gs = *pull->gossip_stats();
     os << "  \"recovery\": {\n"
        << "    \"rounds\": " << gs.rounds << ",\n"

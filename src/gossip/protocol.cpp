@@ -4,13 +4,62 @@
 #include <utility>
 
 #include "epicast/common/assert.hpp"
-#include "epicast/gossip/combined_pull.hpp"
-#include "epicast/gossip/publisher_pull.hpp"
+#include "epicast/gossip/pull.hpp"
 #include "epicast/gossip/push.hpp"
-#include "epicast/gossip/random_pull.hpp"
-#include "epicast/gossip/subscriber_pull.hpp"
 
 namespace epicast {
+namespace {
+
+/// The content hash digest_duplicate() keys on. One word holds the
+/// gossiper, the pattern (none for random pull) and a kind tag; the other
+/// the entry count and the first entry (a push digest's first id has no
+/// pattern).
+std::uint64_t digest_key(const GossipMessage& digest) {
+  std::uint64_t tag = 0;
+  std::uint64_t pattern = 0;
+  std::uint64_t count = 0;
+  std::uint64_t head_source = 0;
+  std::uint64_t head_pattern = 0;
+  std::uint64_t head_seq = 0;
+  const auto take_wanted = [&](const std::vector<LostEntryInfo>& wanted) {
+    count = wanted.size();
+    head_source = wanted.front().source.value();
+    head_pattern = wanted.front().pattern.value();
+    head_seq = wanted.front().seq.value();
+  };
+  switch (digest.kind()) {
+    case GossipKind::PushDigest: {
+      const auto& m = static_cast<const PushDigestMessage&>(digest);
+      tag = 1;
+      pattern = m.pattern().value();
+      count = m.ids().size();
+      head_source = m.ids().front().source.value();
+      head_seq = m.ids().front().source_seq;
+      break;
+    }
+    case GossipKind::SubscriberPullDigest: {
+      const auto& m = static_cast<const SubscriberPullDigestMessage&>(digest);
+      tag = 2;
+      pattern = m.pattern().value();
+      take_wanted(m.wanted());
+      break;
+    }
+    case GossipKind::RandomPullDigest:
+      tag = 3;
+      take_wanted(static_cast<const RandomPullDigestMessage&>(digest).wanted());
+      break;
+    default:
+      EPICAST_UNREACHABLE("no duplicate filter for this digest kind");
+  }
+  const std::uint64_t a =
+      (static_cast<std::uint64_t>(digest.gossiper().value()) << 34) |
+      (pattern << 2) | tag;
+  const std::uint64_t b =
+      (count << 48) ^ (head_source << 24) ^ (head_pattern << 16) ^ head_seq;
+  return hash_mix(a * 0x9E3779B97F4A7C15ull ^ b);
+}
+
+}  // namespace
 
 const char* to_string(Algorithm a) {
   switch (a) {
@@ -39,7 +88,6 @@ GossipProtocolBase::GossipProtocolBase(Dispatcher& dispatcher,
       cfg_(config),
       cache_(config.buffer_size, config.cache_policy, dispatcher.rng().fork(),
              dispatcher.runtime().event_registry()),
-      msgs_(dispatcher.id(), config.gossip_message_bytes, dispatcher.pool()),
       prof_(dispatcher.profiler()),
       adaptive_(config.adaptive, config.interval) {
   cache_.set_profiler(&prof_);
@@ -72,15 +120,13 @@ void GossipProtocolBase::on_restart(fault::RestartPolicy policy) {
   }
 }
 
-std::uint64_t GossipProtocolBase::mix_digest_key(std::uint64_t a,
-                                                 std::uint64_t b) {
-  return hash_mix(a * 0x9E3779B97F4A7C15ull ^ b);
-}
-
-bool GossipProtocolBase::digest_duplicate(std::uint64_t key) {
+bool GossipProtocolBase::digest_duplicate(const GossipMessage& digest) {
+  const std::uint64_t key = digest_key(digest);
+  const Duration round_spacing =
+      cfg_.adaptive.enabled ? cfg_.adaptive.min_interval : cfg_.interval;
   const SimTime now = d_.now();
   DigestMark& slot = digest_marks_[key & (digest_marks_.size() - 1)];
-  const bool dup = slot.key == key && now - slot.at <= cfg_.interval * 0.5;
+  const bool dup = slot.key == key && now - slot.at <= round_spacing * 0.5;
   slot.key = key;
   slot.at = now;
   return dup;
@@ -278,7 +324,8 @@ void GossipProtocolBase::send_request(NodeId to, std::vector<EventId> ids) {
   EPICAST_ASSERT(!ids.empty());
   ++stats_.requests_sent;
   if (retry_hardening()) track_request(to, ids, /*attempt=*/0);
-  d_.send_direct(to, msgs_.request(std::move(ids)));
+  d_.send_direct(to,
+                 make_message<RecoveryRequestMessage>(d_.id(), std::move(ids)));
 }
 
 void GossipProtocolBase::track_request(NodeId to, std::vector<EventId> ids,
@@ -308,14 +355,16 @@ void GossipProtocolBase::track_request(NodeId to, std::vector<EventId> ids,
         ++stats_.request_retries;
         ++stats_.requests_sent;
         track_request(to, missing, attempt + 1);
-        d_.send_direct(to, msgs_.request(std::move(missing)));
+        d_.send_direct(to, make_message<RecoveryRequestMessage>(
+                               d_.id(), std::move(missing)));
       });
 }
 
 void GossipProtocolBase::send_reply(NodeId to, std::vector<EventPtr> events) {
   EPICAST_ASSERT(!events.empty());
   ++stats_.replies_sent;
-  d_.send_direct(to, msgs_.reply(std::move(events)));
+  d_.send_direct(
+      to, make_message<RecoveryReplyMessage>(d_.id(), std::move(events)));
 }
 
 std::unique_ptr<RecoveryProtocol> make_recovery(Algorithm algorithm,
@@ -327,13 +376,10 @@ std::unique_ptr<RecoveryProtocol> make_recovery(Algorithm algorithm,
     case Algorithm::Push:
       return std::make_unique<PushProtocol>(dispatcher, config);
     case Algorithm::SubscriberPull:
-      return std::make_unique<SubscriberPullProtocol>(dispatcher, config);
     case Algorithm::PublisherPull:
-      return std::make_unique<PublisherPullProtocol>(dispatcher, config);
     case Algorithm::CombinedPull:
-      return std::make_unique<CombinedPullProtocol>(dispatcher, config);
     case Algorithm::RandomPull:
-      return std::make_unique<RandomPullProtocol>(dispatcher, config);
+      return std::make_unique<PullProtocol>(algorithm, dispatcher, config);
   }
   EPICAST_UNREACHABLE("unknown algorithm");
 }

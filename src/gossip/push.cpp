@@ -25,8 +25,8 @@ bool PushProtocol::on_round() {
   fanout_into(targets_scratch_, true, fanout_scratch_);
   if (!fanout_scratch_.empty()) {
     // One immutable digest shared by every target this round.
-    const MessagePtr digest =
-        msgs_.push_digest(d_.id(), p, ids_scratch_, /*hops=*/0);
+    const MessagePtr digest = make_message<PushDigestMessage>(
+        d_.id(), p, ids_scratch_, /*hops=*/0);
     for (NodeId to : fanout_scratch_) {
       send_digest(to, digest, /*originated=*/true);
     }
@@ -66,15 +66,7 @@ void PushProtocol::handle_digest(NodeId from, const GossipMessage& msg) {
 
   // A copy of this digest already arrived along another route path (cyclic
   // overlays only — see digest_duplicate()): requests went out then.
-  const EventId& head = digest.ids().front();
-  if (digest_duplicate(mix_digest_key(
-          (static_cast<std::uint64_t>(digest.gossiper().value()) << 34) |
-              (static_cast<std::uint64_t>(p.value()) << 2) | 1u,
-          (static_cast<std::uint64_t>(digest.ids().size()) << 48) ^
-              (static_cast<std::uint64_t>(head.source.value()) << 24) ^
-              head.source_seq))) {
-    return;
-  }
+  if (digest_duplicate(digest)) return;
 
   // Only dispatchers actually subscribed to p compare the digest against
   // their own event history (§III-B).
@@ -92,8 +84,8 @@ void PushProtocol::handle_digest(NodeId from, const GossipMessage& msg) {
   d_.table().route_targets_into(p, from, targets_scratch_);
   fanout_into(targets_scratch_, true, fanout_scratch_);
   if (!fanout_scratch_.empty()) {
-    const MessagePtr fwd = msgs_.push_digest(digest.gossiper(), p,
-                                             digest.ids(), digest.hops() + 1);
+    const MessagePtr fwd = make_message<PushDigestMessage>(
+        digest.gossiper(), p, digest.ids(), digest.hops() + 1);
     for (NodeId to : fanout_scratch_) {
       send_digest(to, fwd, /*originated=*/false);
     }

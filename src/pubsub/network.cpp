@@ -1,7 +1,5 @@
 #include "epicast/pubsub/network.hpp"
 
-#include <algorithm>
-
 #include "epicast/common/assert.hpp"
 
 namespace epicast {
@@ -42,19 +40,14 @@ RoutingOracle PubSubNetwork::compute_oracle() const {
 
 void PubSubNetwork::rebuild_routes() {
   const RoutingOracle oracle = compute_oracle();
+  std::vector<Dispatcher*> here;
+  here.reserve(nodes_.size());
   for (auto& d : nodes_) {
     d->table().clear_routes();
     d->clear_sub_sent();
+    here.push_back(d.get());
   }
-  for (std::uint32_t v = 0; v < nodes_.size(); ++v) {
-    for (const RouteRow& row : oracle.rows_of(NodeId{v})) {
-      nodes_[v]->table().add_routes(row.next_hop, row.patterns);
-      // v holding a route (p → next_hop) means a subscriber lives on
-      // next_hop's far side, i.e. next_hop's flood of sub(p) crossed the
-      // link towards v — reconstruct that duplicate-suppression fact.
-      nodes_[row.next_hop.value()]->note_sub_sent(row.patterns, NodeId{v});
-    }
-  }
+  install_oracle_routes(oracle, here);
 }
 
 void PubSubNetwork::enable_protocol_reconfiguration() {
@@ -97,27 +90,6 @@ bool PubSubNetwork::routes_consistent() const {
     if (actual_bits != expected_bits) return false;
   }
   return true;
-}
-
-std::vector<NodeId> PubSubNetwork::expected_receivers(
-    const std::vector<Pattern>& content) const {
-  std::vector<NodeId> out;
-  for (const auto& d : nodes_) {
-    const auto& table = d->table();
-    if (std::any_of(content.begin(), content.end(),
-                    [&](Pattern p) { return table.has_local(p); })) {
-      out.push_back(d->id());
-    }
-  }
-  return out;
-}
-
-std::size_t PubSubNetwork::subscriber_count(Pattern p) const {
-  std::size_t n = 0;
-  for (const auto& d : nodes_) {
-    if (d->table().has_local(p)) ++n;
-  }
-  return n;
 }
 
 }  // namespace epicast

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "epicast/common/assert.hpp"
+#include "epicast/pubsub/dispatcher.hpp"
 
 namespace epicast {
 
@@ -97,6 +98,20 @@ RoutingOracle compute_routing_oracle(CsrAdjacency adjacency,
     }
   }
   return out;
+}
+
+void install_oracle_routes(const RoutingOracle& oracle,
+                           std::span<Dispatcher* const> here) {
+  EPICAST_ASSERT(here.size() + 1 == oracle.offsets.size());
+  for (std::uint32_t v = 0; v < here.size(); ++v) {
+    Dispatcher* const node = here[v];
+    for (const RouteRow& row : oracle.rows_of(NodeId{v})) {
+      if (node != nullptr) node->table().add_routes(row.next_hop, row.patterns);
+      if (Dispatcher* const hop = here[row.next_hop.value()]) {
+        hop->note_sub_sent(row.patterns, NodeId{v});
+      }
+    }
+  }
 }
 
 }  // namespace epicast

@@ -569,8 +569,7 @@ void AsyncRuntime::poll(Duration max_wait) {
 }
 
 void AsyncRuntime::run_until(SimTime deadline) {
-  stop_ = false;
-  while (!stop_ && !(stop_flag_ != nullptr && *stop_flag_ != 0)) {
+  while (!(stop_flag_ != nullptr && *stop_flag_ != 0)) {
     const SimTime t = now();
     if (t >= deadline) return;
     Duration wait = deadline - t;

@@ -6,7 +6,6 @@
 #include <ostream>
 
 #include "epicast/common/assert.hpp"
-#include "epicast/metrics/result_json.hpp"
 #include "epicast/metrics/time_series.hpp"
 #include "epicast/scenario/sweep.hpp"
 
@@ -74,12 +73,6 @@ void print_summary(std::ostream& os, const std::string& label,
   }
   os << "  simulated events executed:      " << r.sim_events_executed << " ("
      << r.wall_seconds << "s wall)\n";
-}
-
-std::string result_json(const ScenarioResult& r) {
-  // The serializer lives in epicast::metrics so epicastd can emit the same
-  // document without linking the scenario layer's sweep machinery.
-  return metrics::result_json(r);
 }
 
 ReplicatedResult run_replicated(ScenarioConfig base, unsigned replicas,

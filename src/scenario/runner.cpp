@@ -6,6 +6,7 @@
 
 #include "epicast/common/assert.hpp"
 #include "epicast/fault/controller.hpp"
+#include "epicast/gossip/protocol.hpp"
 #include "epicast/metrics/delivery_tracker.hpp"
 #include "epicast/net/reconfigurator.hpp"
 #include "epicast/oracle/checks.hpp"

@@ -13,23 +13,49 @@ namespace {
 
 // -- field encoders -----------------------------------------------------------
 // All multi-byte fields are canonical varints; see codec.hpp for the frame
-// header and DESIGN.md for the per-kind payload layouts.
+// header and DESIGN.md for the per-kind payload layouts. Each encoder writes
+// to a WireBuffer, or to a ByteCounter when Codec::encoded_size only needs
+// the length, so every layout is written once.
 
-void put_node(WireBuffer& out, NodeId n) { out.put_varint(n.value()); }
-void put_pattern(WireBuffer& out, Pattern p) { out.put_varint(p.value()); }
+/// A sink with WireBuffer's put_* interface that only counts the bytes.
+class ByteCounter {
+ public:
+  [[nodiscard]] std::size_t size() const { return n_; }
 
-void put_event_id(WireBuffer& out, const EventId& id) {
+  void put_u8(std::uint8_t) { ++n_; }
+  void put_varint(std::uint64_t v) { n_ += varint_size(v); }
+  void put_zigzag(std::int64_t v) { n_ += varint_size(zigzag(v)); }
+  void put_zero_bytes(std::size_t n) { n_ += n; }
+
+ private:
+  std::size_t n_ = 0;
+};
+
+template <typename Sink>
+void put_node(Sink& out, NodeId n) {
+  out.put_varint(n.value());
+}
+
+template <typename Sink>
+void put_pattern(Sink& out, Pattern p) {
+  out.put_varint(p.value());
+}
+
+template <typename Sink>
+void put_event_id(Sink& out, const EventId& id) {
   put_node(out, id.source);
   out.put_varint(id.source_seq);
 }
 
-void put_lost_entry(WireBuffer& out, const LostEntryInfo& e) {
+template <typename Sink>
+void put_lost_entry(Sink& out, const LostEntryInfo& e) {
   put_node(out, e.source);
   put_pattern(out, e.pattern);
   out.put_varint(e.seq.value());
 }
 
-void put_node_list(WireBuffer& out, const std::vector<NodeId>& nodes) {
+template <typename Sink>
+void put_node_list(Sink& out, const std::vector<NodeId>& nodes) {
   out.put_varint(nodes.size());
   for (NodeId n : nodes) put_node(out, n);
 }
@@ -38,7 +64,8 @@ void put_node_list(WireBuffer& out, const std::vector<NodeId>& nodes) {
 /// then `payload_bytes` of content. The simulator models payload as a size
 /// only, so the content bytes are zeros — the frame still has the exact
 /// length a real transport would serialize.
-void put_event(WireBuffer& out, const EventData& ev) {
+template <typename Sink>
+void put_event(Sink& out, const EventData& ev) {
   put_event_id(out, ev.id());
   out.put_zigzag(ev.published_at().nanos_since_start());
   out.put_varint(ev.payload_bytes());
@@ -48,49 +75,6 @@ void put_event(WireBuffer& out, const EventData& ev) {
     out.put_varint(ps.seq.value());
   }
   out.put_zero_bytes(ev.payload_bytes());
-}
-
-// -- field sizes --------------------------------------------------------------
-
-std::size_t node_size(NodeId n) { return varint_size(n.value()); }
-std::size_t pattern_size(Pattern p) { return varint_size(p.value()); }
-
-std::size_t event_id_size(const EventId& id) {
-  return node_size(id.source) + varint_size(id.source_seq);
-}
-
-std::size_t lost_entry_size(const LostEntryInfo& e) {
-  return node_size(e.source) + pattern_size(e.pattern) +
-         varint_size(e.seq.value());
-}
-
-std::size_t node_list_size(const std::vector<NodeId>& nodes) {
-  std::size_t n = varint_size(nodes.size());
-  for (NodeId node : nodes) n += node_size(node);
-  return n;
-}
-
-std::size_t event_size(const EventData& ev) {
-  std::size_t n = event_id_size(ev.id()) +
-                  varint_size(zigzag(ev.published_at().nanos_since_start())) +
-                  varint_size(ev.payload_bytes()) +
-                  varint_size(ev.patterns().size());
-  for (const PatternSeq& ps : ev.patterns()) {
-    n += pattern_size(ps.pattern) + varint_size(ps.seq.value());
-  }
-  return n + ev.payload_bytes();
-}
-
-std::size_t lost_list_size(const std::vector<LostEntryInfo>& wanted) {
-  std::size_t n = varint_size(wanted.size());
-  for (const LostEntryInfo& e : wanted) n += lost_entry_size(e);
-  return n;
-}
-
-std::size_t event_id_list_size(const std::vector<EventId>& ids) {
-  std::size_t n = varint_size(ids.size());
-  for (const EventId& id : ids) n += event_id_size(id);
-  return n;
 }
 
 // -- field decoders -----------------------------------------------------------
@@ -171,7 +155,8 @@ EventPtr read_event(WireReader& in) {
 
 // -- payload encoders per kind ------------------------------------------------
 
-void encode_payload(const Message& msg, FrameKind kind, WireBuffer& out) {
+template <typename Sink>
+void encode_payload(const Message& msg, FrameKind kind, Sink& out) {
   switch (kind) {
     case FrameKind::Event: {
       const auto& m = static_cast<const EventMessage&>(msg);
@@ -244,61 +229,6 @@ void encode_payload(const Message& msg, FrameKind kind, WireBuffer& out) {
         out.put_varint(sm.seq.value());
       }
       return;
-    }
-  }
-  EPICAST_UNREACHABLE("unknown frame kind");
-}
-
-std::size_t payload_size(const Message& msg, FrameKind kind) {
-  switch (kind) {
-    case FrameKind::Event: {
-      const auto& m = static_cast<const EventMessage&>(msg);
-      return event_size(*m.event()) + node_list_size(m.route());
-    }
-    case FrameKind::Subscribe: {
-      const auto& m = static_cast<const SubscribeMessage&>(msg);
-      return pattern_size(m.pattern()) + 1;
-    }
-    case FrameKind::PushDigest: {
-      const auto& m = static_cast<const PushDigestMessage&>(msg);
-      return node_size(m.gossiper()) + pattern_size(m.pattern()) +
-             varint_size(m.hops()) + event_id_list_size(m.ids());
-    }
-    case FrameKind::SubscriberPullDigest: {
-      const auto& m = static_cast<const SubscriberPullDigestMessage&>(msg);
-      return node_size(m.gossiper()) + pattern_size(m.pattern()) +
-             varint_size(m.hops()) + lost_list_size(m.wanted());
-    }
-    case FrameKind::PublisherPullDigest: {
-      const auto& m = static_cast<const PublisherPullDigestMessage&>(msg);
-      return node_size(m.gossiper()) + node_size(m.source()) +
-             lost_list_size(m.wanted()) + node_list_size(m.route());
-    }
-    case FrameKind::RandomPullDigest: {
-      const auto& m = static_cast<const RandomPullDigestMessage&>(msg);
-      return node_size(m.gossiper()) + varint_size(m.hops()) +
-             lost_list_size(m.wanted());
-    }
-    case FrameKind::RecoveryRequest: {
-      const auto& m = static_cast<const RecoveryRequestMessage&>(msg);
-      return node_size(m.gossiper()) + event_id_list_size(m.ids());
-    }
-    case FrameKind::RecoveryReply: {
-      const auto& m = static_cast<const RecoveryReplyMessage&>(msg);
-      std::size_t n = node_size(m.gossiper()) +
-                      varint_size(m.events().size());
-      for (const EventPtr& ev : m.events()) n += event_size(*ev);
-      return n;
-    }
-    case FrameKind::Heartbeat: {
-      const auto& m = static_cast<const HeartbeatMessage&>(msg);
-      std::size_t n =
-          varint_size(m.incarnation()) + varint_size(m.marks().size());
-      for (const StreamMark& sm : m.marks()) {
-        n += node_size(sm.source) + pattern_size(sm.pattern) +
-             varint_size(sm.seq.value());
-      }
-      return n;
     }
   }
   EPICAST_UNREACHABLE("unknown frame kind");
@@ -481,7 +411,9 @@ void Codec::encode(const Message& msg, WireBuffer& out) {
 std::size_t Codec::encoded_size(const Message& msg) {
   const std::optional<FrameKind> kind = try_kind_of(msg);
   if (!kind) return msg.size_bytes();  // foreign subclass: nominal fallback
-  return kHeaderBytes + payload_size(msg, *kind);
+  ByteCounter counter;
+  encode_payload(msg, *kind, counter);
+  return kHeaderBytes + counter.size();
 }
 
 Decoded Codec::decode(std::span<const std::uint8_t> frame) {

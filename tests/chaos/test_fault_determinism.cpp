@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "epicast/fault/plan.hpp"
-#include "epicast/scenario/report.hpp"
+#include "epicast/metrics/result_json.hpp"
 #include "epicast/scenario/runner.hpp"
 
 namespace epicast {
@@ -54,13 +54,13 @@ TEST(FaultDeterminism, SamePlanSameSeedIsBitIdentical) {
 
   // The byte-level contract the CI determinism smoke relies on:
   // epicast_sim --faults … --json twice must diff clean.
-  EXPECT_EQ(result_json(a), result_json(b));
+  EXPECT_EQ(metrics::result_json(a), metrics::result_json(b));
 }
 
 TEST(FaultDeterminism, DifferentSeedsProduceDifferentRuns) {
   const ScenarioResult a = run_scenario(with_plan(1, kPlan));
   const ScenarioResult b = run_scenario(with_plan(2, kPlan));
-  EXPECT_NE(result_json(a), result_json(b));
+  EXPECT_NE(metrics::result_json(a), metrics::result_json(b));
 }
 
 TEST(FaultDeterminism, DifferentPlansProduceDifferentRuns) {
@@ -68,7 +68,7 @@ TEST(FaultDeterminism, DifferentPlansProduceDifferentRuns) {
   const ScenarioResult clean = run_scenario(chaos_config(3));
   EXPECT_TRUE(clean.fault.epochs.empty());
   EXPECT_EQ(clean.fault.stats.crashes, 0u);
-  EXPECT_NE(result_json(churned), result_json(clean));
+  EXPECT_NE(metrics::result_json(churned), metrics::result_json(clean));
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 // behaviour at the edges the stochastic scenarios rarely hit.
 #include <gtest/gtest.h>
 
-#include "epicast/gossip/pull_base.hpp"
+#include "epicast/gossip/pull.hpp"
 #include "epicast/scenario/runner.hpp"
 #include "gossip_harness.hpp"
 
@@ -130,8 +130,7 @@ TEST(FailureInjection, CacheTooSmallToRecoverEverything) {
   for (const EventId& id : burst) recovered += h.recovered(2, id) ? 1 : 0;
   EXPECT_LE(recovered, 2);  // at most what a 2-slot cache can serve
   // And the bookkeeping drained (expired via TTL), not stuck retrying.
-  auto* pull =
-      dynamic_cast<PullProtocolBase*>(h.net().node(NodeId{2}).recovery());
+  auto* pull = dynamic_cast<PullProtocol*>(h.net().node(NodeId{2}).recovery());
   ASSERT_NE(pull, nullptr);
   EXPECT_TRUE(pull->lost().empty());
 }

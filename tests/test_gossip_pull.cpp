@@ -7,11 +7,7 @@
 #include <set>
 #include <utility>
 
-#include "epicast/gossip/combined_pull.hpp"
-#include "epicast/gossip/publisher_pull.hpp"
-#include "epicast/gossip/pull_base.hpp"
-#include "epicast/gossip/random_pull.hpp"
-#include "epicast/gossip/subscriber_pull.hpp"
+#include "epicast/gossip/pull.hpp"
 #include "gossip_harness.hpp"
 
 namespace epicast {
@@ -35,8 +31,8 @@ EventId publish_with_gap(GossipHarness& h, std::uint32_t publisher,
   return lost->id();
 }
 
-PullProtocolBase* pull(GossipHarness& h, std::uint32_t node) {
-  auto* p = dynamic_cast<PullProtocolBase*>(h.protocol(node));
+PullProtocol* pull(GossipHarness& h, std::uint32_t node) {
+  auto* p = dynamic_cast<PullProtocol*>(h.protocol(node));
   EXPECT_NE(p, nullptr);
   return p;
 }
@@ -113,7 +109,7 @@ TEST(PullDetection, StreamMarksBackfillUnknownStreamsFromOne) {
 TEST(PullDetection, StreamMarkBackfillIsClampedLikeTheGapDetector) {
   GossipHarness h(3, Algorithm::SubscriberPull);
   h.subscribe_and_settle({{0, 1}, {2, 1}});
-  const std::uint64_t clamp = PullProtocolBase::kMaxGapReport;
+  const std::uint64_t clamp = PullProtocol::kMaxGapReport;
   pull(h, 2)->on_stream_marks(
       {{NodeId{1}, Pattern{1}, SeqNo{clamp + 100}}});
   EXPECT_EQ(pull(h, 2)->lost().size(), clamp);
@@ -358,7 +354,7 @@ TEST(PublisherPull, RouteTruncationJumpsOutOfBand) {
   // the publisher is 5 hops, but kPublisherRouteHops = 2 means the digest
   // visits two neighbours and then jumps straight to the publisher over
   // the out-of-band channel — observable as a direct-channel digest send.
-  ASSERT_EQ(PullProtocolBase::kPublisherRouteHops, 2u);
+  ASSERT_EQ(PullProtocol::kPublisherRouteHops, 2u);
   GossipHarness h(6, Algorithm::PublisherPull);
   h.subscribe_and_settle({{5, 1}});
   h.start_recovery();

@@ -179,6 +179,32 @@ TEST(Push, AdaptiveIntervalBacksOffWhenIdle) {
   EXPECT_EQ(h.protocol(0)->current_interval(), Duration::millis(200));
 }
 
+TEST(Push, AdaptiveRoundsAreNotTakenForRoutePathDuplicates) {
+  // 0 — 1 — 2, both ends caching the one event, so every round at 0 and at
+  // 2 hands node 1 a digest with the same content as the round before.
+  // Rounds run 10 ms apart, a third of T: the duplicate filter, meant for
+  // copies of one digest arriving along several route paths, must still
+  // let node 1 forward each of them.
+  GossipConfig g = GossipHarness::default_gossip();
+  g.adaptive.enabled = true;
+  g.adaptive.min_interval = Duration::millis(10);
+  g.adaptive.max_interval = Duration::millis(10);
+  GossipHarness h(3, Algorithm::Push, g);
+  h.subscribe_and_settle({{0, 1}, {2, 1}});
+  h.net().node(NodeId{0}).publish({Pattern{1}});
+  h.start_recovery();
+  h.run_for(1.0);
+
+  const std::uint64_t originated =
+      h.protocol(0)->stats().digests_originated +
+      h.protocol(2)->stats().digests_originated;
+  const std::uint64_t forwarded = h.protocol(1)->stats().digests_forwarded;
+  EXPECT_GT(originated, 150u);
+  // At most the last digest of each end is still on its way to node 1.
+  EXPECT_LE(forwarded, originated);
+  EXPECT_GE(forwarded + 2, originated);
+}
+
 TEST(NoRecoveryProtocol, DoesNothing) {
   GossipHarness h(3, Algorithm::NoRecovery);
   h.subscribe_and_settle({{0, 1}, {2, 1}});

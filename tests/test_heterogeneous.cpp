@@ -3,7 +3,7 @@
 // Foreign digests must be tolerated and, where possible, served.
 #include <gtest/gtest.h>
 
-#include "epicast/gossip/pull_base.hpp"
+#include "epicast/gossip/pull.hpp"
 #include "epicast/metrics/message_stats.hpp"
 #include "epicast/net/topology.hpp"
 #include "epicast/pubsub/network.hpp"

@@ -109,24 +109,6 @@ TEST(PubSubNetwork, RebuildAfterReconfigurationRestoresDelivery) {
   EXPECT_EQ(deliveries, 1);
 }
 
-TEST(PubSubNetwork, ExpectedReceiversMatchesLocalSubscriptions) {
-  Simulator sim(2);
-  Topology topo = Topology::line(5);
-  Transport transport(sim, topo, lossless());
-  PubSubNetwork net(transport, DispatcherConfig{});
-  net.node(NodeId{1}).subscribe(Pattern{1});
-  net.node(NodeId{3}).subscribe(Pattern{2});
-  net.node(NodeId{4}).subscribe(Pattern{1});
-  sim.run_until(SimTime::seconds(0.5));
-
-  const auto both = net.expected_receivers({Pattern{1}, Pattern{2}});
-  EXPECT_EQ(both, (std::vector<NodeId>{NodeId{1}, NodeId{3}, NodeId{4}}));
-  EXPECT_EQ(net.expected_receivers({Pattern{3}}).size(), 0u);
-  EXPECT_EQ(net.subscriber_count(Pattern{1}), 2u);
-  EXPECT_EQ(net.subscriber_count(Pattern{2}), 1u);
-  EXPECT_EQ(net.subscriber_count(Pattern{9}), 0u);
-}
-
 TEST(PubSubNetwork, ForEachVisitsAllNodes) {
   Simulator sim(2);
   Topology topo = Topology::line(7);
