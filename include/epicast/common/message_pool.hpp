@@ -13,10 +13,13 @@
 //     single-threaded inside sweep workers, so the pool is UNSYNCHRONIZED
 //     — never share one across threads.
 //   * `make_pooled<T>` uses std::allocate_shared with an allocator that
-//     holds a shared_ptr to the pool's internal state, so outstanding
-//     objects (and their control blocks) stay valid even if they outlive
-//     the MessagePool handle itself; slabs are reclaimed when the last
-//     pooled object dies.
+//     holds a plain pointer to the pool's internal state, which counts its
+//     live blocks. Destroying the MessagePool handle frees the state at
+//     once if no block is live and otherwise marks it orphaned, so the last
+//     deallocate frees it: outstanding objects (and their control blocks)
+//     stay valid even if they outlive the handle, and slabs are reclaimed
+//     when the last pooled object dies. (A refcounted pointer would be
+//     copied and released several times per pooled object.)
 //   * Under AddressSanitizer the pool runs in PassThrough mode (plain
 //     operator new/delete per object) so ASan keeps poisoning freed
 //     memory; EPICAST_POOL=off forces PassThrough in any build for A/B
@@ -64,6 +67,9 @@ class MessagePool {
   /// (EPICAST_POOL=on overrides the ASan default).
   MessagePool();
   explicit MessagePool(Mode mode);
+  ~MessagePool();
+  MessagePool(const MessagePool&) = delete;
+  MessagePool& operator=(const MessagePool&) = delete;
 
   [[nodiscard]] Mode mode() const;
   [[nodiscard]] const Stats& stats() const;
@@ -90,6 +96,9 @@ class MessagePool {
 
     Mode mode;
     Stats stats;
+    /// Set when the handle is destroyed with blocks still live; the
+    /// deallocate that returns the last of them then deletes the state.
+    bool orphaned = false;
     /// Freelist heads per size class; each free block's first word links to
     /// the next free block of the class.
     void* free_[kClasses] = {};
@@ -99,11 +108,11 @@ class MessagePool {
     std::vector<void*> slabs;
   };
 
-  std::shared_ptr<State> state_;
+  State* state_;
 
  public:
-  /// std::allocate_shared-compatible allocator keeping the pool state alive
-  /// for as long as any allocation (object or control block) is live.
+  /// std::allocate_shared-compatible allocator. The pool state outlives
+  /// every allocation (object or control block) made through it.
   template <typename T>
   class Allocator {
    public:
@@ -128,7 +137,7 @@ class MessagePool {
    private:
     template <typename U>
     friend class Allocator;
-    std::shared_ptr<State> state_;
+    State* state_;
   };
 };
 

@@ -19,8 +19,11 @@
 //     node's insertion order. Only its reader (the push protocol) keeps
 //     it, opting in with keep_pattern_index() before the first insert.
 // LRU also keeps an entry → slot map for its refresh; only the
-// cache-policy ablation uses LRU. The slot vector is reserved to β up
-// front; the bits and the pattern index grow with what the cache holds.
+// cache-policy ablation uses LRU. All of it grows with what the cache
+// holds, since β is a ceiling: on a large overlay most caches hold a few
+// events against a β of hundreds. The slot vector and Random's sampling
+// vectors double as they fill but never past β, so a full cache ends at
+// exactly β slots and its insert-evict churn allocates nothing.
 //
 // A cache must not outlive the runtime whose registry it uses — the rule
 // timers follow. Its destructor and clear() release every entry it holds.
@@ -83,6 +86,9 @@ class EventCache {
 
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
+  /// Slots allocated so far: grows with size(), never past capacity()
+  /// (introspection: tests pin the growth bound on this).
+  [[nodiscard]] std::size_t slot_capacity() const { return nodes_.capacity(); }
   [[nodiscard]] CachePolicy policy() const { return policy_; }
 
   /// Estimated bytes owned by the cache's containers (slots, membership

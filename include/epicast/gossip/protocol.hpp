@@ -208,12 +208,15 @@ class GossipProtocolBase : public RecoveryProtocol {
   AdaptiveIntervalController adaptive_;
   runtime::PeriodicTimer timer_;
   /// Direct-mapped recent-digest table (see digest_duplicate()); the size
-  /// must stay a power of two.
+  /// must stay a power of two. Allocated zeroed by the first check and
+  /// freed by a cold restart: most nodes of a large overlay never check a
+  /// digest, and the table is larger than the rest of the protocol object.
   struct DigestMark {
     std::uint64_t key = 0;
     SimTime at;
   };
-  std::array<DigestMark, 128> digest_marks_{};
+  using DigestMarks = std::array<DigestMark, 128>;
+  std::unique_ptr<DigestMarks> digest_marks_;
   /// Consecutive timed-out exchanges per peer (keyed by NodeId value);
   /// empty unless retry_hardening().
   std::unordered_map<std::uint32_t, std::uint32_t> peer_timeouts_;

@@ -27,7 +27,7 @@ struct CliParse {
 ///   --algorithm=<no-recovery|none|push|subscriber-pull|publisher-pull|
 ///                combined-pull|random-pull> (runtime::parse_algorithm_name)
 ///   --nodes=N --epsilon=E --rate=R --seed=S
-///   --beta=B --interval=T --pforward=P --psource=P
+///   --beta=B --interval=T --pforward=P --psource=P --max-hops=H
 ///   --pi-max=K --patterns-per-event=K --universe=K
 ///   --measure=SECONDS --warmup=SECONDS --horizon=SECONDS
 ///   --reconfig=RHO_SECONDS (enables churn; links become reliable unless

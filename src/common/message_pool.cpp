@@ -23,7 +23,15 @@ constexpr std::size_t class_bytes(std::size_t c) {
 
 MessagePool::MessagePool() : MessagePool(env::settings().pool) {}
 
-MessagePool::MessagePool(Mode mode) : state_(std::make_shared<State>(mode)) {}
+MessagePool::MessagePool(Mode mode) : state_(new State(mode)) {}
+
+MessagePool::~MessagePool() {
+  if (state_->stats.live() == 0) {
+    delete state_;
+  } else {
+    state_->orphaned = true;
+  }
+}
 
 MessagePool::Mode MessagePool::mode() const { return state_->mode; }
 
@@ -73,10 +81,13 @@ void MessagePool::State::deallocate(void* p, std::size_t bytes) noexcept {
   const std::size_t c = class_of(bytes);
   if (mode == Mode::PassThrough || c == kClasses) {
     ::operator delete(p);
-    return;
+  } else {
+    std::memcpy(p, &free_[c], sizeof(void*));  // push onto the freelist
+    free_[c] = p;
   }
-  std::memcpy(p, &free_[c], sizeof(void*));  // push onto the freelist
-  free_[c] = p;
+  // The last block of a pool whose handle is gone: nothing refers to the
+  // state any more.
+  if (orphaned && stats.live() == 0) delete this;
 }
 
 }  // namespace epicast

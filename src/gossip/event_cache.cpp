@@ -5,6 +5,19 @@
 #include "epicast/common/assert.hpp"
 
 namespace epicast {
+namespace {
+
+/// Makes room for one more element of a vector that never holds more than
+/// `cap` (the cache's β): doubling, but capped at `cap`, so storage grows
+/// with what the cache holds and a full cache ends at exactly β elements,
+/// after which its insert-evict churn reallocates nothing.
+template <typename T>
+void grow_for_one(std::vector<T>& v, std::size_t cap) {
+  if (v.size() < v.capacity()) return;
+  v.reserve(std::min(cap, std::max<std::size_t>(1, 2 * v.capacity())));
+}
+
+}  // namespace
 
 void EventCache::PatternIds::pop_front() {
   if (++head * 2 >= ids.size()) {
@@ -17,14 +30,6 @@ EventCache::EventCache(std::size_t capacity, CachePolicy policy, Rng rng,
                        EventRegistry& registry)
     : capacity_(capacity), policy_(policy), rng_(rng), registry_(registry) {
   EPICAST_ASSERT_MSG(capacity > 0, "cache capacity must be positive");
-  // The cache runs at exactly `capacity` entries in steady state; reserving
-  // the slot vector up front keeps the insert-evict churn reallocation-free.
-  // The bits and the pattern index grow with content instead.
-  nodes_.reserve(capacity);
-  if (policy == CachePolicy::Random) {
-    random_pool_.reserve(capacity);
-    random_pos_.reserve(capacity);
-  }
 }
 
 EventCache::~EventCache() {
@@ -79,6 +84,7 @@ bool EventCache::insert(const EventPtr& event) {
     free_.pop_back();
   } else {
     slot = static_cast<std::uint32_t>(nodes_.size());
+    grow_for_one(nodes_, capacity_);
     nodes_.emplace_back();
   }
   nodes_[slot].entry = entry;
@@ -89,8 +95,12 @@ bool EventCache::insert(const EventPtr& event) {
   if (policy_ == CachePolicy::Lru) {
     lru_slot_.try_emplace(entry, slot);
   } else if (policy_ == CachePolicy::Random) {
-    if (slot >= random_pos_.size()) random_pos_.resize(slot + 1);
+    if (slot >= random_pos_.size()) {
+      grow_for_one(random_pos_, capacity_);
+      random_pos_.resize(slot + 1);
+    }
     random_pos_[slot] = static_cast<std::uint32_t>(random_pool_.size());
+    grow_for_one(random_pool_, capacity_);
     random_pool_.push_back(slot);
   }
   if (pattern_index_) {

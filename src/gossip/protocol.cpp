@@ -113,7 +113,7 @@ void GossipProtocolBase::on_restart(fault::RestartPolicy policy) {
   peer_timeouts_.clear();
   if (policy == fault::RestartPolicy::Cold) {
     cache_.clear();
-    digest_marks_.fill({});
+    digest_marks_.reset();
     stream_marks_.clear();
     stream_mark_index_.clear();
     ++restart_epoch_;
@@ -125,7 +125,8 @@ bool GossipProtocolBase::digest_duplicate(const GossipMessage& digest) {
   const Duration round_spacing =
       cfg_.adaptive.enabled ? cfg_.adaptive.min_interval : cfg_.interval;
   const SimTime now = d_.now();
-  DigestMark& slot = digest_marks_[key & (digest_marks_.size() - 1)];
+  if (!digest_marks_) digest_marks_ = std::make_unique<DigestMarks>();
+  DigestMark& slot = (*digest_marks_)[key & (digest_marks_->size() - 1)];
   const bool dup = slot.key == key && now - slot.at <= round_spacing * 0.5;
   slot.key = key;
   slot.at = now;

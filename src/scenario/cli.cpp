@@ -1,6 +1,7 @@
 #include "epicast/scenario/cli.hpp"
 
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
 #include "epicast/fault/plan.hpp"
@@ -142,6 +143,9 @@ CliParse parse_cli(const std::vector<std::string>& args) {
         return out;
       }
       cfg.faults = *plan;
+    } else if (key == "max-hops" && parse_u64(value, u) && u >= 1 &&
+               u <= std::numeric_limits<std::uint32_t>::max()) {
+      cfg.gossip.max_hops = static_cast<std::uint32_t>(u);
     } else if (key == "pull-timeout" && parse_double(value, d) && d >= 0) {
       cfg.gossip.request_timeout = Duration::seconds(d);
     } else if (key == "pull-retries" && parse_u64(value, u)) {
@@ -175,6 +179,10 @@ std::string cli_usage() {
       "  --interval=T    gossip interval in seconds (default 0.03)\n"
       "  --pforward=P    digest fan-out probability (default 0.5)\n"
       "  --psource=P     combined-pull publisher-round probability (0.5)\n"
+      "  --max-hops=H    digest TTL in overlay hops, >= 1 (default 32, for\n"
+      "                  trees); cyclic overlays want <= 8, as the scale\n"
+      "                  figures use: each extra hop multiplies the\n"
+      "                  duplicate digest copies\n"
       "  --pi-max=K      patterns per subscriber (default 2)\n"
       "  --patterns-per-event=K  (default 3)\n"
       "  --universe=K    pattern universe size (default 70)\n"

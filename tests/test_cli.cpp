@@ -30,7 +30,8 @@ TEST(Cli, ParsesEveryFlag) {
   const CliParse p = parse({"--algorithm=push", "--nodes=40",
                             "--epsilon=0.05", "--rate=5", "--seed=9",
                             "--beta=700", "--interval=0.02",
-                            "--pforward=0.8", "--psource=0.3", "--pi-max=4",
+                            "--pforward=0.8", "--psource=0.3",
+                            "--max-hops=8", "--pi-max=4",
                             "--patterns-per-event=2", "--universe=50",
                             "--measure=2.5", "--warmup=0.5", "--horizon=4",
                             "--oob-loss=0.02", "--csv"});
@@ -45,6 +46,7 @@ TEST(Cli, ParsesEveryFlag) {
   EXPECT_EQ(c.gossip.interval, Duration::millis(20));
   EXPECT_DOUBLE_EQ(c.gossip.forward_probability, 0.8);
   EXPECT_DOUBLE_EQ(c.gossip.source_probability, 0.3);
+  EXPECT_EQ(c.gossip.max_hops, 8u);
   EXPECT_EQ(c.patterns_per_subscriber, 4u);
   EXPECT_EQ(c.patterns_per_event, 2u);
   EXPECT_EQ(c.pattern_universe, 50u);
@@ -91,6 +93,20 @@ TEST(Cli, RejectsUnknownFlagsAndBadValues) {
   EXPECT_TRUE(parse({"--algorithm=magic"}).error.has_value());
   EXPECT_TRUE(parse({"stray"}).error.has_value());
   EXPECT_TRUE(parse({"--interval=-0.1"}).error.has_value());
+}
+
+TEST(Cli, MaxHopsSetsTheDigestTtlFromOneUp) {
+  // The tree default stays unless the flag is given; the scale figures'
+  // cap of 8 for cyclic overlays is reachable from the command line.
+  EXPECT_EQ(parse({}).config.gossip.max_hops, GossipConfig{}.max_hops);
+  EXPECT_EQ(parse({"--max-hops=1"}).config.gossip.max_hops, 1u);
+  EXPECT_EQ(parse({"--max-hops=4294967295"}).config.gossip.max_hops,
+            4294967295u);
+  for (const char* bad : {"--max-hops=0", "--max-hops=-1", "--max-hops=",
+                          "--max-hops=2.5", "--max-hops=4294967296"}) {
+    EXPECT_TRUE(parse({bad}).error.has_value()) << bad;
+  }
+  EXPECT_NE(cli_usage().find("--max-hops"), std::string::npos);
 }
 
 TEST(Cli, AlgorithmFlagAcceptsTheClusterDirectiveNames) {

@@ -244,6 +244,30 @@ TEST_P(CachePolicySweep, IdsMatchingIntoAgreesWithAllocatingVariant) {
   }
 }
 
+TEST_P(CachePolicySweep, SlotStorageGrowsWithContentUpToBeta) {
+  // β is a ceiling, not a reservation: a cache holding a few events owns a
+  // few slots, and a full one exactly β (not the next power of two),
+  // however long its insert-evict churn runs.
+  constexpr std::size_t kBeta = 1500;
+  EventRegistry registry;
+  EventCache cache(kBeta, GetParam(), Rng{3}, registry);
+  EXPECT_EQ(cache.slot_capacity(), 0u);
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    cache.insert(ev(0, i, {{Pattern{1}, SeqNo{i + 1}}}));
+  }
+  EXPECT_LE(cache.slot_capacity(), 4u);
+  // A β-slot reservation alone is 12 bytes a slot (three 32-bit links).
+  EXPECT_LT(cache.memory_bytes(), kBeta * 12 / 10);
+  for (std::uint64_t i = 3; i < 2 * kBeta; ++i) {
+    cache.insert(ev(0, i, {{Pattern{1}, SeqNo{i + 1}}}));
+    ASSERT_LE(cache.slot_capacity(), kBeta) << "insert " << i;
+    ASSERT_GE(cache.slot_capacity(), cache.size());
+  }
+  EXPECT_EQ(cache.size(), kBeta);
+  EXPECT_EQ(cache.slot_capacity(), kBeta);
+  EXPECT_EQ(cache.stats().evictions, kBeta);
+}
+
 TEST(EventCache, PatternIndexStaysTightUnderFifoChurn) {
   // The eager head purge keeps the per-pattern index at O(live entries)
   // under FIFO eviction: every victim's ids sit at its buckets' fronts.

@@ -37,6 +37,13 @@ PullProtocol* pull(GossipHarness& h, std::uint32_t node) {
   return p;
 }
 
+TEST(PullProtocol, DigestDedupTableIsNotInline) {
+  // Every dispatcher of a scale run owns one protocol object, and most
+  // never filter a digest: the 2 KiB dedup table is allocated by the
+  // first digest a node checks, not carried inline.
+  EXPECT_LT(sizeof(PullProtocol), 1536u);
+}
+
 TEST(PullDetection, GapPopulatesLostBuffer) {
   GossipHarness h(3, Algorithm::SubscriberPull);
   h.subscribe_and_settle({{0, 1}, {2, 1}});

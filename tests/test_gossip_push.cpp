@@ -205,6 +205,32 @@ TEST(Push, AdaptiveRoundsAreNotTakenForRoutePathDuplicates) {
   EXPECT_GE(forwarded + 2, originated);
 }
 
+TEST(Push, ColdRestartForgetsFilteredDigestsLikeAFreshNode) {
+  // Node 1 relays node 0's digests for pattern 1 to node 2. Like any node,
+  // it relays the first copy of a digest and filters a second one within
+  // the dedup window; a cold restart forgets every digest, so the node
+  // then answers the same copies as a fresh node does.
+  GossipHarness h(3, Algorithm::Push);
+  h.subscribe_and_settle({{0, 1}, {2, 1}});
+  const MessagePtr digest = std::make_shared<PushDigestMessage>(
+      NodeId{0}, 200, Pattern{1},
+      std::vector<EventId>{EventId{NodeId{0}, 7}}, 1);
+  GossipProtocolBase* relay = h.protocol(1);
+  const auto relay_twice = [&] {
+    const std::uint64_t before = relay->stats().digests_forwarded;
+    relay->on_gossip(NodeId{0}, digest);
+    relay->on_gossip(NodeId{0}, digest);
+    return relay->stats().digests_forwarded - before;
+  };
+  EXPECT_EQ(relay_twice(), 1u);
+  EXPECT_EQ(relay_twice(), 0u);  // both copies are repeats now
+  relay->on_restart(fault::RestartPolicy::Warm);
+  EXPECT_EQ(relay_twice(), 0u);  // a warm restart keeps the table
+  relay->on_restart(fault::RestartPolicy::Cold);
+  EXPECT_EQ(relay_twice(), 1u);
+  EXPECT_EQ(relay_twice(), 0u);
+}
+
 TEST(NoRecoveryProtocol, DoesNothing) {
   GossipHarness h(3, Algorithm::NoRecovery);
   h.subscribe_and_settle({{0, 1}, {2, 1}});

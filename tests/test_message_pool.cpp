@@ -49,6 +49,9 @@ TEST(MessagePool, FreelistIsLifo) {
   pool.deallocate(b, 64);
   EXPECT_EQ(pool.allocate(64), b);  // last freed, first reused
   EXPECT_EQ(pool.allocate(64), a);
+  // A block still live when the handle goes keeps the pool state alive.
+  pool.deallocate(a, 64);
+  pool.deallocate(b, 64);
 }
 
 TEST(MessagePool, OversizeFallsThroughToNew) {
@@ -113,16 +116,24 @@ TEST(MessagePool, MakePooledConstructsAndDestroys) {
 }
 
 TEST(MessagePool, PooledObjectOutlivesPoolHandle) {
-  // The allocator keeps the pool state alive via shared_ptr, so destroying
-  // the MessagePool handle while objects are outstanding is safe.
-  std::shared_ptr<std::vector<int>> survivor;
-  {
-    MessagePool pool(MessagePool::Mode::Pooling);
-    survivor = make_pooled<std::vector<int>>(pool, 100, 7);
+  // Destroying the MessagePool handle while objects are outstanding leaves
+  // the pool state to them: the release of the last one frees it. Under
+  // ASan a use after free or a leaked state fails this, in either mode.
+  for (const MessagePool::Mode mode :
+       {MessagePool::Mode::Pooling, MessagePool::Mode::PassThrough}) {
+    std::shared_ptr<std::vector<int>> survivor;
+    std::shared_ptr<int> last;
+    {
+      MessagePool pool(mode);
+      survivor = make_pooled<std::vector<int>>(pool, 100, 7);
+      last = make_pooled<int>(pool, 5);
+    }
+    ASSERT_EQ(survivor->size(), 100u);
+    EXPECT_EQ((*survivor)[99], 7);
+    survivor.reset();  // releases into the orphaned pool state
+    EXPECT_EQ(*last, 5);
+    last.reset();  // the last live block: frees the state
   }
-  ASSERT_EQ(survivor->size(), 100u);
-  EXPECT_EQ((*survivor)[99], 7);
-  survivor.reset();  // releases into the (still-alive) pool state
 }
 
 TEST(MessagePool, ManyLiveObjectsStayIntact) {
