@@ -115,7 +115,7 @@ BENCHMARK(BM_SubscriptionTableRouteTargetsInto);
 // per-pattern digest index.
 void BM_EventCacheInsertEvict(benchmark::State& state) {
   EventRegistry registry;
-  EventCache cache(1500, CachePolicy::Fifo, Rng{4}, registry);
+  EventCache cache(1500, registry);
   cache.keep_pattern_index();
   std::uint64_t seq = 0;
   for (auto _ : state) {
@@ -133,7 +133,7 @@ BENCHMARK(BM_EventCacheInsertEvict);
 
 void BM_EventCacheDigest(benchmark::State& state) {
   EventRegistry registry;
-  EventCache cache(1500, CachePolicy::Fifo, Rng{5}, registry);
+  EventCache cache(1500, registry);
   cache.keep_pattern_index();
   for (std::uint64_t i = 0; i < 1500; ++i) {
     cache.insert(std::make_shared<EventData>(

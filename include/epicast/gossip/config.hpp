@@ -2,8 +2,10 @@
 //
 // Names follow the paper's parameter table (Fig. 2): gossip interval T,
 // buffer size β, fan-out probability P_forward, and the combined-pull mixing
-// probability P_source. Extensions beyond the paper (cache eviction policy,
-// adaptive interval) are opt-in and default to the paper's behaviour.
+// probability P_source. Extensions beyond the paper (probabilistic cache
+// admission, pull retry hardening, adaptive interval) are opt-in and default
+// to the paper's behaviour. The buffer's eviction order is the paper's FIFO
+// (§IV-A) and is not configurable.
 #pragma once
 
 #include <cstddef>
@@ -24,12 +26,6 @@ enum class Algorithm {
 };
 
 [[nodiscard]] const char* to_string(Algorithm a);
-
-/// Cache eviction policies; the paper uses FIFO (§IV-A), the others exist
-/// for the ablation benchmark.
-enum class CachePolicy { Fifo, Lru, Random };
-
-[[nodiscard]] const char* to_string(CachePolicy p);
 
 struct AdaptiveIntervalConfig {
   /// Off by default — the paper suggests adaptivity as future work (§IV-E,
@@ -63,9 +59,6 @@ struct GossipConfig {
 
   /// Loss-buffer entries older than this are abandoned.
   Duration lost_entry_ttl = Duration::seconds(5.0);
-
-  /// Cache eviction policy (paper: FIFO).
-  CachePolicy cache_policy = CachePolicy::Fifo;
 
   /// Probabilistic cache admission — a lightweight take on the buffer
   /// optimizations the paper says it is investigating (§IV-C, ref [13]):

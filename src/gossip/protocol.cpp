@@ -73,23 +73,15 @@ const char* to_string(Algorithm a) {
   return "?";
 }
 
-const char* to_string(CachePolicy p) {
-  switch (p) {
-    case CachePolicy::Fifo: return "fifo";
-    case CachePolicy::Lru: return "lru";
-    case CachePolicy::Random: return "random";
-  }
-  return "?";
-}
-
 GossipProtocolBase::GossipProtocolBase(Dispatcher& dispatcher,
                                        GossipConfig config)
     : d_(dispatcher),
       cfg_(config),
-      cache_(config.buffer_size, config.cache_policy, dispatcher.rng().fork(),
-             dispatcher.runtime().event_registry()),
+      cache_(config.buffer_size, dispatcher.runtime().event_registry()),
       prof_(dispatcher.profiler()),
       adaptive_(config.adaptive, config.interval) {
+  // Drawn and discarded: every seed guard pins the draws that follow.
+  (void)d_.rng().next();
   cache_.set_profiler(&prof_);
   EPICAST_ASSERT(cfg_.interval > Duration::zero());
   EPICAST_ASSERT(cfg_.forward_probability >= 0.0 &&

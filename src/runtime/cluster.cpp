@@ -114,6 +114,15 @@ void ClusterConfig::validate() const {
   if (queue_capacity == 0) {
     throw std::invalid_argument("queue-capacity must be > 0");
   }
+  if (gossip.buffer_size == 0) {
+    throw std::invalid_argument("beta must be > 0");
+  }
+  if (gossip.interval <= Duration::zero()) {
+    throw std::invalid_argument("gossip-interval-ms must be > 0");
+  }
+  if (gossip.request_timeout < Duration::zero()) {
+    throw std::invalid_argument("request-timeout-ms must be >= 0 (0 = off)");
+  }
   if (gossip.forward_probability < 0.0 || gossip.forward_probability > 1.0 ||
       gossip.source_probability < 0.0 || gossip.source_probability > 1.0) {
     throw std::invalid_argument("pforward/psource must be in [0, 1]");

@@ -83,8 +83,6 @@ std::string ScenarioConfig::describe() const {
      << '\n'
      << "P_source                         " << gossip.source_probability
      << '\n'
-     << "cache policy                     " << to_string(gossip.cache_policy)
-     << '\n'
      << "fault plan                       "
      << (faults.empty() ? std::string("none") : faults.describe()) << '\n'
      << "sizing mode                      " << to_string(sizing_mode) << '\n'

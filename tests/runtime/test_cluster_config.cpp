@@ -131,6 +131,11 @@ TEST(ClusterConfig, ValidationCatchesInconsistencies) {
   expect_error(kMinimal + "run 0\n", "run");
   expect_error(kMinimal + "queue-capacity 0\n", "queue-capacity");
   expect_error(kMinimal + "pforward 1.5\n", "pforward");
+  // Values the daemon's gossip layer would otherwise abort on.
+  expect_error(kMinimal + "beta 0\n", "beta");
+  expect_error(kMinimal + "gossip-interval-ms 0\n", "gossip-interval-ms");
+  expect_error(kMinimal + "gossip-interval-ms -30\n", "gossip-interval-ms");
+  expect_error(kMinimal + "request-timeout-ms -1\n", "request-timeout-ms");
 }
 
 TEST(ClusterConfig, ParsesLiveClusterDirectives) {

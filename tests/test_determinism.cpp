@@ -3,8 +3,6 @@
 // configuration flips do not leak randomness between components.
 #include <gtest/gtest.h>
 
-#include <string>
-
 #include "epicast/common/rng.hpp"
 #include "epicast/scenario/runner.hpp"
 #include "epicast/sim/scheduler.hpp"
@@ -149,38 +147,30 @@ TEST(Determinism, WireModeMatchesSeedReference) {
   }
 }
 
-// Seed guard for the cache policies only the cache-policy ablation runs.
-// At β=150 the buffers evict throughout quick()'s window, so LRU's recency
-// refresh and Random's victim draws decide what every digest finds.
-// Captured from the build whose caches each kept their own id and
-// (source, pattern, seq) tables, before one event registry per runtime
-// replaced them.
-TEST(Determinism, LruAndRandomCachePoliciesMatchSeedReference) {
+// Seed guard on FIFO eviction. At β=1500 quick()'s caches never fill, so
+// the guards above never evict; at β=150 they evict throughout the window,
+// and the order of eviction decides what every digest and request finds.
+// Captured from the build whose caches kept a linked slot list, before
+// the eviction order became a ring of registry entries.
+TEST(Determinism, FifoEvictionMatchesSeedReference) {
   struct Reference {
-    CachePolicy policy;
     Algorithm algorithm;
     std::uint64_t delivered_pairs, recovered_pairs, sim_events_executed,
         gossip_sends, event_sends, events_served;
     double delivery_rate;
   };
   const Reference refs[] = {
-      {CachePolicy::Lru, Algorithm::Push, 1359, 283, 19496, 2451, 3493, 838,
-       0x1.b86282ea9cd73p-1},
-      {CachePolicy::Lru, Algorithm::CombinedPull, 1315, 250, 16087, 611, 3514,
-       682, 0x1.aa2067b23a544p-1},
-      {CachePolicy::Random, Algorithm::Push, 1337, 261, 19432, 2447, 3493,
-       809, 0x1.b141754e6b95bp-1},
-      {CachePolicy::Random, Algorithm::CombinedPull, 1242, 199, 16586, 647,
-       3459, 437, 0x1.92788bfd68582p-1},
+      {Algorithm::Push, 1361, 285, 19462, 2453, 3493, 840,
+       0x1.b9086ce18a0bbp-1},
+      {Algorithm::CombinedPull, 1311, 246, 16313, 611, 3514, 652,
+       0x1.a8d493c45feb4p-1},
   };
   for (const Reference& ref : refs) {
     ScenarioConfig cfg = quick(ref.algorithm, 404);
     cfg.sizing_mode = SizingMode::Nominal;
     cfg.gossip.buffer_size = 150;
-    cfg.gossip.cache_policy = ref.policy;
     const ScenarioResult r = run_scenario(cfg);
-    SCOPED_TRACE(std::string(to_string(ref.policy)) + " " +
-                 to_string(ref.algorithm));
+    SCOPED_TRACE(to_string(ref.algorithm));
     EXPECT_EQ(r.events_published, 2653u);
     EXPECT_EQ(r.expected_pairs, 1580u);
     EXPECT_EQ(r.delivered_pairs, ref.delivered_pairs);

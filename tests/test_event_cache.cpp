@@ -1,16 +1,15 @@
-// Unit tests for the retransmission buffer: capacity, eviction policies,
-// id and (source, pattern, seq) lookup, the per-pattern digest index, and
-// which of those indexes each protocol's cache keeps.
+// Unit tests for the retransmission buffer: capacity, FIFO eviction and its
+// ring, id and (source, pattern, seq) lookup, the per-pattern digest index,
+// and which of those indexes each protocol's cache keeps.
 #include "epicast/gossip/event_cache.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <list>
+#include <deque>
 #include <map>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <utility>
 
 #include "gossip_harness.hpp"
@@ -26,7 +25,7 @@ EventPtr ev(std::uint32_t source, std::uint64_t seq,
 
 TEST(EventCache, InsertAndGetById) {
   EventRegistry registry;
-  EventCache cache(4, CachePolicy::Fifo, Rng{1}, registry);
+  EventCache cache(4, registry);
   auto e = ev(0, 1, {{Pattern{1}, SeqNo{1}}});
   EXPECT_TRUE(cache.insert(e));
   EXPECT_FALSE(cache.insert(e));  // duplicate
@@ -39,7 +38,7 @@ TEST(EventCache, InsertAndGetById) {
 
 TEST(EventCache, MissingLookupsCountMisses) {
   EventRegistry registry;
-  EventCache cache(4, CachePolicy::Fifo, Rng{1}, registry);
+  EventCache cache(4, registry);
   EXPECT_EQ(cache.get(EventId{NodeId{9}, 9}), nullptr);
   EXPECT_EQ(cache.find(NodeId{9}, Pattern{1}, SeqNo{1}), nullptr);
   EXPECT_EQ(cache.stats().misses, 2u);
@@ -47,7 +46,7 @@ TEST(EventCache, MissingLookupsCountMisses) {
 
 TEST(EventCache, FindBySourcePatternSeq) {
   EventRegistry registry;
-  EventCache cache(4, CachePolicy::Fifo, Rng{1}, registry);
+  EventCache cache(4, registry);
   auto e = ev(3, 1, {{Pattern{5}, SeqNo{7}}, {Pattern{9}, SeqNo{2}}});
   cache.insert(e);
   EXPECT_EQ(cache.find(NodeId{3}, Pattern{5}, SeqNo{7}), e);
@@ -58,7 +57,7 @@ TEST(EventCache, FindBySourcePatternSeq) {
 
 TEST(EventCache, FifoEvictsOldestFirst) {
   EventRegistry registry;
-  EventCache cache(3, CachePolicy::Fifo, Rng{1}, registry);
+  EventCache cache(3, registry);
   auto e1 = ev(0, 1, {{Pattern{1}, SeqNo{1}}});
   auto e2 = ev(0, 2, {{Pattern{1}, SeqNo{2}}});
   auto e3 = ev(0, 3, {{Pattern{1}, SeqNo{3}}});
@@ -76,50 +75,32 @@ TEST(EventCache, FifoEvictsOldestFirst) {
   EXPECT_EQ(cache.find(NodeId{0}, Pattern{1}, SeqNo{1}), nullptr);
 }
 
-TEST(EventCache, LruKeepsRecentlyAccessed) {
+TEST(EventCache, RingKeepsEvictionOrderAcrossWraps) {
+  // Past β the eviction order is a ring: the snapshot lists the newest β
+  // insertions oldest first, and re-inserting it into an empty cache (a
+  // warm restart) reproduces the order, so both caches evict alike.
   EventRegistry registry;
-  EventCache cache(3, CachePolicy::Lru, Rng{1}, registry);
-  auto e1 = ev(0, 1, {{Pattern{1}, SeqNo{1}}});
-  auto e2 = ev(0, 2, {{Pattern{1}, SeqNo{2}}});
-  auto e3 = ev(0, 3, {{Pattern{1}, SeqNo{3}}});
-  auto e4 = ev(0, 4, {{Pattern{1}, SeqNo{4}}});
-  cache.insert(e1);
-  cache.insert(e2);
-  cache.insert(e3);
-  (void)cache.get(e1->id());  // refresh e1 → e2 becomes the LRU victim
-  cache.insert(e4);
-  EXPECT_TRUE(cache.contains(e1->id()));
-  EXPECT_FALSE(cache.contains(e2->id()));
-}
-
-TEST(EventCache, RandomEvictionKeepsCapacityAndConsistency) {
-  EventRegistry registry;
-  EventCache cache(16, CachePolicy::Random, Rng{42}, registry);
-  std::vector<EventPtr> events;
-  for (std::uint64_t i = 0; i < 200; ++i) {
-    auto e = ev(1, i, {{Pattern{static_cast<std::uint32_t>(i % 5)},
-                        SeqNo{i + 1}}});
-    events.push_back(e);
-    cache.insert(e);
-    ASSERT_LE(cache.size(), 16u);
+  EventCache cache(4, registry);
+  std::vector<EventPtr> e;
+  for (std::uint64_t i = 0; i <= 10; ++i) {
+    e.push_back(ev(0, i, {{Pattern{1}, SeqNo{i + 1}}}));
   }
-  EXPECT_EQ(cache.size(), 16u);
-  // Every retained event is findable both ways; evicted ones by neither.
-  int retained = 0;
-  for (const auto& e : events) {
-    const bool by_id = cache.get(e->id()) != nullptr;
-    const auto& ps = e->patterns()[0];
-    const bool by_sp =
-        cache.find(NodeId{1}, ps.pattern, ps.seq) != nullptr;
-    ASSERT_EQ(by_id, by_sp);
-    retained += by_id ? 1 : 0;
-  }
-  EXPECT_EQ(retained, 16);
+  for (std::size_t i = 0; i < 10; ++i) cache.insert(e[i]);
+  EXPECT_EQ(cache.snapshot_events(),
+            (std::vector<EventPtr>{e[6], e[7], e[8], e[9]}));
+  EventCache reborn(4, registry);
+  for (const EventPtr& held : cache.snapshot_events()) reborn.insert(held);
+  cache.insert(e[10]);
+  reborn.insert(e[10]);
+  EXPECT_EQ(cache.snapshot_events(),
+            (std::vector<EventPtr>{e[7], e[8], e[9], e[10]}));
+  EXPECT_EQ(reborn.snapshot_events(), cache.snapshot_events());
+  EXPECT_FALSE(cache.contains(e[6]->id()));
 }
 
 TEST(EventCache, IdsMatchingFiltersByPattern) {
   EventRegistry registry;
-  EventCache cache(10, CachePolicy::Fifo, Rng{1}, registry);
+  EventCache cache(10, registry);
   cache.keep_pattern_index();
   auto e1 = ev(0, 1, {{Pattern{1}, SeqNo{1}}});
   auto e2 = ev(0, 2, {{Pattern{2}, SeqNo{1}}});
@@ -136,7 +117,7 @@ TEST(EventCache, IdsMatchingFiltersByPattern) {
 
 TEST(EventCache, IdsMatchingDropsEvictedEntries) {
   EventRegistry registry;
-  EventCache cache(2, CachePolicy::Fifo, Rng{1}, registry);
+  EventCache cache(2, registry);
   cache.keep_pattern_index();
   auto e1 = ev(0, 1, {{Pattern{1}, SeqNo{1}}});
   auto e2 = ev(0, 2, {{Pattern{1}, SeqNo{2}}});
@@ -148,59 +129,9 @@ TEST(EventCache, IdsMatchingDropsEvictedEntries) {
   EXPECT_EQ(ids, (std::vector<EventId>{e2->id(), e3->id()}));
 }
 
-TEST(EventCache, LruDigestListsAReinsertedEventOnce) {
-  // An event evicted from the middle of a pattern queue and inserted again
-  // leaves its old id behind; the digest lists it once, at its newest
-  // insertion.
+TEST(EventCache, NeverExceedsCapacityAndStaysConsistent) {
   EventRegistry registry;
-  EventCache cache(3, CachePolicy::Lru, Rng{1}, registry);
-  cache.keep_pattern_index();
-  std::vector<EventPtr> e;  // a, b, c, d
-  for (std::uint64_t i = 1; i <= 4; ++i) {
-    e.push_back(ev(0, i, {{Pattern{1}, SeqNo{i}}}));
-  }
-  cache.insert(e[0]);
-  cache.insert(e[1]);
-  cache.insert(e[2]);
-  ASSERT_EQ(cache.get(e[0]->id()), e[0]);  // a becomes the most recent
-  cache.insert(e[3]);                      // d evicts b
-  cache.insert(e[1]);                      // b again, evicting c
-  EXPECT_EQ(cache.ids_matching(Pattern{1}),
-            (std::vector<EventId>{e[0]->id(), e[3]->id(), e[1]->id()}));
-}
-
-TEST(EventCache, RandomDigestListsEachCachedEventOnce) {
-  // Random eviction scatters victims through the queue; re-inserting them
-  // must list each cached id once, in the order of its current insertion.
-  EventRegistry registry;
-  EventCache cache(4, CachePolicy::Random, Rng{3}, registry);
-  cache.keep_pattern_index();
-  std::vector<EventPtr> pool;
-  for (std::uint64_t i = 0; i < 6; ++i) {
-    pool.push_back(ev(0, i, {{Pattern{1}, SeqNo{i + 1}}}));
-  }
-  std::vector<EventId> inserted;  // each id once, at its latest insertion
-  Rng rng(5);
-  for (int step = 0; step < 200; ++step) {
-    const EventPtr& e = pool[rng.next_below(pool.size())];
-    if (cache.insert(e)) {
-      inserted.erase(std::remove(inserted.begin(), inserted.end(), e->id()),
-                     inserted.end());
-      inserted.push_back(e->id());
-    }
-    std::vector<EventId> want;
-    for (const EventId& id : inserted) {
-      if (cache.contains(id)) want.push_back(id);
-    }
-    ASSERT_EQ(cache.ids_matching(Pattern{1}), want) << "step " << step;
-  }
-}
-
-class CachePolicySweep : public ::testing::TestWithParam<CachePolicy> {};
-
-TEST_P(CachePolicySweep, NeverExceedsCapacityAndStaysConsistent) {
-  EventRegistry registry;
-  EventCache cache(32, GetParam(), Rng{7}, registry);
+  EventCache cache(32, registry);
   cache.keep_pattern_index();
   Rng rng(99);
   for (std::uint64_t i = 0; i < 1000; ++i) {
@@ -217,15 +148,11 @@ TEST_P(CachePolicySweep, NeverExceedsCapacityAndStaysConsistent) {
   EXPECT_EQ(cache.stats().evictions, cache.stats().insertions - 32);
 }
 
-INSTANTIATE_TEST_SUITE_P(Policies, CachePolicySweep,
-                         ::testing::Values(CachePolicy::Fifo, CachePolicy::Lru,
-                                           CachePolicy::Random));
-
-TEST_P(CachePolicySweep, IdsMatchingIntoAgreesWithAllocatingVariant) {
+TEST(EventCache, IdsMatchingIntoAgreesWithAllocatingVariant) {
   // Twin caches on one registry: each event has two holders.
   EventRegistry registry;
-  EventCache a(16, GetParam(), Rng{5}, registry);
-  EventCache b(16, GetParam(), Rng{5}, registry);
+  EventCache a(16, registry);
+  EventCache b(16, registry);
   a.keep_pattern_index();
   b.keep_pattern_index();
   Rng rng(123);
@@ -237,27 +164,25 @@ TEST_P(CachePolicySweep, IdsMatchingIntoAgreesWithAllocatingVariant) {
     a.insert(e);
     b.insert(e);
     const Pattern probe{static_cast<std::uint32_t>(rng.next_below(6))};
-    // ids_matching() may compact the bucket, so query twin caches with
-    // identical history rather than the same cache twice.
     b.ids_matching_into(probe, scratch);
     ASSERT_EQ(scratch, a.ids_matching(probe));
   }
 }
 
-TEST_P(CachePolicySweep, SlotStorageGrowsWithContentUpToBeta) {
+TEST(EventCache, SlotStorageGrowsWithContentUpToBeta) {
   // β is a ceiling, not a reservation: a cache holding a few events owns a
   // few slots, and a full one exactly β (not the next power of two),
   // however long its insert-evict churn runs.
   constexpr std::size_t kBeta = 1500;
   EventRegistry registry;
-  EventCache cache(kBeta, GetParam(), Rng{3}, registry);
+  EventCache cache(kBeta, registry);
   EXPECT_EQ(cache.slot_capacity(), 0u);
   for (std::uint64_t i = 0; i < 3; ++i) {
     cache.insert(ev(0, i, {{Pattern{1}, SeqNo{i + 1}}}));
   }
   EXPECT_LE(cache.slot_capacity(), 4u);
-  // A β-slot reservation alone is 12 bytes a slot (three 32-bit links).
-  EXPECT_LT(cache.memory_bytes(), kBeta * 12 / 10);
+  // A β-slot reservation alone is 4 bytes a slot (one registry entry).
+  EXPECT_LT(cache.memory_bytes(), kBeta * 4 / 10);
   for (std::uint64_t i = 3; i < 2 * kBeta; ++i) {
     cache.insert(ev(0, i, {{Pattern{1}, SeqNo{i + 1}}}));
     ASSERT_LE(cache.slot_capacity(), kBeta) << "insert " << i;
@@ -269,10 +194,10 @@ TEST_P(CachePolicySweep, SlotStorageGrowsWithContentUpToBeta) {
 }
 
 TEST(EventCache, PatternIndexStaysTightUnderFifoChurn) {
-  // The eager head purge keeps the per-pattern index at O(live entries)
-  // under FIFO eviction: every victim's ids sit at its buckets' fronts.
+  // Each eviction pops the victim's ids from its buckets' fronts, so the
+  // per-pattern index holds live entries only.
   EventRegistry registry;
-  EventCache cache(8, CachePolicy::Fifo, Rng{1}, registry);
+  EventCache cache(8, registry);
   cache.keep_pattern_index();
   for (std::uint64_t i = 0; i < 1000; ++i) {
     cache.insert(ev(0, i,
@@ -284,10 +209,10 @@ TEST(EventCache, PatternIndexStaysTightUnderFifoChurn) {
 }
 
 TEST(EventCache, FifoDigestNeedsNoLivenessFiltering) {
-  // Interleave two patterns so evictions hit buckets the query never
-  // touches; the FIFO digest must still be exactly the live ids.
+  // Interleave three patterns so evictions hit buckets the query never
+  // touches; the digest must still be exactly the live ids.
   EventRegistry registry;
-  EventCache cache(4, CachePolicy::Fifo, Rng{1}, registry);
+  EventCache cache(4, registry);
   cache.keep_pattern_index();
   std::vector<EventPtr> events;
   for (std::uint64_t i = 0; i < 12; ++i) {
@@ -303,26 +228,11 @@ TEST(EventCache, FifoDigestNeedsNoLivenessFiltering) {
             (std::vector<EventId>{events[8]->id(), events[11]->id()}));
 }
 
-TEST(EventCache, LruRefreshSurvivesLongChurn) {
-  // Pin one event by touching it before every insert; the flat-slot LRU
-  // list must keep it resident across many evictions.
-  EventRegistry registry;
-  EventCache cache(4, CachePolicy::Lru, Rng{1}, registry);
-  auto pinned = ev(9, 0, {{Pattern{1}, SeqNo{1}}});
-  cache.insert(pinned);
-  for (std::uint64_t i = 1; i <= 100; ++i) {
-    ASSERT_EQ(cache.get(pinned->id()), pinned);
-    cache.insert(ev(0, i, {{Pattern{1}, SeqNo{i + 1}}}));
-  }
-  EXPECT_TRUE(cache.contains(pinned->id()));
-  EXPECT_EQ(cache.size(), 4u);
-}
-
 TEST(EventCache, SlotRecyclingPreservesLookups) {
-  // Heavy insert/evict churn recycles slots; spot-check both lookup paths
-  // for the survivors after every batch.
+  // Heavy insert/evict churn wraps the ring many times; spot-check both
+  // lookup paths for the survivors after every insert.
   EventRegistry registry;
-  EventCache cache(6, CachePolicy::Fifo, Rng{1}, registry);
+  EventCache cache(6, registry);
   std::vector<EventPtr> events;
   for (std::uint64_t i = 0; i < 300; ++i) {
     auto e = ev(static_cast<std::uint32_t>(i % 2), i,
@@ -341,29 +251,29 @@ TEST(EventCache, SlotRecyclingPreservesLookups) {
   }
 }
 
-/// Naive model of the cache: the cached events in eviction order (front =
-/// next FIFO/LRU victim), each with its insertion stamp, plus the Random
-/// policy's swap-pop sampling pool driven by the same RNG stream. Every
-/// query is a linear scan.
+/// Naive model of the cache: the cached events in insertion order, which
+/// FIFO makes the eviction order too (front = next victim). Every query is
+/// a linear scan.
 class NaiveCache {
  public:
-  NaiveCache(std::size_t capacity, CachePolicy policy, Rng rng)
-      : capacity_(capacity), policy_(policy), rng_(rng) {}
+  explicit NaiveCache(std::size_t capacity) : capacity_(capacity) {}
 
   bool insert(const EventPtr& e) {
-    if (locate(e->id()) != order_.end()) return false;
-    while (order_.size() >= capacity_) evict();
-    order_.push_back(Entry{e, next_stamp_++});
-    if (policy_ == CachePolicy::Random) pool_.push_back(e->id());
+    if (contains(e->id())) return false;
+    if (order_.size() == capacity_) order_.pop_front();
+    order_.push_back(e);
     return true;
   }
-  EventPtr get(const EventId& id) { return touch(locate(id)); }
+  EventPtr get(const EventId& id) {
+    return count(std::find_if(
+        order_.begin(), order_.end(),
+        [&](const EventPtr& e) { return e->id() == id; }));
+  }
   EventPtr find(NodeId source, Pattern pattern, SeqNo seq) {
-    return touch(std::find_if(order_.begin(), order_.end(),
-                              [&](const Entry& en) {
-                                if (en.event->source() != source) return false;
-                                for (const PatternSeq& ps :
-                                     en.event->patterns()) {
+    return count(std::find_if(order_.begin(), order_.end(),
+                              [&](const EventPtr& e) {
+                                if (e->source() != source) return false;
+                                for (const PatternSeq& ps : e->patterns()) {
                                   if (ps.pattern == pattern && ps.seq == seq) {
                                     return true;
                                   }
@@ -373,79 +283,47 @@ class NaiveCache {
   }
   /// Cached ids matching `pattern` in insertion order.
   std::vector<EventId> ids_matching(Pattern pattern) const {
-    std::map<std::uint64_t, EventId> by_stamp;
-    for (const Entry& en : order_) {
-      for (const PatternSeq& ps : en.event->patterns()) {
-        if (ps.pattern == pattern) by_stamp.emplace(en.stamp, en.event->id());
+    std::vector<EventId> out;
+    for (const EventPtr& e : order_) {
+      for (const PatternSeq& ps : e->patterns()) {
+        if (ps.pattern == pattern) out.push_back(e->id());
       }
     }
-    std::vector<EventId> out;
-    for (const auto& [stamp, id] : by_stamp) out.push_back(id);
     return out;
   }
   [[nodiscard]] bool contains(const EventId& id) const {
     return std::any_of(order_.begin(), order_.end(),
-                       [&](const Entry& en) { return en.event->id() == id; });
+                       [&](const EventPtr& e) { return e->id() == id; });
   }
   [[nodiscard]] std::size_t size() const { return order_.size(); }
   /// The cached events in eviction order, as snapshot_events() lists them.
   [[nodiscard]] std::vector<EventPtr> events() const {
-    std::vector<EventPtr> out;
-    for (const Entry& en : order_) out.push_back(en.event);
-    return out;
+    return {order_.begin(), order_.end()};
   }
-  void clear() {
-    order_.clear();
-    pool_.clear();
-  }
+  void clear() { order_.clear(); }
   [[nodiscard]] std::uint64_t hits() const { return hits_; }
   [[nodiscard]] std::uint64_t misses() const { return misses_; }
 
  private:
-  struct Entry {
-    EventPtr event;
-    std::uint64_t stamp;
-  };
-  std::list<Entry>::iterator locate(const EventId& id) {
-    return std::find_if(order_.begin(), order_.end(), [&](const Entry& en) {
-      return en.event->id() == id;
-    });
-  }
-  EventPtr touch(std::list<Entry>::iterator it) {
+  EventPtr count(std::deque<EventPtr>::iterator it) {
     if (it == order_.end()) {
       ++misses_;
       return nullptr;
     }
     ++hits_;
-    EventPtr e = it->event;
-    if (policy_ == CachePolicy::Lru) order_.splice(order_.end(), order_, it);
-    return e;
-  }
-  void evict() {
-    auto victim = order_.begin();
-    if (policy_ == CachePolicy::Random) {
-      const std::size_t pos = rng_.next_below(pool_.size());
-      victim = locate(pool_[pos]);
-      pool_[pos] = pool_.back();
-      pool_.pop_back();
-    }
-    order_.erase(victim);
+    return *it;
   }
 
   std::size_t capacity_;
-  CachePolicy policy_;
-  Rng rng_;
-  std::list<Entry> order_;
-  std::vector<EventId> pool_;
-  std::uint64_t next_stamp_ = 0;
+  std::deque<EventPtr> order_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };
 
-TEST_P(CachePolicySweep, LookupsAgreeWithNaiveModelAfterEvictions) {
+TEST(EventCache, LookupsAgreeWithNaiveModelAfterEvictions) {
   // Random inserts (fresh events and re-inserts of cached ones), id and
-  // (source, pattern, seq) lookups — hits refresh LRU recency — and
-  // per-pattern digests, compared with the naive model after every step.
+  // (source, pattern, seq) lookups and per-pattern digests, compared with
+  // the naive model after every step.
   // The first (source, pattern, seq) lookup comes only after many
   // evictions, so the index it builds from the cached events must answer
   // like one kept from the start.
@@ -454,9 +332,9 @@ TEST_P(CachePolicySweep, LookupsAgreeWithNaiveModelAfterEvictions) {
   constexpr std::uint32_t kPatterns = 7;
   constexpr int kFirstFindStep = 1000;
   EventRegistry registry;
-  EventCache cache(kCapacity, GetParam(), Rng{31}, registry);
+  EventCache cache(kCapacity, registry);
   cache.keep_pattern_index();
-  NaiveCache model(kCapacity, GetParam(), Rng{31});
+  NaiveCache model(kCapacity);
   std::uint64_t evictions_before_first_find = 0;
   Rng rng(2024);
   std::vector<EventPtr> published;
@@ -505,7 +383,7 @@ TEST_P(CachePolicySweep, LookupsAgreeWithNaiveModelAfterEvictions) {
     ASSERT_EQ(cache.size(), model.size());
   }
   EXPECT_GT(evictions_before_first_find, 10 * kCapacity);
-  // Final sweep over every event ever published, without touching recency.
+  // Final sweep over every event ever published, without counting hits.
   for (const EventPtr& e : published) {
     ASSERT_EQ(cache.contains(e->id()), model.contains(e->id()));
   }
@@ -514,15 +392,13 @@ TEST_P(CachePolicySweep, LookupsAgreeWithNaiveModelAfterEvictions) {
   }
 }
 
-/// K caches on one registry under one policy, driven by random operations
-/// and checked after every step: each cache against its own naive model,
-/// and the registry against the union of the models.
-class SharedRegistry
-    : public ::testing::TestWithParam<std::tuple<int, CachePolicy>> {};
+/// K caches on one registry, driven by random operations and checked after
+/// every step: each cache against its own naive model, and the registry
+/// against the union of the models.
+class SharedRegistry : public ::testing::TestWithParam<int> {};
 
 TEST_P(SharedRegistry, CachesAndRegistryAgreeWithNaiveModels) {
-  const int k = std::get<0>(GetParam());
-  const CachePolicy policy = std::get<1>(GetParam());
+  const int k = GetParam();
   constexpr std::size_t kCapacity = 12;
   constexpr std::uint32_t kSources = 4;
   constexpr std::uint32_t kPatterns = 6;
@@ -531,12 +407,10 @@ TEST_P(SharedRegistry, CachesAndRegistryAgreeWithNaiveModels) {
   EventRegistry registry;
   std::vector<std::unique_ptr<EventCache>> caches(k);
   std::vector<std::unique_ptr<NaiveCache>> models(k);
-  std::uint64_t next_cache_seed = 100;
   const auto build = [&](int c) {
-    const Rng rng{next_cache_seed++};
-    caches[c] = std::make_unique<EventCache>(kCapacity, policy, rng, registry);
+    caches[c] = std::make_unique<EventCache>(kCapacity, registry);
     caches[c]->keep_pattern_index();
-    models[c] = std::make_unique<NaiveCache>(kCapacity, policy, rng);
+    models[c] = std::make_unique<NaiveCache>(kCapacity);
   };
   for (int c = 0; c < k; ++c) build(c);
 
@@ -728,15 +602,11 @@ TEST_P(SharedRegistry, CachesAndRegistryAgreeWithNaiveModels) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    CachesAndPolicies, SharedRegistry,
-    ::testing::Combine(::testing::Values(1, 3, 5),
-                       ::testing::Values(CachePolicy::Fifo, CachePolicy::Lru,
-                                         CachePolicy::Random)));
+INSTANTIATE_TEST_SUITE_P(Caches, SharedRegistry, ::testing::Values(1, 3, 5));
 
 TEST(EventCache, IndexesAreBuiltOnlyForTheirReader) {
   EventRegistry registry;
-  EventCache cache(8, CachePolicy::Fifo, Rng{1}, registry);
+  EventCache cache(8, registry);
   for (std::uint64_t i = 0; i < 20; ++i) {
     cache.insert(ev(0, i, {{Pattern{1}, SeqNo{i + 1}}}));
   }
@@ -757,7 +627,7 @@ TEST(EventCache, IndexesAreBuiltOnlyForTheirReader) {
 
 TEST(EventCacheDeath, IdsMatchingNeedsTheOptIn) {
   EventRegistry registry;
-  EventCache cache(4, CachePolicy::Fifo, Rng{1}, registry);
+  EventCache cache(4, registry);
   cache.insert(ev(0, 0, {{Pattern{1}, SeqNo{1}}}));
   EXPECT_DEATH((void)cache.ids_matching(Pattern{1}), "keep_pattern_index");
   EXPECT_DEATH(cache.keep_pattern_index(), "first insert");

@@ -17,7 +17,7 @@ TEST(Contracts, SchedulerRejectsPastAndNull) {
 
 TEST(Contracts, CacheRejectsZeroCapacity) {
   EventRegistry registry;
-  EXPECT_DEATH(EventCache(0, CachePolicy::Fifo, Rng{1}, registry), "positive");
+  EXPECT_DEATH(EventCache(0, registry), "positive");
 }
 
 TEST(Contracts, FloodBootstrapNeedsATreeOverlay) {
