@@ -14,9 +14,12 @@
 //     test;
 //   * by (source, pattern, seq) — serves pull digests: a registry stream
 //     probe plus a bit test;
-//   * ids matching a pattern — builds push digests from a per-pattern id
+//   * ids matching a pattern — builds push digests from a per-pattern
 //     index kept per cache, since a digest lists this node's ids in this
-//     node's insertion order. Only its reader (the push protocol) keeps
+//     node's insertion order. The index holds registry entries (4 bytes),
+//     not id copies (16), and a digest reads each id from the registry:
+//     the cache holds every entry its queues name, so none of them can be
+//     recycled while queued. Only its reader (the push protocol) keeps
 //     it, opting in with keep_pattern_index() before the first insert.
 // All of it grows with what the cache holds, since β is a ceiling: on a
 // large overlay most caches hold a few events against a β of hundreds. The
@@ -74,8 +77,8 @@ class EventCache {
   /// round builds one digest per round per node.
   void ids_matching_into(Pattern pattern, std::vector<EventId>& out) const;
 
-  /// Total entries across the per-pattern id index; 0 when the index is
-  /// not kept (introspection: tests pin that it holds live ids only).
+  /// Total entries across the per-pattern index; 0 when the index is not
+  /// kept (introspection: tests pin that it holds live entries only).
   [[nodiscard]] std::size_t pattern_index_entries() const;
 
   [[nodiscard]] std::size_t size() const { return order_.size(); }
@@ -109,17 +112,17 @@ class EventCache {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
-  /// One pattern's cached ids, insertion-ordered: a queue over a vector,
-  /// live from `head` on. The prefix is compacted away once it is at least
-  /// half the vector, so pops are amortized O(1) and an empty queue owns no
-  /// heap block until its first push.
-  struct PatternIds {
-    std::vector<EventId> ids;
+  /// One pattern's cached events as registry entries, insertion-ordered:
+  /// a queue over a vector, live from `head` on. The prefix is compacted
+  /// away once it is at least half the vector, so pops are amortized O(1)
+  /// and an empty queue owns no heap block until its first push.
+  struct PatternEntries {
+    std::vector<std::uint32_t> entries;
     std::uint32_t head = 0;
 
-    [[nodiscard]] bool empty() const { return head == ids.size(); }
-    [[nodiscard]] std::size_t size() const { return ids.size() - head; }
-    [[nodiscard]] const EventId& front() const { return ids[head]; }
+    [[nodiscard]] bool empty() const { return head == entries.size(); }
+    [[nodiscard]] std::size_t size() const { return entries.size() - head; }
+    [[nodiscard]] std::uint32_t front() const { return entries[head]; }
     void pop_front();
   };
 
@@ -152,11 +155,12 @@ class EventCache {
   /// One bit per registry entry: set while this cache holds it.
   std::vector<std::uint64_t> member_;
 
-  /// Per-pattern id index, kept after keep_pattern_index(). FIFO evicts
-  /// the oldest insertion, whose ids are the fronts of its own queues, so
-  /// each eviction pops them and the queues hold live ids only.
+  /// Per-pattern entry index, kept after keep_pattern_index(). FIFO
+  /// evicts the oldest insertion, which is the front of each of its own
+  /// queues, so each eviction pops it and the queues hold live entries
+  /// only.
   bool pattern_index_ = false;
-  FlatHashMap<Pattern, PatternIds, PatternKey> by_pattern_;
+  FlatHashMap<Pattern, PatternEntries, PatternKey> by_pattern_;
 };
 
 }  // namespace epicast

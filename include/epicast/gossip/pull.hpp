@@ -10,8 +10,9 @@
 //    losses, routed along that pattern's subscription routes — weak
 //    exactly where the paper says, when a pattern has few subscribers;
 //  * publisher-based pull: the losses of one source, sent back along the
-//    reverse of the route its events last travelled (RoutesBuffer); the
-//    publisher, which caches everything it publishes, is the backstop;
+//    last hops of the route its events last travelled (RoutesBuffer) and
+//    then straight to the publisher, which caches everything it publishes
+//    and is the backstop;
 //  * combined pull: publisher-based with probability P_source,
 //    subscriber-based otherwise — each wins where the other is weak;
 //  * random pull, the control: the same per-round scope as the steered
@@ -46,12 +47,9 @@ class PullProtocol final : public GossipProtocolBase {
   /// N publishers within the loss TTL under the paper's high-load scenario;
   /// 2 restores the capacity balance (see DESIGN.md).
   static constexpr std::size_t kPublisherSourcesPerRound = 2;
-  /// Publisher-bound digests traverse at most this many hops of the stored
-  /// route (harvesting short-circuit hits near the gossiper), then jump
-  /// out-of-band directly to the publisher. Reflects the paper's own
-  /// observation that a stale route is likely to share "at least the first
-  /// portion or, in the worst case, the publisher" (§III-B).
-  static constexpr std::size_t kPublisherRouteHops = 2;
+  // How many upstream hops a publisher-bound digest visits before it jumps
+  // to the publisher is RoutesBuffer::kTailHops: the buffer stores only
+  // that tail of each route.
 
   /// `algorithm` is one of the four pull algorithms.
   PullProtocol(Algorithm algorithm, Dispatcher& dispatcher,

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "epicast/common/flat_hash_map.hpp"
@@ -219,7 +220,7 @@ class Dispatcher final : public TransportReceiver {
   void accept_event(const EventPtr& event,
                     const RecoveryProtocol::EventContext& ctx);
   void forward_event(const EventPtr& event, NodeId exclude,
-                     const std::vector<NodeId>& route_so_far);
+                     std::span<const NodeId> route_so_far);
   /// Sends unsub(p) in directions that no longer lead to any subscriber.
   void maybe_propagate_unsub(Pattern p, NodeId skip);
   struct SubSentMarks;

@@ -9,6 +9,7 @@
 // epicast/gossip.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "epicast/common/ids.hpp"
@@ -31,8 +32,10 @@ class RecoveryProtocol {
     /// Upstream neighbour, or invalid() for a local publish or a recovery.
     NodeId from;
     /// Dispatchers traversed (publisher first, sender last); empty unless
-    /// route recording is enabled and the event arrived via the overlay.
-    std::vector<NodeId> route;
+    /// route recording is enabled and the event arrived via the overlay or
+    /// was published here. A view of the received message's route, valid
+    /// only during on_event(): a protocol that keeps any of it must copy.
+    std::span<const NodeId> route;
     /// The dispatcher itself published this event.
     bool local_publish = false;
     /// The event arrived via the recovery machinery, not normal routing.

@@ -6,9 +6,9 @@
 
 namespace epicast {
 
-void EventCache::PatternIds::pop_front() {
-  if (++head * 2 >= ids.size()) {
-    ids.erase(ids.begin(), ids.begin() + head);
+void EventCache::PatternEntries::pop_front() {
+  if (++head * 2 >= entries.size()) {
+    entries.erase(entries.begin(), entries.begin() + head);
     head = 0;
   }
 }
@@ -60,7 +60,7 @@ bool EventCache::insert(const EventPtr& event) {
   member_[word] |= std::uint64_t{1} << (entry & 63);
   if (pattern_index_) {
     for (const PatternSeq& ps : event->patterns()) {
-      by_pattern_[ps.pattern].ids.push_back(event->id());
+      by_pattern_[ps.pattern].entries.push_back(entry);
     }
   }
   ++stats_.insertions;
@@ -77,12 +77,11 @@ void EventCache::evict_oldest() {
   const std::uint32_t victim = order_[head_];
   member_[victim >> 6] &= ~(std::uint64_t{1} << (victim & 63));
   if (pattern_index_) {
-    // Every queue holds live ids in insertion order, so the oldest
+    // Every queue holds live entries in insertion order, so the oldest
     // insertion is the front of each of its queues.
-    const EventData& event = *registry_.event(victim);
-    for (const PatternSeq& ps : event.patterns()) {
-      PatternIds* bucket = by_pattern_.find(ps.pattern);
-      EPICAST_ASSERT(bucket != nullptr && bucket->front() == event.id());
+    for (const PatternSeq& ps : registry_.event(victim)->patterns()) {
+      PatternEntries* bucket = by_pattern_.find(ps.pattern);
+      EPICAST_ASSERT(bucket != nullptr && bucket->front() == victim);
       bucket->pop_front();
       if (bucket->empty()) by_pattern_.erase(ps.pattern);
     }
@@ -143,16 +142,18 @@ void EventCache::ids_matching_into(Pattern pattern,
                      "ids_matching() needs keep_pattern_index()");
   out.clear();
   HotpathProfiler::MaybeScope scope(profiler_, HotPhase::CacheOp);
-  if (const PatternIds* bucket = by_pattern_.find(pattern)) {
-    const auto live = static_cast<std::ptrdiff_t>(bucket->head);
-    out.assign(bucket->ids.begin() + live, bucket->ids.end());
+  if (const PatternEntries* bucket = by_pattern_.find(pattern)) {
+    out.reserve(bucket->size());
+    for (std::size_t i = bucket->head; i < bucket->entries.size(); ++i) {
+      out.push_back(registry_.event(bucket->entries[i])->id());
+    }
   }
 }
 
 std::size_t EventCache::pattern_index_entries() const {
   std::size_t n = 0;
   by_pattern_.for_each(
-      [&n](Pattern, const PatternIds& bucket) { n += bucket.size(); });
+      [&n](Pattern, const PatternEntries& bucket) { n += bucket.size(); });
   return n;
 }
 
@@ -160,8 +161,8 @@ std::size_t EventCache::memory_bytes() const {
   std::size_t bytes = order_.capacity() * sizeof(std::uint32_t);
   bytes += member_.capacity() * sizeof(std::uint64_t);
   bytes += by_pattern_.memory_bytes();
-  by_pattern_.for_each([&bytes](Pattern, const PatternIds& bucket) {
-    bytes += bucket.ids.capacity() * sizeof(EventId);
+  by_pattern_.for_each([&bytes](Pattern, const PatternEntries& bucket) {
+    bytes += bucket.entries.capacity() * sizeof(std::uint32_t);
   });
   return bytes;
 }

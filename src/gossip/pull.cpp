@@ -158,18 +158,11 @@ bool PullProtocol::round_publisher() {
   for (NodeId source : sources) {
     std::vector<LostEntryInfo> wanted = lost_.entries_for_source(source);
     EPICAST_ASSERT(!wanted.empty());
-
-    // Visit only the first kPublisherRouteHops of the stored route (the
-    // part most likely still valid and most likely to short-circuit), then
-    // go straight for the publisher.
-    std::vector<NodeId> route = routes_.route_to(source);
-    if (route.size() > kPublisherRouteHops + 1) {
-      route.erase(route.begin() +
-                      static_cast<std::ptrdiff_t>(kPublisherRouteHops),
-                  route.end() - 1);
-    }
+    // The stored tail: the upstream hops nearest this node (the part most
+    // likely still valid and most likely to short-circuit), then the
+    // publisher.
     forward_towards_publisher(d_.id(), source, std::move(wanted),
-                              std::move(route), /*originated=*/true);
+                              routes_.route_to(source), /*originated=*/true);
   }
   return true;
 }

@@ -208,7 +208,7 @@ EventPtr Dispatcher::publish(const std::vector<Pattern>& content,
   RecoveryProtocol::EventContext ctx;
   ctx.from = NodeId::invalid();
   ctx.local_publish = true;
-  if (config_.record_routes) ctx.route = {id_};
+  if (config_.record_routes) ctx.route = std::span<const NodeId>(&id_, 1);
   accept_event(event, ctx);
   forward_event(event, NodeId::invalid(), ctx.route);
   return event;
@@ -225,7 +225,7 @@ void Dispatcher::accept_event(const EventPtr& event,
 }
 
 void Dispatcher::forward_event(const EventPtr& event, NodeId exclude,
-                               const std::vector<NodeId>& route_so_far) {
+                               std::span<const NodeId> route_so_far) {
   HotpathProfiler::Scope scope(prof_, HotPhase::Forward);
   std::vector<NodeId>& targets = forward_targets_scratch_;
   table_.route_targets_into(*event, exclude, targets);
@@ -233,7 +233,9 @@ void Dispatcher::forward_event(const EventPtr& event, NodeId exclude,
 
   std::vector<NodeId> route;
   if (config_.record_routes) {
-    route = route_so_far;
+    // One allocation: room for this dispatcher's own hop up front.
+    route.reserve(route_so_far.size() + 1);
+    route.assign(route_so_far.begin(), route_so_far.end());
     if (route.empty() || route.back() != id_) route.push_back(id_);
   }
   // Every target receives the same (event, route): one pooled frame, shared.

@@ -1,6 +1,7 @@
 #include "epicast/runtime/cluster.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -24,15 +25,30 @@ std::uint64_t parse_u64(const std::string& tok, std::size_t line_no) {
   }
 }
 
+/// A finite number: NaN would pass every range check in validate(), since
+/// each comparison with it is false, and no directive means infinity.
 double parse_f64(const std::string& tok, std::size_t line_no) {
+  double v = 0.0;
   try {
     std::size_t pos = 0;
-    const double v = std::stod(tok, &pos);
+    v = std::stod(tok, &pos);
     if (pos != tok.size()) throw std::invalid_argument(tok);
-    return v;
   } catch (const std::exception&) {
     fail_line(line_no, "expected a number, got '" + tok + "'");
   }
+  if (!std::isfinite(v)) {
+    fail_line(line_no, "expected a finite number, got '" + tok + "'");
+  }
+  return v;
+}
+
+/// A duration given in (possibly fractional) milliseconds, kept to the
+/// nanosecond: `30.7` is 30.7 ms, not 30.
+Duration parse_millis(const std::string& tok, std::size_t line_no) {
+  const double ms = parse_f64(tok, line_no);
+  // Past about 292 years the nanosecond count overflows.
+  if (std::abs(ms) > 9e12) fail_line(line_no, "duration out of range");
+  return Duration::seconds(ms / 1e3);
 }
 
 }  // namespace
@@ -193,7 +209,7 @@ ClusterConfig parse_cluster_config(const std::string& text) {
       }
     } else if (key == "gossip-interval-ms") {
       want(1);
-      cfg.gossip.interval = Duration::millis(parse_f64(toks[0], line_no));
+      cfg.gossip.interval = parse_millis(toks[0], line_no);
     } else if (key == "beta") {
       want(1);
       cfg.gossip.buffer_size = parse_u64(toks[0], line_no);
@@ -205,8 +221,7 @@ ClusterConfig parse_cluster_config(const std::string& text) {
       cfg.gossip.source_probability = parse_f64(toks[0], line_no);
     } else if (key == "request-timeout-ms") {
       want(1);
-      cfg.gossip.request_timeout =
-          Duration::millis(parse_f64(toks[0], line_no));
+      cfg.gossip.request_timeout = parse_millis(toks[0], line_no);
       cfg.request_timeout_set = true;
     } else if (key == "heartbeat-interval-ms") {
       want(1);

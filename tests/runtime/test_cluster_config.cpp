@@ -118,6 +118,32 @@ TEST(ClusterConfig, SyntaxErrorsCarryLineNumbers) {
   expect_error("node 0 127.0.0.1 70000\n", "port out of range");
 }
 
+TEST(ClusterConfig, NonFiniteNumbersAreSyntaxErrors) {
+  // NaN compares false with every bound, so it would pass validate()'s
+  // range checks; each directive that takes a number rejects it at parse.
+  expect_error(kMinimal + "drop-rate nan\n", "line 5");
+  expect_error(kMinimal + "drop-rate nan\n", "finite");
+  expect_error(kMinimal + "run nan\n", "finite");
+  expect_error(kMinimal + "pforward nan\n", "finite");
+  expect_error(kMinimal + "psource -nan\n", "finite");
+  expect_error(kMinimal + "rate inf\n", "finite");
+  expect_error(kMinimal + "heartbeat-interval-ms infinity\n", "finite");
+  expect_error(kMinimal + "gossip-interval-ms nan\n", "finite");
+  expect_error(kMinimal + "request-timeout-ms inf\n", "finite");
+  expect_error(kMinimal + "gossip-interval-ms 1e300\n", "out of range");
+}
+
+TEST(ClusterConfig, MillisecondDirectivesKeepFractions) {
+  ClusterConfig cfg = parse_cluster_config(kMinimal +
+                                           "gossip-interval-ms 30.7\n"
+                                           "request-timeout-ms 0.25\n");
+  EXPECT_EQ(cfg.gossip.interval, Duration::micros(30'700));
+  EXPECT_EQ(cfg.gossip.request_timeout, Duration::micros(250));
+  // A positive interval under a millisecond is valid, not truncated to 0.
+  cfg = parse_cluster_config(kMinimal + "gossip-interval-ms 0.5\n");
+  EXPECT_EQ(cfg.gossip.interval, Duration::micros(500));
+}
+
 TEST(ClusterConfig, ValidationCatchesInconsistencies) {
   expect_error("", "no nodes");
   // Sparse ids: node 2 declared without node 1.

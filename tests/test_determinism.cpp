@@ -151,7 +151,11 @@ TEST(Determinism, WireModeMatchesSeedReference) {
 // the guards above never evict; at β=150 they evict throughout the window,
 // and the order of eviction decides what every digest and request finds.
 // Captured from the build whose caches kept a linked slot list, before
-// the eviction order became a ring of registry entries.
+// the eviction order became a ring of registry entries. The publisher-pull
+// row steers every round by the Routes buffer (combined pull steers about
+// half of them); it was captured from the build whose Routes buffer kept
+// each source's whole reversed route, before it kept only the tail a
+// publisher-bound digest visits.
 TEST(Determinism, FifoEvictionMatchesSeedReference) {
   struct Reference {
     Algorithm algorithm;
@@ -164,6 +168,8 @@ TEST(Determinism, FifoEvictionMatchesSeedReference) {
        0x1.b9086ce18a0bbp-1},
       {Algorithm::CombinedPull, 1311, 246, 16313, 611, 3514, 652,
        0x1.a8d493c45feb4p-1},
+      {Algorithm::PublisherPull, 1351, 270, 16390, 802, 3606, 628,
+       0x1.b5cadb0ee8053p-1},
   };
   for (const Reference& ref : refs) {
     ScenarioConfig cfg = quick(ref.algorithm, 404);

@@ -11,18 +11,21 @@
 namespace epicast {
 namespace {
 
-/// Records every route an event carried when it was delivered.
+/// Records the route the last delivered event carried. The context's route
+/// is a view valid only during on_event(), so the probe copies it.
 class RouteProbe final : public RecoveryProtocol {
  public:
   void on_event(const EventPtr& event, const EventContext& ctx) override {
     last_event = event;
-    last_ctx = ctx;
+    last_from = ctx.from;
+    last_route.assign(ctx.route.begin(), ctx.route.end());
   }
   void on_gossip(NodeId, const MessagePtr&) override {}
   const char* name() const override { return "probe"; }
 
   EventPtr last_event;
-  EventContext last_ctx;
+  NodeId last_from;
+  std::vector<NodeId> last_route;
 };
 
 class DispatcherHarness : public ::testing::Test {
@@ -202,9 +205,9 @@ TEST(DispatcherRoutes, RecordedRouteListsTraversedDispatchers) {
   ASSERT_NE(probe_ptr->last_event, nullptr);
   // Publisher first, each forwarder appended: 0 → 1 → 2 (receiver 3 not
   // included).
-  EXPECT_EQ(probe_ptr->last_ctx.route,
+  EXPECT_EQ(probe_ptr->last_route,
             (std::vector<NodeId>{NodeId{0}, NodeId{1}, NodeId{2}}));
-  EXPECT_EQ(probe_ptr->last_ctx.from, NodeId{2});
+  EXPECT_EQ(probe_ptr->last_from, NodeId{2});
 }
 
 TEST(DispatcherDuplicates, SecondCopyIsSuppressed) {

@@ -208,6 +208,29 @@ TEST(EventCache, PatternIndexStaysTightUnderFifoChurn) {
   EXPECT_EQ(cache.pattern_index_entries(), 8u);
 }
 
+TEST(EventCache, PatternIndexCostsFourBytesAnEntry) {
+  // The per-pattern index names each held event by its registry entry, 4
+  // bytes, not by a 16-byte id copy. A queue's vector holds its live
+  // entries plus a dead prefix of at most as many (compaction) and spare
+  // capacity of at most as many again (doubling): at most 4 slots a live
+  // entry, 16 bytes with 4-byte slots but 64 with id copies.
+  constexpr std::size_t kBeta = 1000;
+  EventRegistry plain_registry;
+  EventRegistry indexed_registry;
+  EventCache plain(kBeta, plain_registry);
+  EventCache indexed(kBeta, indexed_registry);
+  indexed.keep_pattern_index();
+  for (std::uint64_t i = 0; i < 3 * kBeta; ++i) {
+    const auto e = ev(0, i, {{Pattern{1}, SeqNo{i + 1}}});
+    plain.insert(e);
+    indexed.insert(e);
+  }
+  ASSERT_EQ(indexed.pattern_index_entries(), kBeta);
+  const std::size_t index_bytes = indexed.memory_bytes() - plain.memory_bytes();
+  // One bucket of the pattern table, 8 slots, is the rest.
+  EXPECT_LE(index_bytes, 4 * sizeof(std::uint32_t) * kBeta + 512);
+}
+
 TEST(EventCache, FifoDigestNeedsNoLivenessFiltering) {
   // Interleave three patterns so evictions hit buckets the query never
   // touches; the digest must still be exactly the live ids.

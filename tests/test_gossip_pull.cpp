@@ -357,11 +357,11 @@ TEST(RandomPull, EventuallyRecoversOnSmallNetwork) {
 }
 
 TEST(PublisherPull, RouteTruncationJumpsOutOfBand) {
-  // 6-node line, subscriber only at the far end: the stored route back to
-  // the publisher is 5 hops, but kPublisherRouteHops = 2 means the digest
+  // 6-node line, subscriber only at the far end: the route back to the
+  // publisher is 5 hops, but RoutesBuffer::kTailHops = 2 means the digest
   // visits two neighbours and then jumps straight to the publisher over
   // the out-of-band channel — observable as a direct-channel digest send.
-  ASSERT_EQ(PullProtocol::kPublisherRouteHops, 2u);
+  ASSERT_EQ(RoutesBuffer::kTailHops, 2u);
   GossipHarness h(6, Algorithm::PublisherPull);
   h.subscribe_and_settle({{5, 1}});
   h.start_recovery();
@@ -378,8 +378,8 @@ TEST(PublisherPull, RouteTruncationJumpsOutOfBand) {
 }
 
 TEST(PublisherPull, ShortRouteIsTraversedInFull) {
-  // 4-node line: the stored route back to the publisher is 3 hops, within
-  // kPublisherRouteHops + 1, so no hop is skipped: every hop of the route
+  // 4-node line: the route back to the publisher is 3 hops, within
+  // RoutesBuffer::kTailHops + 1, so no hop is skipped: every hop of the route
   // is visited over the overlay; the only direct traffic is the reply.
   GossipHarness h(4, Algorithm::PublisherPull);
   h.subscribe_and_settle({{3, 1}});
