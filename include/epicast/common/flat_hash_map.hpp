@@ -5,8 +5,7 @@
 // detector and the Lost buffer, and advances the route and link state of
 // the nodes it crosses; every pull digest probes the registry's (source,
 // pattern, seq) index once per wanted entry, and nearly every such probe
-// misses; every delivery is checked against the oracles' published,
-// offered and delivered sets and counted in the delivery tracker.
+// misses; every delivery is counted in the delivery tracker.
 // FlatHashMap serves all of these, the sparse seen-set, the dispatcher's
 // publish counters and the daemon's stream marks, with one layout:
 //   * one flat array of {key, value} slots, power-of-two sized, probed

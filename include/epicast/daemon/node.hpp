@@ -82,6 +82,7 @@ class NodeDaemon {
   [[nodiscard]] const oracle::OracleSuite* oracles() const {
     return oracles_.get();
   }
+  [[nodiscard]] oracle::OracleSuite* oracles() { return oracles_.get(); }
   /// nullptr when heartbeat-interval-ms is 0.
   [[nodiscard]] FailureDetector* failure_detector() {
     return failure_detector_.get();
@@ -128,6 +129,7 @@ class NodeDaemon {
   std::unique_ptr<runtime::AsyncRuntime> rt_;
   std::unique_ptr<Dispatcher> dispatcher_;
   std::unique_ptr<oracle::OracleSuite> oracles_;
+  oracle::UniqueDeliveryOracle* unique_oracle_ = nullptr;  // owned by oracles_
   oracle::WireRoundTripOracle* wire_oracle_ = nullptr;  // owned by oracles_
   std::unique_ptr<Journal> journal_;
   std::unique_ptr<FailureDetector> failure_detector_;

@@ -22,8 +22,9 @@
 // the live hooks funnel into the same methods.
 //
 // The oracles run on every delivery and every send of an oracle-enabled
-// run, so their sets (published ids, offered and delivered pairs) are
-// open-addressed FlatHashSets, and a send hook tests msg.message_class()
+// run, so their sets are bitmaps over the dense per-source sequence
+// numbers (published ids in a SeenSet, offered and delivered pairs in a
+// PairSet, oracle/pair_set.hpp), and a send hook tests msg.message_class()
 // before any dynamic_cast: most sends are events, which no send check reads.
 #pragma once
 
@@ -32,27 +33,12 @@
 #include <span>
 #include <string>
 
-#include "epicast/common/flat_hash_map.hpp"
 #include "epicast/oracle/oracle.hpp"
+#include "epicast/oracle/pair_set.hpp"
+#include "epicast/pubsub/seen_set.hpp"
 #include "epicast/wire/buffer.hpp"
 
 namespace epicast::oracle {
-
-/// Key of one (event, subscriber) delivery pair.
-struct DeliveryKey {
-  EventId event;
-  NodeId node;
-
-  friend constexpr auto operator<=>(const DeliveryKey&,
-                                    const DeliveryKey&) = default;
-};
-
-/// FlatHashSet key traits for delivery pairs.
-struct DeliveryKeyTraits {
-  static constexpr std::uint64_t hash(const DeliveryKey& k) {
-    return hash_mix(EventIdKey::hash(k.event) ^ k.node.value());
-  }
-};
 
 /// 1. No duplicate delivery per (event, subscriber) — the dispatcher's
 /// duplicate suppression (seen-set + accept_recovered) must hold under
@@ -61,9 +47,19 @@ class UniqueDeliveryOracle final : public Oracle {
  public:
   [[nodiscard]] const char* name() const override { return "unique-delivery"; }
   void on_delivery(NodeId node, const EventPtr& event, bool recovered) override;
+  [[nodiscard]] std::size_t memory_bytes() const override {
+    return delivered_.memory_bytes();
+  }
+
+  /// Records (id, node) as delivered without checking it: a restarted
+  /// daemon replays its journal's deliveries through here, so a first-life
+  /// event delivered again in the second life still fires.
+  void note_delivered(const EventId& id, NodeId node) {
+    delivered_.insert(id, node);
+  }
 
  private:
-  FlatHashSet<DeliveryKey, DeliveryKeyTraits> delivered_;
+  PairSet delivered_;
 };
 
 /// 2. Delivery only to matching subscribers: the delivering node's
@@ -94,11 +90,14 @@ class ConservationOracle final : public Oracle {
   void on_delivery(NodeId node, const EventPtr& event, bool recovered) override;
   void on_send(NodeId from, NodeId to, const Message& msg,
                bool overlay) override;
+  [[nodiscard]] std::size_t memory_bytes() const override {
+    return published_.memory_bytes() + offered_.memory_bytes();
+  }
 
  private:
-  FlatHashSet<EventId, EventIdKey> published_;
+  SeenSet published_;
   /// (event, destination) pairs offered via a retransmission reply.
-  FlatHashSet<DeliveryKey, DeliveryKeyTraits> offered_;
+  PairSet offered_;
 };
 
 /// 4. Buffer occupancy ≤ β. Checked on every gossip send of a node exposing

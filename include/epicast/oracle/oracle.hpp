@@ -23,6 +23,7 @@
 // benchmarking; see docs/EXTENDING.md for how to register a new oracle.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -88,6 +89,9 @@ class Oracle {
   /// Called once after the simulation finishes — end-of-run global checks.
   virtual void on_scenario_end() {}
 
+  /// Bytes the oracle's per-event and per-pair sets own.
+  [[nodiscard]] virtual std::size_t memory_bytes() const { return 0; }
+
  protected:
   [[nodiscard]] const OracleContext& ctx() const;
 
@@ -133,6 +137,8 @@ class OracleSuite final : public TransportObserver {
   [[nodiscard]] std::size_t oracle_count() const { return oracles_.size(); }
   /// Total checks performed across all oracles.
   [[nodiscard]] std::uint64_t checks() const { return checks_; }
+  /// Sum of the oracles' memory_bytes().
+  [[nodiscard]] std::size_t memory_bytes() const;
   /// Recorded violations (FailMode::Record only — Abort never returns).
   [[nodiscard]] const std::vector<Violation>& violations() const {
     return violations_;

@@ -79,7 +79,9 @@ struct ScenarioResult {
   /// retransmission buffers' containers plus, once, the runtime's event
   /// registry that indexes them (not the shared events); `topology`
   /// the adjacency (mutation vectors + CSR + BFS scratch); `tracker` the
-  /// delivery-metric bookkeeping.
+  /// delivery-metric bookkeeping. `oracle` is the conformance oracles'
+  /// sets (0 with the oracles off); it is verification state, not the
+  /// protocol's, so total_bytes() and bytes_per_node() leave it out.
   struct MemoryBreakdown {
     std::uint32_t node_count = 0;
     std::size_t topology_bytes = 0;
@@ -87,6 +89,7 @@ struct ScenarioResult {
     std::size_t seen_bytes = 0;
     std::size_t cache_bytes = 0;
     std::size_t tracker_bytes = 0;
+    std::size_t oracle_bytes = 0;
     [[nodiscard]] std::size_t total_bytes() const {
       return topology_bytes + routing_bytes + seen_bytes + cache_bytes +
              tracker_bytes;

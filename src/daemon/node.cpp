@@ -65,7 +65,9 @@ NodeDaemon::NodeDaemon(runtime::ClusterConfig cluster, NodeId self,
     oracles_ = std::make_unique<oracle::OracleSuite>(
         oracle::OracleContext{nullptr, nullptr, cluster_.sizing},
         oracle::FailMode::Abort);
-    oracles_->add(std::make_unique<oracle::UniqueDeliveryOracle>());
+    auto unique = std::make_unique<oracle::UniqueDeliveryOracle>();
+    unique_oracle_ = unique.get();
+    oracles_->add(std::move(unique));
     auto wire = std::make_unique<oracle::WireRoundTripOracle>();
     wire_oracle_ = wire.get();
     oracles_->add(std::move(wire));
@@ -159,9 +161,11 @@ void NodeDaemon::replay_journal() {
   for (const Journal::DeliveryEntry& d : rp.deliveries) {
     delivered_.push_back(DeliveryRecord{d.source, d.seq, d.t_s, d.recovered});
     // Re-gossiped copies of events delivered in a previous incarnation are
-    // duplicates, not deliveries — this keeps the unique-delivery oracle
-    // true across the crash.
-    dispatcher_->note_seen(EventId{NodeId{d.source}, d.seq});
+    // duplicates, not deliveries; the unique-delivery oracle is told of
+    // them too, so it holds across the crash rather than restarting empty.
+    const EventId id{NodeId{d.source}, d.seq};
+    dispatcher_->note_seen(id);
+    if (unique_oracle_ != nullptr) unique_oracle_->note_delivered(id, self_);
   }
   dispatcher_->restore_sequences(next_seq, pattern_seq);
   dispatcher_->recovery()->on_restart(opts_.restart_policy);
@@ -332,7 +336,10 @@ std::string NodeDaemon::stats_json() const {
     local.memory.cache_bytes =
         c->memory_bytes() + rt_->event_registry().memory_bytes();
   }
-  if (oracles_ != nullptr) local.oracle_checks = oracles_->checks();
+  if (oracles_ != nullptr) {
+    local.oracle_checks = oracles_->checks();
+    local.memory.oracle_bytes = oracles_->memory_bytes();
+  }
 
   const auto& ds = dispatcher_->stats();
   const auto& ts = rt_->stats();

@@ -73,7 +73,8 @@ std::string result_json(const ScenarioResult& r) {
      << "    \"cache_bytes\": " << m.cache_bytes << ",\n"
      << "    \"tracker_bytes\": " << m.tracker_bytes << ",\n"
      << "    \"total_bytes\": " << m.total_bytes() << ",\n"
-     << "    \"bytes_per_node\": " << m.bytes_per_node() << "\n"
+     << "    \"bytes_per_node\": " << m.bytes_per_node() << ",\n"
+     << "    \"oracle_bytes\": " << m.oracle_bytes << "\n"
      << "  },\n"
      << "  \"sim_events_executed\": " << r.sim_events_executed << "\n"
      << "}\n";

@@ -36,7 +36,7 @@ const EventCache* cache_of(const OracleContext& ctx, NodeId node) {
 void UniqueDeliveryOracle::on_delivery(NodeId node, const EventPtr& event,
                                        bool /*recovered*/) {
   checked();
-  if (!delivered_.try_emplace({event->id(), node}).second) {
+  if (!delivered_.insert(event->id(), node)) {
     fail(node, "duplicate delivery of event " + event_label(event->id()));
   }
 }
@@ -56,7 +56,7 @@ void MatchingDeliveryOracle::on_delivery(NodeId node, const EventPtr& event,
 // -- 3. conservation ----------------------------------------------------------
 
 void ConservationOracle::on_publish(const EventPtr& event) {
-  published_.try_emplace(event->id());
+  published_.insert(event->id());
 }
 
 void ConservationOracle::on_delivery(NodeId node, const EventPtr& event,
@@ -70,7 +70,7 @@ void ConservationOracle::on_delivery(NodeId node, const EventPtr& event,
                                 ctx().sim != nullptr &&
                                 ctx().sim->now() == event->published_at();
     if (publisher_self) {
-      published_.try_emplace(id);
+      published_.insert(id);
     } else {
       fail(node, "delivery of unpublished event " + event_label(id));
       return;
@@ -83,7 +83,7 @@ void ConservationOracle::on_delivery(NodeId node, const EventPtr& event,
   }
   if (recovered) {
     checked();
-    if (!offered_.contains({id, node})) {
+    if (!offered_.contains(id, node)) {
       fail(node, "recovered delivery of event " + event_label(id) +
                      " without a preceding retransmission reply to this node");
     }
@@ -96,7 +96,7 @@ void ConservationOracle::on_send(NodeId /*from*/, NodeId to, const Message& msg,
   const auto* reply = dynamic_cast<const RecoveryReplyMessage*>(&msg);
   if (reply == nullptr) return;
   for (const EventPtr& ev : reply->events()) {
-    offered_.try_emplace({ev->id(), to});
+    offered_.insert(ev->id(), to);
   }
 }
 

@@ -46,6 +46,12 @@ void OracleSuite::on_send(NodeId from, NodeId to, const Message& msg,
   for (const auto& o : oracles_) o->on_send(from, to, msg, overlay);
 }
 
+std::size_t OracleSuite::memory_bytes() const {
+  std::size_t n = 0;
+  for (const auto& o : oracles_) n += o->memory_bytes();
+  return n;
+}
+
 void OracleSuite::report(const Oracle& oracle, NodeId node,
                          std::string detail) {
   const SimTime when = ctx_.sim != nullptr ? ctx_.sim->now() : SimTime::zero();

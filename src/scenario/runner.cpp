@@ -282,6 +282,7 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
   if (oracles != nullptr) {
     oracles->notify_scenario_end();
     result.oracle_checks = oracles->checks();
+    result.memory.oracle_bytes = oracles->memory_bytes();
   }
   result.hotpath = sim.profiler().snapshot();
   // Frames still in flight at end_time are live pool blocks until their

@@ -7,6 +7,8 @@
 // and none when disabled.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <memory>
 #include <set>
 #include <tuple>
@@ -14,6 +16,8 @@
 
 #include "../gossip_harness.hpp"
 #include "epicast/epicast.hpp"
+#include "epicast/oracle/pair_set.hpp"
+#include "scenario_builders.hpp"
 
 namespace {
 
@@ -116,48 +120,60 @@ TEST(ConservationOracleTest, AcceptsRecoveredDeliveryAfterReply) {
 }
 
 TEST(UniqueDeliveryOracleTest, FiresOnDuplicatesAfterTheTableHasGrown) {
-  // 40 sources x 25 sequence numbers x 8 nodes: 8000 distinct pairs take
-  // the delivered set through ten doublings. Every id recurs at every
-  // node and every sequence number at every source, so pairs that differ
-  // in one field only must stay distinct — and each one, delivered again
-  // in another order, must fire.
+  // 40 sources x 25 sequence numbers x 8 nodes, delivered node by node:
+  // all 1000 ids are stored at nodes 0, 5 and 63 before node 64 widens the
+  // node bitmaps to two words, and at 64, 100 and 127 before node 128
+  // widens them to three. Every id recurs at every node and every sequence
+  // number at every source, so pairs that differ in one field only must
+  // stay distinct — and each one, delivered again in another order after
+  // both widens, must fire.
   auto suite = record_suite();
   suite->add(std::make_unique<UniqueDeliveryOracle>());
-  for (std::uint32_t src = 0; src < 40; ++src) {
-    for (std::uint64_t seq = 1; seq <= 25; ++seq) {
-      const EventPtr e = make_event(src, seq);
-      for (std::uint32_t node = 0; node < 8; ++node) {
-        suite->notify_delivery(NodeId{node}, e, false);
+  const std::vector<std::uint32_t> nodes = {0, 5, 63, 64, 100, 127, 128, 130};
+  for (const std::uint32_t node : nodes) {
+    for (std::uint32_t src = 0; src < 40; ++src) {
+      for (std::uint64_t seq = 1; seq <= 25; ++seq) {
+        suite->notify_delivery(NodeId{node}, make_event(src, seq), false);
       }
     }
   }
   ASSERT_TRUE(suite->violations().empty());
   std::size_t duplicates = 0;
-  for (std::uint32_t node = 8; node-- > 0;) {
+  for (auto node = nodes.rbegin(); node != nodes.rend(); ++node) {
     for (std::uint64_t seq = 25; seq >= 1; --seq) {
       for (std::uint32_t src = 0; src < 40; ++src) {
-        suite->notify_delivery(NodeId{node}, make_event(src, seq), false);
+        suite->notify_delivery(NodeId{*node}, make_event(src, seq), false);
         ASSERT_EQ(suite->violations().size(), ++duplicates);
-        EXPECT_EQ(suite->violations().back().node, NodeId{node});
+        EXPECT_EQ(suite->violations().back().node, NodeId{*node});
       }
     }
   }
-  // A fresh pair after all that is still accepted.
+  // Fresh pairs after all that are still accepted, and one past 192
+  // widens the bitmaps once more without losing what they hold.
   suite->notify_delivery(NodeId{8}, make_event(0, 1), false);
+  suite->notify_delivery(NodeId{200}, make_event(0, 1), false);
   EXPECT_EQ(suite->violations().size(), duplicates);
+  suite->notify_delivery(NodeId{0}, make_event(39, 25), false);
+  EXPECT_EQ(suite->violations().size(), duplicates + 1);
 }
 
 TEST(ConservationOracleTest, OfferedPairsAgreeWithAReferenceSet) {
   // Random replies offer (event, node) pairs to 12 nodes; events and
-  // requests carrying the same ids offer nothing. Afterwards a recovered
-  // delivery of every (event, node) pair fires exactly when a std::set
-  // model of the offers lacks the pair — including pairs that differ from
-  // an offered one only in the node.
+  // requests carrying the same ids offer nothing. The first third of the
+  // rounds offers only to nodes below 64, the second third adds nodes up
+  // to 127 (a widen to two words) and the last adds nodes past 128 (a
+  // widen to three). Afterwards a recovered delivery of every (event,
+  // node) pair fires exactly when a std::set model of the offers lacks
+  // the pair — including pairs that differ from an offered one only in
+  // the node.
   auto suite = record_suite();
   suite->add(std::make_unique<ConservationOracle>());
   constexpr std::uint32_t kSources = 16;
   constexpr std::uint64_t kSeqs = 64;
-  constexpr std::uint32_t kNodes = 12;
+  constexpr std::array<std::uint32_t, 12> kNodes = {0,   1,   2,   40,
+                                                   63,  64,  65,  100,
+                                                   127, 128, 129, 150};
+  const NodeId sender{200};
   std::vector<EventPtr> events;
   for (std::uint32_t src = 0; src < kSources; ++src) {
     for (std::uint64_t seq = 1; seq <= kSeqs; ++seq) {
@@ -168,7 +184,8 @@ TEST(ConservationOracleTest, OfferedPairsAgreeWithAReferenceSet) {
   std::set<std::tuple<std::uint32_t, std::uint64_t, std::uint32_t>> offered;
   Rng rng(5);
   for (int round = 0; round < 900; ++round) {
-    const NodeId to{static_cast<std::uint32_t>(rng.next_below(kNodes))};
+    const std::uint64_t reachable = round < 300 ? 5 : round < 600 ? 9 : 12;
+    const NodeId to{kNodes[rng.next_below(reachable)]};
     std::vector<EventPtr> carried;
     for (std::uint64_t k = 1 + rng.next_below(4); k > 0; --k) {
       carried.push_back(events[rng.next_below(events.size())]);
@@ -176,23 +193,24 @@ TEST(ConservationOracleTest, OfferedPairsAgreeWithAReferenceSet) {
     if (round % 3 == 0) {
       // Not a reply: the same ids travel as an event and a request.
       const EventMessage as_event(carried.front(), {});
-      suite->on_send(NodeId{kNodes}, to, as_event, /*overlay=*/true);
-      const RecoveryRequestMessage as_request(NodeId{kNodes}, 100,
+      suite->on_send(sender, to, as_event, /*overlay=*/true);
+      const RecoveryRequestMessage as_request(sender, 100,
                                               {carried.front()->id()});
-      suite->on_send(NodeId{kNodes}, to, as_request, /*overlay=*/false);
+      suite->on_send(sender, to, as_request, /*overlay=*/false);
       continue;
     }
     for (const EventPtr& e : carried) {
       offered.emplace(e->source().value(), e->id().source_seq, to.value());
     }
-    const RecoveryReplyMessage reply(NodeId{kNodes}, 100, carried);
-    suite->on_send(NodeId{kNodes}, to, reply, /*overlay=*/false);
+    const RecoveryReplyMessage reply(sender, 100, carried);
+    suite->on_send(sender, to, reply, /*overlay=*/false);
   }
   ASSERT_TRUE(suite->violations().empty());
 
   std::size_t fired_next_to_an_offer = 0;
   for (const EventPtr& e : events) {
-    for (std::uint32_t node = 0; node < kNodes; ++node) {
+    for (std::size_t i = 0; i < kNodes.size(); ++i) {
+      const std::uint32_t node = kNodes[i];
       const std::size_t before = suite->violations().size();
       suite->notify_delivery(NodeId{node}, e, /*recovered=*/true);
       const bool fired = suite->violations().size() > before;
@@ -203,13 +221,73 @@ TEST(ConservationOracleTest, OfferedPairsAgreeWithAReferenceSet) {
           << ") at node " << node;
       if (fired && offered.contains({e->source().value(),
                                      e->id().source_seq,
-                                     (node + 1) % kNodes})) {
+                                     kNodes[(i + 1) % kNodes.size()]})) {
         ++fired_next_to_an_offer;
       }
     }
   }
   EXPECT_GT(offered.size(), 1000u);
   EXPECT_GT(fired_next_to_an_offer, 0u);
+}
+
+TEST(PairSetTest, AgreesWithAReferenceSetAcrossWidens) {
+  // Random (source, seq, node) triples whose node ids are drawn below a
+  // bound that steps from 64 to 300 in five stages, so the bitmaps widen
+  // from one word to five while every earlier row holds pairs. After every
+  // step, insert's result — and contains on the triple, on each triple
+  // differing from it in one field, and on a random triple — agree with a
+  // std::set model.
+  oracle::PairSet set;
+  std::set<std::tuple<std::uint32_t, std::uint64_t, std::uint32_t>> model;
+  constexpr std::uint32_t kSources = 6;
+  constexpr std::uint64_t kSeqs = 40;
+  constexpr int kSteps = 6000;
+  const auto agrees = [&](std::uint32_t src, std::uint64_t seq,
+                          std::uint32_t node) {
+    return set.contains(EventId{NodeId{src}, seq}, NodeId{node}) ==
+           model.contains({src, seq, node});
+  };
+  Rng rng(28);
+  std::vector<std::size_t> widths = {set.width()};
+  for (int step = 0; step < kSteps; ++step) {
+    const std::uint32_t bound =
+        std::min<std::uint32_t>(300, 64 * (1 + 5 * step / kSteps));
+    const auto src = static_cast<std::uint32_t>(rng.next_below(kSources));
+    const std::uint64_t seq = rng.next_below(kSeqs);
+    const auto node = static_cast<std::uint32_t>(rng.next_below(bound));
+    ASSERT_EQ(set.insert(EventId{NodeId{src}, seq}, NodeId{node}),
+              model.emplace(src, seq, node).second)
+        << "step " << step;
+    if (set.width() != widths.back()) widths.push_back(set.width());
+    ASSERT_TRUE(agrees(src, seq, node)) << "step " << step;
+    ASSERT_TRUE(agrees(src + 1, seq, node)) << "step " << step;
+    ASSERT_TRUE(agrees(src, seq + 1, node)) << "step " << step;
+    ASSERT_TRUE(agrees(src, seq, node + 1)) << "step " << step;
+    ASSERT_TRUE(agrees(src, seq, node ^ 64)) << "step " << step;
+    if (src > 0) {
+      ASSERT_TRUE(agrees(src - 1, seq, node)) << "step " << step;
+    }
+    if (seq > 0) {
+      ASSERT_TRUE(agrees(src, seq - 1, node)) << "step " << step;
+    }
+    if (node > 0) {
+      ASSERT_TRUE(agrees(src, seq, node - 1)) << "step " << step;
+    }
+    ASSERT_TRUE(agrees(static_cast<std::uint32_t>(rng.next_below(kSources + 2)),
+                       rng.next_below(kSeqs + 2),
+                       static_cast<std::uint32_t>(rng.next_below(400))))
+        << "step " << step;
+  }
+  EXPECT_EQ(widths, (std::vector<std::size_t>{1, 2, 3, 4, 5}));
+  for (std::uint32_t src = 0; src <= kSources; ++src) {
+    for (std::uint64_t seq = 0; seq <= kSeqs; ++seq) {
+      for (std::uint32_t node = 0; node < 330; ++node) {
+        ASSERT_TRUE(agrees(src, seq, node))
+            << "(" << src << "#" << seq << ") at node " << node;
+      }
+    }
+  }
+  EXPECT_GT(model.size(), 4000u);
 }
 
 TEST(BufferBoundOracleTest, FiresOnOccupancyAboveBeta) {
@@ -342,6 +420,21 @@ TEST(OracleSuiteWiring, DisabledScenarioIsBitIdentical) {
   EXPECT_EQ(with.delivered_pairs, without.delivered_pairs);
   EXPECT_EQ(with.expected_pairs, without.expected_pairs);
   EXPECT_EQ(with.delivery_rate, without.delivery_rate);
+}
+
+TEST(OracleSuiteWiring, ReportsTheOracleBytesOutsideTheTotal) {
+  // The paper's defaults under push, as the repo benchmark runs them: the
+  // per-pair hash sets the bitmaps replaced held 10.4 MB at scenario end,
+  // the bitmaps about 1.2 MB. The figure is the oracles' alone, so the
+  // protocol's total is the same with them off.
+  ScenarioConfig cfg = figures::base(Algorithm::Push, 0.5, 16);
+  const ScenarioResult on = run_scenario(cfg);
+  EXPECT_GT(on.memory.oracle_bytes, 0u);
+  EXPECT_LT(on.memory.oracle_bytes, 2'000'000u);
+  cfg.oracles = false;
+  const ScenarioResult off = run_scenario(cfg);
+  EXPECT_EQ(off.memory.oracle_bytes, 0u);
+  EXPECT_EQ(off.memory.total_bytes(), on.memory.total_bytes());
 }
 
 TEST(OracleSuiteWiring, DefaultSuiteHasSixOracles) {

@@ -487,6 +487,48 @@ TEST(NodeDaemon, JournalReplayRestoresStateAcrossRestart) {
   std::remove((journal + ".cache").c_str());
 }
 
+TEST(NodeDaemon, JournalReplaySeedsTheUniqueDeliveryOracle) {
+  // A first life delivered (0#0), (0#1) and (0#3) at node 1. The second
+  // life's unique-delivery oracle must know them from the journal: a
+  // first-life event delivered again through its suite is reported (the
+  // daemon's suite aborts on a violation), while one the first life never
+  // delivered is accepted.
+  const std::string journal = testing::TempDir() +
+                              "epicast_daemon_oracle_" +
+                              std::to_string(::getpid());
+  std::remove(journal.c_str());
+  {
+    daemon::Journal first_life(journal);
+    first_life.log_boot(1, fault::RestartPolicy::Warm);
+    for (const std::uint64_t seq : {0, 1, 3}) {
+      first_life.log_delivery(daemon::Journal::DeliveryEntry{0, seq, 0.5});
+    }
+  }
+  const runtime::ClusterConfig cfg =
+      line_cluster(2, /*drop_rate=*/0.0, /*rate_hz=*/5.0,
+                   /*run_s=*/0.4, /*drain_s=*/0.2);
+  daemon::DaemonOptions opts;
+  opts.journal_path = journal;
+  daemon::NodeDaemon reborn(cfg, NodeId{1}, opts);
+  ASSERT_TRUE(reborn.restarted());
+  ASSERT_EQ(reborn.delivered().size(), 3u);
+  oracle::OracleSuite* suite = reborn.oracles();
+  ASSERT_NE(suite, nullptr);
+  const auto event = [](std::uint64_t seq) -> EventPtr {
+    return std::make_shared<const EventData>(
+        EventId{NodeId{0}, seq},
+        std::vector<PatternSeq>{{Pattern{0}, SeqNo{seq}}}, 64,
+        SimTime::zero());
+  };
+  suite->notify_delivery(NodeId{1}, event(2), /*recovered=*/false);
+  EXPECT_DEATH(suite->notify_delivery(NodeId{1}, event(1), false),
+               "'unique-delivery' violated");
+  EXPECT_DEATH(suite->notify_delivery(NodeId{1}, event(3), true),
+               "'unique-delivery' violated");
+
+  std::remove(journal.c_str());
+}
+
 TEST(NodeDaemon, StopFlagEndsTheRunEarly) {
   runtime::ClusterConfig cfg =
       line_cluster(2, /*drop_rate=*/0.0, /*rate_hz=*/5.0,
